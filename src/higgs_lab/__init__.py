@@ -65,7 +65,6 @@ from .filtration import (
     all_jordan_holder,
     grading,
     harder_narasimhan,
-    induced_submodel,
     interval_quotient_model,
     jordan_holder,
     s_equivalent,

@@ -27,6 +27,7 @@ from .hilbert import format_rational
 from .modelfile import LoadedObject, ModelFile, ParseError, load, sheaf_to_json
 from .stability import (
     IncompleteTorsionClosureError,
+    InvalidModelError,
     StabilityVerdict,
     gieseker_classify,
     gieseker_classify_by_quotients,
@@ -289,6 +290,9 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_INPUT_ERROR
     except UnknownIdError as exc:
         print(f"error: unknown id {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except InvalidModelError as exc:
+        print(f"error: invalid model: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_INPUT_ERROR
 

@@ -1,11 +1,12 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
-Subobjects of a subobject are the declared entries below it, with quotient
-invariants recomputed by chi subtraction; quotient-side recursion represents
-subobjects of a quotient by the declared entries above the kernel.  Both
-constructions verify every filtration invariant before returning, so an
-under-declared family surfaces as an explicit error instead of a wrong
-answer.
+Every step works on an interval model built by interval_quotient_model: a
+subobject (bottom of None) has the declared entries below it as its family,
+and a quotient has the declared entries above the kernel; quotient
+invariants come from chi subtraction.  Every construction passes the
+stability gate first, and verifies every filtration invariant before
+returning, so an under-declared family surfaces as an explicit error
+instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -18,12 +19,13 @@ from typing import Optional
 
 from .chern import NumericalSheafData, normalized_p
 from .hilbert import EventualOrder, HilbertPolynomial
-from .model import HiggsObjectModel, SubobjectEntry, Violation, validate
+from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
     InvalidModelError,
     PreconditionUnmetError,
     StabilityClass,
     gieseker_classify,
+    require_classifiable,
 )
 
 CHAIN_BOUND_ENV = "HIGGS_LAB_MAX_CHAINS"
@@ -94,42 +96,6 @@ def _sheaf_delta(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheaf
     chi = a.chi - b.chi
     return NumericalSheafData(
         rank, a.deg_h - b.deg_h, chi, torsion_free=rank > 0 or chi.is_zero
-    )
-
-
-def _between_entry(
-    top_data: NumericalSheafData, member: SubobjectEntry, kept: set[str]
-) -> SubobjectEntry:
-    """Rebuild one entry relative to a new top, keeping rank-zero torsion honest."""
-    quotient = _sheaf_delta(top_data, member.data)
-    torsion = quotient if not quotient.torsion_free else None
-    return SubobjectEntry(
-        id=member.id,
-        data=member.data,
-        quotient=quotient,
-        quotient_torsion_part=torsion,
-        contains=member.contains & kept,
-    )
-
-
-def induced_submodel(model: HiggsObjectModel, sub_id: str) -> HiggsObjectModel:
-    """The declared lattice restricted to one subobject.
-
-    Entries are those strictly below it; their quotients inside it come from
-    chi subtraction.
-    """
-    if not model.has_entry(sub_id):
-        raise UnknownIdError(sub_id)
-    top = model.entry(sub_id)
-    members = [model.entry(i) for i in sorted(top.contains)]
-    kept_ids = {e.id for e in members}
-    entries = tuple(_between_entry(top.data, e, kept_ids) for e in members)
-    return HiggsObjectModel(
-        id=sub_id,
-        ambient=model.ambient,
-        data=top.data,
-        subobjects=entries,
-        family_complete=model.family_complete,
     )
 
 
@@ -214,6 +180,7 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
     id), and the construction recurses inside it.  The result is verified
     against every filtration invariant before it is returned.
     """
+    require_classifiable(model)
     p_target = normalized_p(model.data)
     steps: list[str] = []
     quotients: list[NumericalSheafData] = []
@@ -238,7 +205,7 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
         entry = current.entry(chosen)
         steps.append(current.id)
         quotients.append(_sheaf_delta(current.data, entry.data))
-        current = induced_submodel(current, chosen)
+        current = interval_quotient_model(current, chosen, None)
     filt = Filtration(FiltrationKind.JH, tuple(steps), tuple(quotients))
     problems = verify_filtration(model, filt)
     if problems:
@@ -248,6 +215,7 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
 
 def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
     """Every chain satisfying the Jordan-Holder conditions, in deterministic order."""
+    require_classifiable(model)
     verdict = gieseker_classify(model)
     if verdict.classification is StabilityClass.UNSTABLE:
         raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
@@ -271,7 +239,7 @@ def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
             quotient_model = interval_quotient_model(current, current.id, e.id)
             if gieseker_classify(quotient_model).classification is StabilityClass.STABLE:
                 extend(
-                    induced_submodel(current, e.id),
+                    interval_quotient_model(current, e.id, None),
                     steps + [current.id],
                     quotients + [_sheaf_delta(current.data, e.data)],
                 )
@@ -306,7 +274,7 @@ def _destabilizer_step(
     """
     if bottom_id is None:
         bottom_data = None
-        above = [e for e in model.subobjects]
+        above = model.subobjects
     else:
         bottom_data = model.entry(bottom_id).data
         above = [
@@ -321,7 +289,7 @@ def _destabilizer_step(
     top_rank, top_chi = relative(model.data)
     best_p = top_chi.scale(Fraction(1, top_rank))
     best: list[tuple[int, Optional[str]]] = [(top_rank, None)]
-    for e in sorted(above, key=lambda e: e.id):
+    for e in above:
         rank, chi = relative(e.data)
         if rank <= 0 or rank >= top_rank:
             continue
@@ -350,11 +318,7 @@ def harder_narasimhan(model: HiggsObjectModel) -> Filtration:
     above the previous step (then rank); when the whole remaining quotient
     wins, the chain closes at the object itself.
     """
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError("; ".join(str(v) for v in violations))
-    if model.data.rank == 0:
-        raise InvalidModelError("cannot filter a rank-zero object")
+    require_classifiable(model)
     steps: list[str] = []
     quotients: list[NumericalSheafData] = []
     bottom: Optional[str] = None
@@ -385,9 +349,7 @@ def harder_narasimhan(model: HiggsObjectModel) -> Filtration:
 
 def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
     """Every chain satisfying the Harder-Narasimhan conditions, by exhaustive search."""
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError("; ".join(str(v) for v in violations))
+    require_classifiable(model)
     bound = _chain_bound()
     found: list[Filtration] = []
     counter = [0]
@@ -414,7 +376,7 @@ def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
         )
         if not verify_filtration(model, candidate_chain):
             found.append(candidate_chain)
-        for e in sorted(candidates, key=lambda e: e.id):
+        for e in candidates:
             delta = (
                 e.data if bottom_data is None else _sheaf_delta(e.data, bottom_data)
             )

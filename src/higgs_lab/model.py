@@ -11,7 +11,7 @@ family_complete flag records whether that family is claimed exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from itertools import combinations
 from typing import FrozenSet, Iterable, Optional
 
@@ -60,7 +60,8 @@ class HiggsObjectModel:
 
     The trivial subobjects (zero and the object itself) are implicit and
     never listed.  Entries are kept sorted by id so every downstream scan is
-    deterministic.
+    deterministic.  The model is frozen, so its invariant failures are
+    computed once, on first use of `violations`.
     """
 
     id: str
@@ -87,6 +88,11 @@ class HiggsObjectModel:
 
     def has_entry(self, entry_id: str) -> bool:
         return entry_id in self._index
+
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every invariant failure of this model; see validate."""
+        return tuple(_scan(self))
 
 
 @dataclass(frozen=True)
@@ -237,8 +243,13 @@ def validate(model: HiggsObjectModel) -> list[Violation]:
 
     Per entry only the first failed check is reported (later checks are
     implied by earlier ones under exact arithmetic), so a single planted
-    defect yields a single violation.
+    defect yields a single violation.  The scan runs once per model; each
+    call returns a fresh list.
     """
+    return list(model.violations)
+
+
+def _scan(model: HiggsObjectModel) -> list[Violation]:
     violations = []
     if not model.data.torsion_free:
         violations.append(
@@ -276,6 +287,8 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
                 out.append(
                     Violation(e.id, "Containment", f"containment cycle with {mid}")
                 )
+            if inner.data.rank > e.data.rank:
+                out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
             missing = inner.contains - e.contains
             if missing:
                 out.append(

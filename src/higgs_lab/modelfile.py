@@ -48,13 +48,12 @@ class LoadedObject:
 class ModelFile:
     ambient: KahlerData
     objects: tuple[LoadedObject, ...]
-    tasks: tuple[str, ...] = ()
 
 
 def _rat(value, where: str) -> Fraction:
     try:
         return parse_rational(value)
-    except (ValueError, TypeError, AttributeError):
+    except (ValueError, TypeError, AttributeError, ZeroDivisionError):
         raise ParseError(f"{where}: expected a rational 'num/den', got {value!r}")
 
 
@@ -239,8 +238,7 @@ def loads(text: str) -> ModelFile:
                 f"object {loaded.model.id} fails validation: "
                 + "; ".join(str(v) for v in problems)
             )
-    tasks = tuple(str(t) for t in doc.get("tasks", []))
-    return ModelFile(ambient=ambient, objects=tuple(objects), tasks=tasks)
+    return ModelFile(ambient=ambient, objects=tuple(objects))
 
 
 def load(path: Union[str, Path]) -> ModelFile:

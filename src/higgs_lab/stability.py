@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 from .chern import normalized_p, slope
 from .hilbert import EventualOrder, HilbertPolynomial
-from .model import HiggsObjectModel, SubobjectEntry, validate
+from .model import HiggsObjectModel, SubobjectEntry
 
 
 class InvalidModelError(ValueError):
@@ -66,10 +66,14 @@ class StabilityVerdict:
         return self.classification is not StabilityClass.UNSTABLE
 
 
-def _gate(model: HiggsObjectModel) -> None:
-    violations = validate(model)
-    if violations:
-        raise InvalidModelError("; ".join(str(v) for v in violations))
+def require_classifiable(model: HiggsObjectModel) -> None:
+    """The one gate before any classification or filtration of a model.
+
+    Raises InvalidModelError when the model fails validation or has rank
+    zero.  Violations are cached on the model, so repeat calls are cheap.
+    """
+    if model.violations:
+        raise InvalidModelError("; ".join(str(v) for v in model.violations))
     if model.data.rank == 0:
         raise InvalidModelError("cannot classify a rank-zero object")
 
@@ -106,7 +110,7 @@ def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
     Stable when all precede, strictly semistable when none succeed but some
     tie, unstable otherwise; rank-one objects are stable vacuously.
     """
-    _gate(model)
+    require_classifiable(model)
     p_total = normalized_p(model.data)
     return _classify(
         Notion.GIESEKER,
@@ -117,7 +121,7 @@ def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
 
 def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """Same quantifier with rational slope comparison."""
-    _gate(model)
+    require_classifiable(model)
     mu_total = slope(model.data)
     return _classify(Notion.SLOPE, _proper(model), lambda e: _cmp(slope(e.data), mu_total))
 
@@ -137,7 +141,7 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     quotient's; on consistent models this matches gieseker_classify entry by
     entry, witness included.
     """
-    _gate(model)
+    require_classifiable(model)
     total = model.data
     p_total = normalized_p(total)
     entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
@@ -173,7 +177,7 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     otherwise the restricted family could miss a destabilizer, so the missing
     closure is an error rather than a silent gap.
     """
-    _gate(model)
+    require_classifiable(model)
     total = model.data
     p_total = normalized_p(total)
     kept = []

@@ -191,5 +191,47 @@ class TestFuzz:
         assert first != second
 
 
+class TestBadInput:
+    """Malformed input exits 2 with one stderr line and no traceback."""
+
+    AMBIENT = {"n": 1, "genus": 1, "degH": 1}
+
+    def run_all(self, tmp_path, capsys, doc, object_id):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(doc))
+        for command in ("analyze", "verify", "jh", "hn"):
+            extra = ["--object", object_id] if command in ("jh", "hn") else []
+            assert run([command, str(path), *extra]) == 2, command
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+
+    def test_rank_zero_model(self, tmp_path, capsys):
+        zero = {"rank": 0, "degH": "0/1", "chi": []}
+        doc = {"ambient": self.AMBIENT, "objects": [{"type": "model", "id": "Z", "data": zero}]}
+        self.run_all(tmp_path, capsys, doc, "Z")
+
+    def test_zero_denominator(self, tmp_path, capsys):
+        data = {"rank": 1, "degH": "1/0", "chi": ["0/1", "1/1"]}
+        doc = {"ambient": self.AMBIENT, "objects": [{"type": "model", "id": "E", "data": data}]}
+        self.run_all(tmp_path, capsys, doc, "E")
+
+    def test_containment_of_larger_rank(self, tmp_path, capsys):
+        def sheaf(rank):
+            return {"rank": rank, "degH": "0/1", "chi": ["0/1", f"{rank}/1"]}
+
+        def entry(eid, rank, contains):
+            return {"id": eid, "data": sheaf(rank), "quotient": sheaf(3 - rank), "contains": contains}
+
+        model = {
+            "type": "model",
+            "id": "E",
+            "data": sheaf(3),
+            "subobjects": [entry("A", 1, ["B"]), entry("B", 2, [])],
+        }
+        self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+
+
 def test_bad_command_is_input_error(capsys):
     assert run(["frobnicate"]) == 2

@@ -22,7 +22,7 @@ from higgs_lab import (
     gieseker_classify,
     grading,
     harder_narasimhan,
-    induced_submodel,
+    interval_quotient_model,
     jordan_holder,
     normalized_p,
     s_equivalent,
@@ -35,22 +35,24 @@ from conftest import ambiguous_model, curve_chain, oracle_jh_chains, poly
 
 
 class TestInducedSubmodel:
+    """A subobject's own model: interval_quotient_model with the zero bottom."""
+
     def test_chain_restriction(self):
         m = curve_chain(1, 1, (0, 0, 0), arrows={(1, 2), (2, 3)})
-        sub = induced_submodel(m, "{2,3}")
+        sub = interval_quotient_model(m, "{2,3}", None)
         assert [e.id for e in sub.subobjects] == ["{3}"]
         entry = sub.subobjects[0]
         assert entry.quotient.chi == poly(0, 1)
 
     def test_no_declared_subobjects(self):
         m = curve_chain(2, 1, (1, -1), arrows={(1, 2)})
-        sub = induced_submodel(m, "{2}")
+        sub = interval_quotient_model(m, "{2}", None)
         assert sub.subobjects == ()
         assert sub.data.rank == 1
 
     def test_unknown_id(self):
         with pytest.raises(UnknownIdError):
-            induced_submodel(curve_chain(1, 1, (0, 0)), "{9}")
+            interval_quotient_model(curve_chain(1, 1, (0, 0)), "{9}", None)
 
 
 class TestJordanHolder:
@@ -84,7 +86,7 @@ class TestJordanHolder:
             p_total = normalized_p(m.data)
             f = jordan_holder(m)
             for step in f.steps[1:]:
-                inner = induced_submodel(m, step)
+                inner = interval_quotient_model(m, step, None)
                 assert gieseker_classify(inner).semistable
                 assert normalized_p(inner.data) == p_total
 

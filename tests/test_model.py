@@ -254,6 +254,39 @@ class TestValidate:
         bad = HiggsObjectModel(id="E", ambient=m.ambient, data=m.data, subobjects=tampered)
         assert any(v.kind == "Containment" for v in validate(bad))
 
+    def test_containment_respects_rank(self):
+        kd = KahlerData.curve(1, 1)
+
+        def entry(eid, rank, contains):
+            return SubobjectEntry(
+                id=eid,
+                data=chi_curve(kd, rank, 0),
+                quotient=chi_curve(kd, 3 - rank, 0),
+                contains=frozenset(contains),
+            )
+
+        m = HiggsObjectModel(
+            id="E",
+            ambient=kd,
+            data=chi_curve(kd, 3, 0),
+            subobjects=(entry("A", 1, {"B"}), entry("B", 2, ())),
+        )
+        assert [(v.subject, v.kind) for v in validate(m)] == [("A", "Containment")]
+
+    def test_result_is_a_fresh_list(self):
+        kd = KahlerData.curve(1, 1)
+        m = HiggsObjectModel(
+            id="E",
+            ambient=kd,
+            data=chi_curve(kd, 2, 0),
+            subobjects=(
+                SubobjectEntry(id="F", data=chi_curve(kd, 1, 1), quotient=chi_curve(kd, 1, -2)),
+            ),
+        )
+        first = validate(m)
+        first.clear()
+        assert [v.kind for v in validate(m)] == ["ChiAdditivity"]
+
 
 class TestDirectSum:
     def test_two_lines(self):

@@ -21,12 +21,13 @@ from higgs_lab import (
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
-    induced_submodel,
+    harder_narasimhan,
     interval_quotient_model,
     morphism_verdict,
     normalized_p,
     slope_classify,
 )
+import higgs_lab.model
 from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
@@ -80,6 +81,34 @@ class TestGiesekerClassify:
             StabilityVerdict(Notion.GIESEKER, StabilityClass.STABLE, witness="x")
         with pytest.raises(ValueError):
             StabilityVerdict(Notion.GIESEKER, StabilityClass.UNSTABLE, witness=None)
+
+
+class TestGate:
+    def test_each_model_is_scanned_once(self, monkeypatch):
+        scans = []
+        original = higgs_lab.model._entry_violation
+
+        def counting(model, entry):
+            scans.append((model, entry.id))  # keeps models alive, so ids stay unique
+            return original(model, entry)
+
+        monkeypatch.setattr(higgs_lab.model, "_entry_violation", counting)
+        m = curve_chain(1, 1, (0, 0, 1))
+        for classify in (
+            gieseker_classify,
+            gieseker_classify_by_quotients,
+            gieseker_classify_tf_quotients,
+            slope_classify,
+            harder_narasimhan,
+        ):
+            classify(m)
+        assert sorted(eid for model, eid in scans if model is m) == [
+            e.id for e in m.subobjects
+        ]
+        per_model = {}
+        for model, eid in scans:
+            per_model.setdefault(id(model), []).append(eid)
+        assert all(len(ids) == len(set(ids)) for ids in per_model.values())
 
 
 class TestSlopeClassify:
@@ -247,7 +276,7 @@ class TestExtension:
 
     def test_chain_extension(self):
         model = curve_chain(1, 1, (0, 0), arrows={(1, 2)})
-        sub = induced_submodel(model, "{2}")
+        sub = interval_quotient_model(model, "{2}", None)
         quotient = interval_quotient_model(model, model.id, "{2}")
         assert normalized_p(sub.data) == normalized_p(quotient.data) == poly(0, 1)
         assert check_extension_semistability(sub, quotient, model)
@@ -280,7 +309,7 @@ class TestStrictlySemistableWitness:
             assert normalized_p(entry.data) == normalized_p(model.data)
             assert entry.quotient.torsion_free
             # both sides of the witness split are semistable with the same p
-            sub = induced_submodel(model, v.witness)
+            sub = interval_quotient_model(model, v.witness, None)
             quotient = interval_quotient_model(model, model.id, v.witness)
             assert gieseker_classify(sub).semistable
             assert gieseker_classify(quotient).semistable
