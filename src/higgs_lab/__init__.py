@@ -18,6 +18,8 @@ from .chern import (
     chi_curve,
     chi_from_pairings,
     chi_surface,
+    compare_p,
+    compare_slope,
     normalized_p,
     rank_p_residual,
     slope,
@@ -55,6 +57,7 @@ from .stability import (
 from .filtration import (
     AmbiguousMaximizerError,
     BrokenInvariantError,
+    ChainBoundError,
     Filtration,
     FiltrationKind,
     Grading,

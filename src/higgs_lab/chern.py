@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .hilbert import HilbertPolynomial, Rational
+from .hilbert import EventualOrder, HilbertPolynomial, Rational
 
 
 class ZeroRankError(ValueError):
@@ -183,6 +183,41 @@ def slope(s: NumericalSheafData) -> Fraction:
     if s.rank == 0:
         raise ZeroRankError("slope is undefined at rank zero")
     return s.deg_h / s.rank
+
+
+def _cross_sign(
+    x: Sequence[Rational], rx: int, y: Sequence[Rational], ry: int
+) -> EventualOrder:
+    """Eventual sign of ry*x - rx*y for coefficient sequences, lowest degree first.
+
+    Scans from the top degree down.  Denominators are positive, so each
+    coefficient's sign is an integer cross product and no Fraction is built.
+    """
+    nx, ny = len(x), len(y)
+    for j in range(max(nx, ny) - 1, -1, -1):
+        a = x[j] if j < nx else 0
+        b = y[j] if j < ny else 0
+        d = ry * a.numerator * b.denominator - rx * b.numerator * a.denominator
+        if d:
+            return EventualOrder.SUCCEEDS if d > 0 else EventualOrder.PRECEDES
+    return EventualOrder.EQUAL
+
+
+def compare_p(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
+    """Eventual order of normalized_p(a) against normalized_p(b), in integers.
+
+    Positive ranks make this the sign of rk_b * chi_a - rk_a * chi_b.
+    """
+    if a.rank == 0 or b.rank == 0:
+        raise ZeroRankError("normalized polynomial is undefined at rank zero")
+    return _cross_sign(a.chi.coeffs, a.rank, b.chi.coeffs, b.rank)
+
+
+def compare_slope(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
+    """Order of slope(a) against slope(b): the sign of rk_b * deg_a - rk_a * deg_b."""
+    if a.rank == 0 or b.rank == 0:
+        raise ZeroRankError("slope is undefined at rank zero")
+    return _cross_sign((a.deg_h,), a.rank, (b.deg_h,), b.rank)
 
 
 def slope_from_p(p: HilbertPolynomial, kd: KahlerData, rank: int) -> Fraction:

@@ -16,10 +16,12 @@ from .chern import normalized_p, slope
 from .filtration import (
     AmbiguousMaximizerError,
     BrokenInvariantError,
+    ChainBoundError,
     Filtration,
     NotSemistableError,
     TooLargeError,
     UnknownIdError,
+    chain_bound,
     harder_narasimhan,
     jordan_holder,
 )
@@ -208,6 +210,7 @@ def _cmd_filtration(args, kind: str) -> int:
 
 
 def _cmd_verify(args) -> int:
+    chain_bound()  # a bad bound is an input error whether or not a search runs
     mf = _load_file(args.file)
     results = run_suite(mf.objects, all_pairs=True)
     report = _checks_report(results)
@@ -217,6 +220,15 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
+    for flag, value, least in (
+        ("--count", args.count, 0),
+        ("--max-rank", args.max_rank, 1),
+        ("--genus", args.genus, 0),
+    ):
+        if value < least:
+            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+            return EXIT_INPUT_ERROR
+    chain_bound()
     objects = list(
         fuzz_objects(args.seed, args.count, args.max_rank, args.genus)
     )
@@ -293,6 +305,9 @@ def run(argv: Sequence[str]) -> int:
         return EXIT_INPUT_ERROR
     except InvalidModelError as exc:
         print(f"error: invalid model: {exc}", file=sys.stderr)
+        return EXIT_INPUT_ERROR
+    except ChainBoundError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     return EXIT_INPUT_ERROR
 

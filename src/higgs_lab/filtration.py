@@ -3,10 +3,12 @@
 Every step works on an interval model built by interval_quotient_model: a
 subobject (bottom of None) has the declared entries below it as its family,
 and a quotient has the declared entries above the kernel; quotient
-invariants come from chi subtraction.  Every construction passes the
-stability gate first, and verifies every filtration invariant before
-returning, so an under-declared family surfaces as an explicit error
-instead of a wrong answer.
+invariants come from chi subtraction.  The constructions collect step ids
+only; _step_quotients derives every filtration's quotients from its steps in
+one place, and verify_filtration checks given quotients against it.  Every
+construction passes the stability gate first, and verifies every filtration
+invariant before returning, so an under-declared family surfaces as an
+explicit error instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -15,9 +17,9 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
-from .chern import NumericalSheafData, normalized_p
+from .chern import NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial
 from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
@@ -50,6 +52,10 @@ class BrokenInvariantError(ValueError):
 
 class AmbiguousMaximizerError(ValueError):
     """Two incomparable maximal destabilizers tie; the family cannot determine the chain."""
+
+
+class ChainBoundError(ValueError):
+    """HIGGS_LAB_MAX_CHAINS holds something other than a positive integer."""
 
 
 class FiltrationKind(Enum):
@@ -157,20 +163,63 @@ def interval_quotient_model(
     )
 
 
-def _chain_bound() -> int:
+def chain_bound() -> int:
+    """The exhaustive-search bound: HIGGS_LAB_MAX_CHAINS if set, else the default."""
     raw = os.environ.get(CHAIN_BOUND_ENV)
-    if raw:
-        return int(raw)
-    return DEFAULT_CHAIN_BOUND
+    if not raw:
+        return DEFAULT_CHAIN_BOUND
+    try:
+        bound = int(raw)
+    except ValueError:
+        bound = 0
+    if bound < 1:
+        raise ChainBoundError(f"{CHAIN_BOUND_ENV} must be a positive integer, got {raw!r}")
+    return bound
 
 
-def _equal_p_candidates(current: HiggsObjectModel, p_target: HilbertPolynomial):
+def _downward(kind: FiltrationKind, items: Sequence) -> list:
+    """Steps or quotients reordered to run down from the object."""
+    return list(items) if kind is FiltrationKind.JH else list(reversed(items))
+
+
+def _step_quotients(
+    model: HiggsObjectModel, downward_steps: Sequence[str]
+) -> list[NumericalSheafData]:
+    """Quotient of each step over the next one down (the lowest over zero).
+
+    The one place filtration quotients are derived from step ids.
+    """
+    data = [
+        model.data if s == model.id else model.entry(s).data for s in downward_steps
+    ]
+    return [_sheaf_delta(u, l) for u, l in zip(data, data[1:])] + data[-1:]
+
+
+def _filtration(
+    model: HiggsObjectModel, kind: FiltrationKind, steps: Sequence[str]
+) -> Filtration:
+    quotients = _step_quotients(model, _downward(kind, steps))
+    return Filtration(kind, steps, _downward(kind, quotients))
+
+
+def _verified(
+    model: HiggsObjectModel, kind: FiltrationKind, steps: Sequence[str]
+) -> Filtration:
+    filt = _filtration(model, kind, steps)
+    problems = verify_filtration(model, filt)
+    if problems:
+        raise BrokenInvariantError("; ".join(str(v) for v in problems))
+    return filt
+
+
+def _equal_p_candidates(current: HiggsObjectModel, target: NumericalSheafData):
     total = current.data.rank
-    out = []
-    for e in current.subobjects:
-        if 0 < e.data.rank < total and normalized_p(e.data) == p_target:
-            out.append(e)
-    return out
+    return [
+        e
+        for e in current.subobjects
+        if 0 < e.data.rank < total
+        and compare_p(e.data, target) is EventualOrder.EQUAL
+    ]
 
 
 def jordan_holder(model: HiggsObjectModel) -> Filtration:
@@ -181,9 +230,7 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
     against every filtration invariant before it is returned.
     """
     require_classifiable(model)
-    p_target = normalized_p(model.data)
     steps: list[str] = []
-    quotients: list[NumericalSheafData] = []
     current = model
     while True:
         verdict = gieseker_classify(current)
@@ -195,22 +242,14 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
             raise BrokenInvariantError(
                 f"intermediate step {current.id} is unstable; the family is under-declared"
             )
+        steps.append(current.id)
         if verdict.classification is StabilityClass.STABLE:
-            steps.append(current.id)
-            quotients.append(current.data)
             break
-        candidates = _equal_p_candidates(current, p_target)
+        candidates = _equal_p_candidates(current, model.data)
         best_rank = max(e.data.rank for e in candidates)
         chosen = min(e.id for e in candidates if e.data.rank == best_rank)
-        entry = current.entry(chosen)
-        steps.append(current.id)
-        quotients.append(_sheaf_delta(current.data, entry.data))
         current = interval_quotient_model(current, chosen, None)
-    filt = Filtration(FiltrationKind.JH, tuple(steps), tuple(quotients))
-    problems = verify_filtration(model, filt)
-    if problems:
-        raise BrokenInvariantError("; ".join(str(v) for v in problems))
-    return filt
+    return _verified(model, FiltrationKind.JH, steps)
 
 
 def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
@@ -219,32 +258,22 @@ def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
     verdict = gieseker_classify(model)
     if verdict.classification is StabilityClass.UNSTABLE:
         raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
-    p_target = normalized_p(model.data)
-    bound = _chain_bound()
+    bound = chain_bound()
     found: list[Filtration] = []
 
-    def extend(current: HiggsObjectModel, steps, quotients):
+    def extend(current: HiggsObjectModel, steps):
         if len(found) > bound:
             raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
+        steps = steps + [current.id]
         # stop here iff what remains is itself stable
         if gieseker_classify(current).classification is StabilityClass.STABLE:
-            found.append(
-                Filtration(
-                    FiltrationKind.JH,
-                    tuple(steps + [current.id]),
-                    tuple(quotients + [current.data]),
-                )
-            )
-        for e in _equal_p_candidates(current, p_target):
+            found.append(_filtration(model, FiltrationKind.JH, steps))
+        for e in _equal_p_candidates(current, model.data):
             quotient_model = interval_quotient_model(current, current.id, e.id)
             if gieseker_classify(quotient_model).classification is StabilityClass.STABLE:
-                extend(
-                    interval_quotient_model(current, e.id, None),
-                    steps + [current.id],
-                    quotients + [_sheaf_delta(current.data, e.data)],
-                )
+                extend(interval_quotient_model(current, e.id, None), steps)
 
-    extend(model, [], [])
+    extend(model, [])
     if len(found) > bound:
         raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
     return found
@@ -259,7 +288,7 @@ def s_equivalent(m1: HiggsObjectModel, m2: HiggsObjectModel) -> bool:
     v1, v2 = gieseker_classify(m1), gieseker_classify(m2)
     if not (v1.semistable and v2.semistable):
         raise PreconditionUnmetError("both objects must be Gieseker semistable")
-    if normalized_p(m1.data) != normalized_p(m2.data):
+    if compare_p(m1.data, m2.data) is not EventualOrder.EQUAL:
         raise PreconditionUnmetError("the objects must share one normalized polynomial")
     return grading(jordan_holder(m1)) == grading(jordan_holder(m2))
 
@@ -273,33 +302,27 @@ def _destabilizer_step(
     distinct entries is ambiguous and aborts.
     """
     if bottom_id is None:
-        bottom_data = None
         above = model.subobjects
+        top = model.data
+        relative = lambda data: data
     else:
         bottom_data = model.entry(bottom_id).data
-        above = [
-            e for e in model.subobjects if bottom_id in e.contains
-        ]
+        above = [e for e in model.subobjects if bottom_id in e.contains]
+        top = _sheaf_delta(model.data, bottom_data)
+        relative = lambda data: _sheaf_delta(data, bottom_data)
 
-    def relative(data: NumericalSheafData):
-        if bottom_data is None:
-            return data.rank, data.chi
-        return data.rank - bottom_data.rank, data.chi - bottom_data.chi
-
-    top_rank, top_chi = relative(model.data)
-    best_p = top_chi.scale(Fraction(1, top_rank))
-    best: list[tuple[int, Optional[str]]] = [(top_rank, None)]
+    best_data = top
+    best: list[tuple[int, Optional[str]]] = [(top.rank, None)]
     for e in above:
-        rank, chi = relative(e.data)
-        if rank <= 0 or rank >= top_rank:
+        data = relative(e.data)
+        if data.rank <= 0 or data.rank >= top.rank:
             continue
-        p = chi.scale(Fraction(1, rank))
-        order = p.compare_eventual(best_p)
+        order = compare_p(data, best_data)
         if order is EventualOrder.SUCCEEDS:
-            best_p = p
-            best = [(rank, e.id)]
+            best_data = data
+            best = [(data.rank, e.id)]
         elif order is EventualOrder.EQUAL:
-            best.append((rank, e.id))
+            best.append((data.rank, e.id))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:
@@ -320,41 +343,20 @@ def harder_narasimhan(model: HiggsObjectModel) -> Filtration:
     """
     require_classifiable(model)
     steps: list[str] = []
-    quotients: list[NumericalSheafData] = []
     bottom: Optional[str] = None
-    while True:
-        winner = _destabilizer_step(model, bottom)
-        if winner is None:
-            top_data = model.data if bottom is None else _sheaf_delta(
-                model.data, model.entry(bottom).data
-            )
-            steps.append(model.id)
-            quotients.append(top_data)
-            break
-        entry = model.entry(winner)
-        step_data = (
-            entry.data
-            if bottom is None
-            else _sheaf_delta(entry.data, model.entry(bottom).data)
-        )
-        steps.append(winner)
-        quotients.append(step_data)
-        bottom = winner
-    filt = Filtration(FiltrationKind.HN, tuple(steps), tuple(quotients))
-    problems = verify_filtration(model, filt)
-    if problems:
-        raise BrokenInvariantError("; ".join(str(v) for v in problems))
-    return filt
+    while (bottom := _destabilizer_step(model, bottom)) is not None:
+        steps.append(bottom)
+    return _verified(model, FiltrationKind.HN, steps + [model.id])
 
 
 def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
     """Every chain satisfying the Harder-Narasimhan conditions, by exhaustive search."""
     require_classifiable(model)
-    bound = _chain_bound()
+    bound = chain_bound()
     found: list[Filtration] = []
     counter = [0]
 
-    def ascend(bottom: Optional[str], steps, quotients):
+    def ascend(bottom: Optional[str], steps):
         counter[0] += 1
         if counter[0] > bound:
             raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
@@ -366,23 +368,13 @@ def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
             and (bottom_data is None or e.data.rank > bottom_data.rank)
             and e.data.rank < model.data.rank
         ]
-        closing = (
-            model.data if bottom_data is None else _sheaf_delta(model.data, bottom_data)
-        )
-        candidate_chain = Filtration(
-            FiltrationKind.HN,
-            tuple(steps + [model.id]),
-            tuple(quotients + [closing]),
-        )
+        candidate_chain = _filtration(model, FiltrationKind.HN, steps + [model.id])
         if not verify_filtration(model, candidate_chain):
             found.append(candidate_chain)
         for e in candidates:
-            delta = (
-                e.data if bottom_data is None else _sheaf_delta(e.data, bottom_data)
-            )
-            ascend(e.id, steps + [e.id], quotients + [delta])
+            ascend(e.id, steps + [e.id])
 
-    ascend(None, [], [])
+    ascend(None, [])
     return found
 
 
@@ -396,16 +388,10 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
     if not known:
         return [Violation(model.id, "UnknownId", "step id outside the declared family")]
 
-    if filt.kind is FiltrationKind.JH:
-        ordered = list(steps)  # downward: object first
-        if ordered[0] != model.id:
-            out.append(Violation(model.id, "Chain", "first step must be the object"))
-    else:
-        ordered = list(reversed(steps))  # normalize to downward
-        if ordered[0] != model.id:
-            out.append(Violation(model.id, "Chain", "last step must be the object"))
-    if out:
-        return out
+    ordered = _downward(filt.kind, steps)
+    if ordered[0] != model.id:
+        end = "first" if filt.kind is FiltrationKind.JH else "last"
+        return [Violation(model.id, "Chain", f"{end} step must be the object")]
     if any(s == model.id for s in ordered[1:]):
         return [Violation(model.id, "Chain", "the object may only bound the chain")]
 
@@ -421,23 +407,14 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
     if out:
         return out
 
-    def data_of(step: str) -> NumericalSheafData:
-        return model.data if step == model.id else model.entry(step).data
-
     # quotient bookkeeping: chi subtraction, conservation, positive ranks
-    downward_quotients = (
-        list(filt.quotients)
-        if filt.kind is FiltrationKind.JH
-        else list(reversed(filt.quotients))
-    )
-    for i, q in enumerate(downward_quotients):
-        upper = data_of(ordered[i])
-        lower = data_of(ordered[i + 1]) if i + 1 < len(ordered) else None
-        expected = upper if lower is None else _sheaf_delta(upper, lower)
-        if (q.rank, q.deg_h, q.chi) != (expected.rank, expected.deg_h, expected.chi):
-            out.append(Violation(ordered[i], "QuotientData", "quotient differs from chi subtraction"))
+    downward_quotients = _downward(filt.kind, filt.quotients)
+    expected = _step_quotients(model, ordered)
+    for step, q, want in zip(ordered, downward_quotients, expected):
+        if (q.rank, q.deg_h, q.chi) != (want.rank, want.deg_h, want.chi):
+            out.append(Violation(step, "QuotientData", "quotient differs from chi subtraction"))
         if q.rank <= 0:
-            out.append(Violation(ordered[i], "QuotientRank", "quotients need positive rank"))
+            out.append(Violation(step, "QuotientRank", "quotients need positive rank"))
     if out:
         return out
     total_rank = sum(q.rank for q in filt.quotients)
@@ -454,11 +431,8 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
             return None
 
     if filt.kind is FiltrationKind.JH:
-        p_total = (
-            normalized_p(model.data) if model.data.rank > 0 else HilbertPolynomial()
-        )
         for i, q in enumerate(downward_quotients):
-            if normalized_p(q) != p_total:
+            if compare_p(q, model.data) is not EventualOrder.EQUAL:
                 out.append(Violation(ordered[i], "EqualP", "quotient p differs from the object's"))
                 continue
             verdict = step_verdict(i)
@@ -483,9 +457,8 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
                 )
         # downward order reverses the required strict descent of p's
         for i in range(len(downward_quotients) - 1):
-            higher = normalized_p(downward_quotients[i + 1])
-            lower = normalized_p(downward_quotients[i])
-            if not lower.eventually_less(higher):
+            lower, higher = downward_quotients[i], downward_quotients[i + 1]
+            if compare_p(lower, higher) is not EventualOrder.PRECEDES:
                 out.append(
                     Violation(
                         ordered[i],

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import total_ordering
 from math import lcm
 from typing import Iterable, Sequence, Union
 
@@ -32,7 +31,6 @@ class EventualOrder(Enum):
         return EventualOrder.EQUAL
 
 
-@total_ordering
 class HilbertPolynomial:
     """Polynomial with exact rational coefficients, lowest degree first.
 
@@ -48,10 +46,6 @@ class HilbertPolynomial:
         while cs and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @classmethod
-    def zero(cls) -> "HilbertPolynomial":
-        return cls()
 
     @classmethod
     def from_strings(cls, items: Sequence[Union[str, int]]) -> "HilbertPolynomial":
@@ -166,10 +160,6 @@ class HilbertPolynomial:
     def __hash__(self) -> int:
         return hash(self.coeffs)
 
-    def __lt__(self, other: "HilbertPolynomial") -> bool:
-        # the eventual order is total, so it doubles as the natural sort order
-        return self.eventually_less(other)
-
     def __repr__(self) -> str:
         return f"HilbertPolynomial({list(self.coeffs)!r})"
 
@@ -207,6 +197,3 @@ def format_rational(value: Rational, compact: bool = False) -> str:
     if compact and f.denominator == 1:
         return str(f.numerator)
     return f"{f.numerator}/{f.denominator}"
-
-
-ZERO = HilbertPolynomial()

@@ -21,7 +21,6 @@ from .chern import (
     ZERO_SHEAF,
     chi_curve,
     leading_term_violations,
-    rank_p_residual,
     sum_data,
 )
 from .hilbert import HilbertPolynomial
@@ -216,10 +215,6 @@ def _entry_violation(
         )
     if e.data.chi + e.quotient.chi != total.chi:
         return Violation(e.id, "ChiAdditivity", "chi_F + chi_Q differs from chi_E")
-    if 0 < e.data.rank and 0 < e.quotient.rank:
-        residual = rank_p_residual(total, e.data, e.quotient)
-        if not residual.is_zero:
-            return Violation(e.id, "RankPResidual", f"residual {residual}")
     for label, part in (("subobject", e.data), ("quotient", e.quotient)):
         for problem in leading_term_violations(part, model.ambient):
             return Violation(e.id, "LeadingCoefficient", f"{label}: {problem}")

@@ -10,10 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from fractions import Fraction
 from typing import Callable, Optional
 
-from .chern import normalized_p, slope
+from .chern import compare_p, compare_slope
 from .hilbert import EventualOrder, HilbertPolynomial
 from .model import HiggsObjectModel, SubobjectEntry
 
@@ -111,27 +110,17 @@ def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
     tie, unstable otherwise; rank-one objects are stable vacuously.
     """
     require_classifiable(model)
-    p_total = normalized_p(model.data)
     return _classify(
-        Notion.GIESEKER,
-        _proper(model),
-        lambda e: normalized_p(e.data).compare_eventual(p_total),
+        Notion.GIESEKER, _proper(model), lambda e: compare_p(e.data, model.data)
     )
 
 
 def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """Same quantifier with rational slope comparison."""
     require_classifiable(model)
-    mu_total = slope(model.data)
-    return _classify(Notion.SLOPE, _proper(model), lambda e: _cmp(slope(e.data), mu_total))
-
-
-def _cmp(x: Fraction, y: Fraction) -> EventualOrder:
-    if x < y:
-        return EventualOrder.PRECEDES
-    if x > y:
-        return EventualOrder.SUCCEEDS
-    return EventualOrder.EQUAL
+    return _classify(
+        Notion.SLOPE, _proper(model), lambda e: compare_slope(e.data, model.data)
+    )
 
 
 def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
@@ -143,13 +132,8 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     """
     require_classifiable(model)
     total = model.data
-    p_total = normalized_p(total)
     entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
-    return _classify(
-        Notion.GIESEKER,
-        entries,
-        lambda e: p_total.compare_eventual(normalized_p(e.quotient)),
-    )
+    return _classify(Notion.GIESEKER, entries, lambda e: compare_p(total, e.quotient))
 
 
 def _matches_enlargement(model: HiggsObjectModel, e: SubobjectEntry) -> bool:
@@ -178,8 +162,6 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     closure is an error rather than a silent gap.
     """
     require_classifiable(model)
-    total = model.data
-    p_total = normalized_p(total)
     kept = []
     for e in _proper(model):
         if e.quotient.torsion_free:
@@ -188,11 +170,7 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             raise IncompleteTorsionClosureError(
                 f"entry {e.id} has a torsion quotient and no declared enlargement"
             )
-    return _classify(
-        Notion.GIESEKER,
-        kept,
-        lambda e: normalized_p(e.data).compare_eventual(p_total),
-    )
+    return _classify(Notion.GIESEKER, kept, lambda e: compare_p(e.data, model.data))
 
 
 def morphism_verdict(
@@ -230,8 +208,10 @@ def check_extension_semistability(
     quot_verdict = gieseker_classify(quotient)
     if not (sub_verdict.semistable and quot_verdict.semistable):
         raise PreconditionUnmetError("both pieces must be Gieseker semistable")
-    p = normalized_p(sub.data)
-    if p != normalized_p(quotient.data):
+    if compare_p(sub.data, quotient.data) is not EventualOrder.EQUAL:
         raise PreconditionUnmetError("the pieces must share one normalized polynomial")
     total_verdict = gieseker_classify(total)
-    return total_verdict.semistable and normalized_p(total.data) == p
+    return (
+        total_verdict.semistable
+        and compare_p(total.data, sub.data) is EventualOrder.EQUAL
+    )

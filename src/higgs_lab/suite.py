@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .chern import bogomolov_discriminant, normalized_p, rank_p_residual
+from .chern import bogomolov_discriminant, compare_p, normalized_p, rank_p_residual
 from .filtration import (
     AmbiguousMaximizerError,
     BrokenInvariantError,
@@ -213,7 +213,7 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
     rhs = (
         va.semistable
         and vb.semistable
-        and normalized_p(a.model.data) == normalized_p(b.model.data)
+        and compare_p(a.model.data, b.model.data) is EventualOrder.EQUAL
     )
     return _result("direct_sum", subject, lhs == rhs, f"sum_semistable={lhs} parts={rhs}")
 
@@ -260,7 +260,7 @@ def check_extension(a: LoadedObject, b: LoadedObject) -> Optional[CheckResult]:
     va, vb = gieseker_classify(a.model), gieseker_classify(b.model)
     if not (va.semistable and vb.semistable):
         return None
-    if normalized_p(a.model.data) != normalized_p(b.model.data):
+    if compare_p(a.model.data, b.model.data) is not EventualOrder.EQUAL:
         return None
     if _pair_too_big(a, b):
         return _skip("extension_semistable", subject, "product family too large")

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from higgs_lab import (
+    EventualOrder,
     KahlerData,
     MalformedPolynomialError,
     SurfaceChernInput,
@@ -15,6 +16,8 @@ from higgs_lab import (
     chi_curve,
     chi_from_pairings,
     chi_surface,
+    compare_p,
+    compare_slope,
     normalized_p,
     rank_p_residual,
     slope,
@@ -247,3 +250,53 @@ class TestConstructorCoherence:
     def test_chern_input_invariant(self):
         with pytest.raises(ValueError):
             SurfaceChernInput(0, 1, 0, 0, 1)
+
+
+class TestCompare:
+    """The integer comparisons agree with the Fraction path they replace."""
+
+    @staticmethod
+    def random_sheaf(rng):
+        def q(n):
+            return Fraction(rng.randint(-n, n), rng.randint(1, 3))
+
+        rank = rng.randint(1, 6)
+        chi = poly(*(q(4) for _ in range(rng.randint(0, 4))))
+        return NumericalSheafData(rank, q(6), chi, True)
+
+    @staticmethod
+    def fraction_order(x, y):
+        if x < y:
+            return EventualOrder.PRECEDES
+        return EventualOrder.SUCCEEDS if x > y else EventualOrder.EQUAL
+
+    def test_matches_fraction_path(self):
+        rng = random.Random(41)
+        seen_p, seen_mu = set(), set()
+        unequal_lengths = 0
+        for _ in range(3000):
+            a = self.random_sheaf(rng)
+            if rng.random() < 0.3:  # a multiple of a: equal p and slope
+                k = rng.randint(1, 3)
+                b = NumericalSheafData(k * a.rank, k * a.deg_h, a.chi.scale(k), True)
+            else:
+                b = self.random_sheaf(rng)
+            unequal_lengths += len(a.chi.coeffs) != len(b.chi.coeffs)
+            order = compare_p(a, b)
+            assert order is normalized_p(a).compare_eventual(normalized_p(b))
+            assert compare_p(b, a) is order.reversed()
+            seen_p.add(order)
+            mu_order = compare_slope(a, b)
+            assert mu_order is self.fraction_order(slope(a), slope(b))
+            assert compare_slope(b, a) is mu_order.reversed()
+            seen_mu.add(mu_order)
+        assert seen_p == seen_mu == set(EventualOrder)
+        assert unequal_lengths > 1000
+
+    def test_zero_rank_errors(self):
+        one = NumericalSheafData(1, Fraction(0), poly(0, 1), True)
+        for compare in (compare_p, compare_slope):
+            with pytest.raises(ZeroRankError):
+                compare(ZERO_SHEAF, one)
+            with pytest.raises(ZeroRankError):
+                compare(one, ZERO_SHEAF)

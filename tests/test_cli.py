@@ -1,11 +1,13 @@
 """Command line behavior: reports, determinism, and exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from higgs_lab import run
 
+FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 
 HITCHIN = {
     "ambient": {"n": 1, "genus": 2, "degH": 1},
@@ -190,22 +192,32 @@ class TestFuzz:
         second = capsys.readouterr().out
         assert first != second
 
+    def test_report_matches_golden(self, capsys):
+        assert run(["fuzz", "--seed", "0", "--count", "40", "--max-rank", "4"]) == 0
+        assert capsys.readouterr().out.encode("utf-8") == FUZZ_GOLDEN.read_bytes()
+
 
 class TestBadInput:
     """Malformed input exits 2 with one stderr line and no traceback."""
 
     AMBIENT = {"n": 1, "genus": 1, "degH": 1}
 
+    @staticmethod
+    def input_error(capsys, argv) -> str:
+        """Run argv, expect exit 2 with one stderr line and no report; return the line."""
+        assert run(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+        return lines[0]
+
     def run_all(self, tmp_path, capsys, doc, object_id):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps(doc))
         for command in ("analyze", "verify", "jh", "hn"):
             extra = ["--object", object_id] if command in ("jh", "hn") else []
-            assert run([command, str(path), *extra]) == 2, command
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
+            self.input_error(capsys, [command, str(path), *extra])
 
     def test_rank_zero_model(self, tmp_path, capsys):
         zero = {"rank": 0, "degH": "0/1", "chi": []}
@@ -231,6 +243,20 @@ class TestBadInput:
             "subobjects": [entry("A", 1, ["B"]), entry("B", 2, [])],
         }
         self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--max-rank", "0"), ("--genus", "-1"), ("--count", "-1")]
+    )
+    def test_fuzz_flag_out_of_range(self, capsys, flag, value):
+        line = self.input_error(capsys, ["fuzz", flag, value])
+        assert flag in line
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5"])
+    def test_chain_bound_must_be_positive(self, hitchin_file, monkeypatch, capsys, value):
+        monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", value)
+        for argv in (["verify", hitchin_file], ["fuzz", "--count", "2"]):
+            line = self.input_error(capsys, argv)
+            assert "HIGGS_LAB_MAX_CHAINS" in line
 
 
 def test_bad_command_is_input_error(capsys):

@@ -7,6 +7,7 @@ import pytest
 
 from higgs_lab import (
     AmbiguousMaximizerError,
+    ChainBoundError,
     Filtration,
     FiltrationKind,
     HiggsObjectModel,
@@ -153,6 +154,15 @@ class TestAllJordanHolder:
         monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", "2")
         with pytest.raises(TooLargeError):
             all_jordan_holder(curve_chain(1, 1, (0, 0, 0)))
+
+    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
+    def test_chain_bound_must_be_a_positive_integer(self, monkeypatch, value):
+        monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", value)
+        m = curve_chain(1, 1, (0, 0))
+        with pytest.raises(ChainBoundError, match="HIGGS_LAB_MAX_CHAINS"):
+            all_jordan_holder(m)
+        with pytest.raises(ChainBoundError, match="HIGGS_LAB_MAX_CHAINS"):
+            all_harder_narasimhan(m)
 
     def test_unstable_rejected(self):
         with pytest.raises(NotSemistableError):

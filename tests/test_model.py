@@ -18,6 +18,7 @@ from higgs_lab import (
     chi_curve,
     direct_sum_model,
     enumerate_invariant_subobjects,
+    rank_p_residual,
     realize,
     subset_id,
     validate,
@@ -272,6 +273,21 @@ class TestValidate:
             subobjects=(entry("A", 1, {"B"}), entry("B", 2, ())),
         )
         assert [(v.subject, v.kind) for v in validate(m)] == [("A", "Containment")]
+
+    def test_nonzero_residual_fails_an_additivity_check(self):
+        # rk F (p_E - p_F) + rk Q (p_E - p_Q) = chi_E - chi_F - chi_Q once the
+        # ranks add, so a nonzero residual always fails an earlier check
+        kd = KahlerData.curve(1, 1)
+        total = chi_curve(kd, 3, 0)
+        sub = chi_curve(kd, 1, 1)
+        for quotient, kind in (
+            (chi_curve(kd, 2, -2), "ChiAdditivity"),
+            (chi_curve(kd, 1, 0), "RankAdditivity"),
+        ):
+            assert not rank_p_residual(total, sub, quotient).is_zero
+            entry = SubobjectEntry(id="F", data=sub, quotient=quotient)
+            m = HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(entry,))
+            assert [v.kind for v in validate(m)] == [kind]
 
     def test_result_is_a_fresh_list(self):
         kd = KahlerData.curve(1, 1)
