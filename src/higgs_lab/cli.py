@@ -19,7 +19,6 @@ from .filtration import (
     ChainBoundError,
     Filtration,
     NotSemistableError,
-    TooLargeError,
     UnknownIdError,
     chain_bound,
     harder_narasimhan,
@@ -194,7 +193,7 @@ def _cmd_filtration(args, kind: str) -> int:
     build = jordan_holder if kind == "jh" else harder_narasimhan
     try:
         filt = build(obj.model)
-    except (NotSemistableError, AmbiguousMaximizerError, TooLargeError) as exc:
+    except (NotSemistableError, AmbiguousMaximizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except BrokenInvariantError as exc:

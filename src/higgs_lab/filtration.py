@@ -4,11 +4,14 @@ Every step works on an interval model built by interval_quotient_model: a
 subobject (bottom of None) has the declared entries below it as its family,
 and a quotient has the declared entries above the kernel; quotient
 invariants come from chi subtraction.  The constructions collect step ids
-only; _step_quotients derives every filtration's quotients from its steps in
-one place, and verify_filtration checks given quotients against it.  Every
-construction passes the stability gate first, and verifies every filtration
-invariant before returning, so an under-declared family surfaces as an
-explicit error instead of a wrong answer.
+only; _step_quotient derives every quotient from its step ids.  Both
+filtrations are defined by a rule on each step alone, kept in
+_step_violations: verify_filtration applies it to every step of a chain,
+and _search, the one exhaustive search behind all_jordan_holder and
+all_harder_narasimhan, extends chains only through steps that pass it.
+Every construction passes the stability gate first, and verifies every
+filtration invariant before returning, so an under-declared family surfaces
+as an explicit error instead of a wrong answer.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .chern import NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial
@@ -43,7 +46,7 @@ class NotSemistableError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """Exhaustive chain enumeration exceeded the configured bound."""
+    """The exhaustive chain search visited more nodes than the configured bound."""
 
 
 class BrokenInvariantError(ValueError):
@@ -105,6 +108,18 @@ def _sheaf_delta(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheaf
     )
 
 
+def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
+    """Invariants of a step: the object itself or one declared entry."""
+    return model.data if step == model.id else model.entry(step).data
+
+
+def _below(model: HiggsObjectModel, step: str) -> frozenset[str]:
+    """Ids of the declared entries strictly below a step."""
+    if step == model.id:
+        return frozenset(e.id for e in model.subobjects)
+    return model.entry(step).contains
+
+
 def interval_quotient_model(
     model: HiggsObjectModel, top_id: str, bottom_id: Optional[str]
 ) -> HiggsObjectModel:
@@ -114,31 +129,16 @@ def interval_quotient_model(
     the zero subobject.  Entry ids are preserved so chains keep their
     original names across recursion.
     """
-    if top_id == model.id:
-        top_data = model.data
-        below_top = {e.id for e in model.subobjects}
-    else:
-        if not model.has_entry(top_id):
-            raise UnknownIdError(top_id)
-        top_entry = model.entry(top_id)
-        top_data = top_entry.data
-        below_top = set(top_entry.contains)
-    if bottom_id is None:
-        bottom_data = None
-        between = below_top
-    else:
-        if not model.has_entry(bottom_id):
-            raise UnknownIdError(bottom_id)
+    if top_id != model.id and not model.has_entry(top_id):
+        raise UnknownIdError(top_id)
+    if bottom_id is not None and not model.has_entry(bottom_id):
+        raise UnknownIdError(bottom_id)
+    top_data = _data(model, top_id)
+    between = _below(model, top_id)
+    lift = lambda s: s
+    if bottom_id is not None:
         bottom_data = model.entry(bottom_id).data
-        between = {
-            i for i in below_top if bottom_id in model.entry(i).contains
-        }
-
-    if bottom_data is None:
-        data = top_data
-        lift = lambda s: s
-    else:
-        data = _sheaf_delta(top_data, bottom_data)
+        between = {i for i in between if bottom_id in model.entry(i).contains}
         lift = lambda s: _sheaf_delta(s, bottom_data)
 
     entries = []
@@ -157,14 +157,14 @@ def interval_quotient_model(
     return HiggsObjectModel(
         id=top_id,
         ambient=model.ambient,
-        data=data,
+        data=lift(top_data),
         subobjects=tuple(entries),
         family_complete=model.family_complete,
     )
 
 
 def chain_bound() -> int:
-    """The exhaustive-search bound: HIGGS_LAB_MAX_CHAINS if set, else the default."""
+    """The search-node bound: HIGGS_LAB_MAX_CHAINS if set, else the default."""
     raw = os.environ.get(CHAIN_BOUND_ENV)
     if not raw:
         return DEFAULT_CHAIN_BOUND
@@ -182,23 +182,26 @@ def _downward(kind: FiltrationKind, items: Sequence) -> list:
     return list(items) if kind is FiltrationKind.JH else list(reversed(items))
 
 
-def _step_quotients(
-    model: HiggsObjectModel, downward_steps: Sequence[str]
-) -> list[NumericalSheafData]:
-    """Quotient of each step over the next one down (the lowest over zero).
+def _pairs(downward_steps: Sequence[str]) -> list[tuple[str, Optional[str]]]:
+    """Each step with the next one down; the lowest step sits over zero (None)."""
+    return list(zip(downward_steps, [*downward_steps[1:], None]))
+
+
+def _step_quotient(
+    model: HiggsObjectModel, upper: str, lower: Optional[str]
+) -> NumericalSheafData:
+    """Quotient of upper over lower (None for zero).
 
     The one place filtration quotients are derived from step ids.
     """
-    data = [
-        model.data if s == model.id else model.entry(s).data for s in downward_steps
-    ]
-    return [_sheaf_delta(u, l) for u, l in zip(data, data[1:])] + data[-1:]
+    data = _data(model, upper)
+    return data if lower is None else _sheaf_delta(data, _data(model, lower))
 
 
 def _filtration(
     model: HiggsObjectModel, kind: FiltrationKind, steps: Sequence[str]
 ) -> Filtration:
-    quotients = _step_quotients(model, _downward(kind, steps))
+    quotients = [_step_quotient(model, u, l) for u, l in _pairs(_downward(kind, steps))]
     return Filtration(kind, steps, _downward(kind, quotients))
 
 
@@ -210,16 +213,6 @@ def _verified(
     if problems:
         raise BrokenInvariantError("; ".join(str(v) for v in problems))
     return filt
-
-
-def _equal_p_candidates(current: HiggsObjectModel, target: NumericalSheafData):
-    total = current.data.rank
-    return [
-        e
-        for e in current.subobjects
-        if 0 < e.data.rank < total
-        and compare_p(e.data, target) is EventualOrder.EQUAL
-    ]
 
 
 def jordan_holder(model: HiggsObjectModel) -> Filtration:
@@ -245,38 +238,104 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
         steps.append(current.id)
         if verdict.classification is StabilityClass.STABLE:
             break
-        candidates = _equal_p_candidates(current, model.data)
+        candidates = [
+            e
+            for e in current.subobjects
+            if 0 < e.data.rank < current.data.rank
+            and compare_p(e.data, model.data) is EventualOrder.EQUAL
+        ]
         best_rank = max(e.data.rank for e in candidates)
         chosen = min(e.id for e in candidates if e.data.rank == best_rank)
         current = interval_quotient_model(current, chosen, None)
     return _verified(model, FiltrationKind.JH, steps)
 
 
+def _step_violations(
+    model: HiggsObjectModel,
+    kind: FiltrationKind,
+    upper: str,
+    lower: Optional[str],
+    quotient: NumericalSheafData,
+    above: Optional[tuple[str, NumericalSheafData]],
+) -> Iterator[Violation]:
+    """The JH or HN rule for one step, upper over lower (None for zero).
+
+    quotient is upper/lower; above holds the upper id and the quotient of the
+    step above, None at the top.  JH: the quotient is stable with p equal to
+    the object's.  HN: it is semistable, and p strictly decreases up the
+    chain.  Violations come cheapest first, so a search can stop at the
+    first one.
+    """
+    if quotient.rank <= 0:
+        yield Violation(upper, "QuotientRank", "quotients need positive rank")
+        return
+    if kind is FiltrationKind.JH:
+        if compare_p(quotient, model.data) is not EventualOrder.EQUAL:
+            yield Violation(upper, "EqualP", "quotient p differs from the object's")
+            return
+    elif above is not None and compare_p(above[1], quotient) is not EventualOrder.PRECEDES:
+        yield Violation(
+            above[0],
+            "StrictDecrease",
+            "quotient polynomials must strictly decrease up the chain",
+        )
+    try:
+        verdict = gieseker_classify(interval_quotient_model(model, upper, lower))
+    except InvalidModelError as exc:
+        yield Violation(upper, "InducedModel", str(exc))
+        return
+    if kind is FiltrationKind.JH:
+        if verdict.classification is not StabilityClass.STABLE:
+            yield Violation(
+                upper, "QuotientStable", f"quotient classifies {verdict.classification.value}"
+            )
+    elif not verdict.semistable:
+        yield Violation(
+            upper,
+            "QuotientSemistable",
+            f"quotient classifies unstable (witness {verdict.witness})",
+        )
+
+
+def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
+    """Every valid chain of one kind, in deterministic order.
+
+    Chains grow down from the object one step at a time, and a prefix is
+    extended only through steps with no _step_violations, so every chain
+    found is valid and every valid chain is found.  A prefix whose lowest
+    step passes over zero is a chain, listed before its extensions.  Each
+    prefix visited is one search node, bounded by chain_bound().
+    """
+    require_classifiable(model)
+    bound = chain_bound()
+    found: list[Filtration] = []
+    nodes = 0
+
+    def grow(steps: list[str], above: Optional[tuple[str, NumericalSheafData]]):
+        nonlocal nodes
+        nodes += 1
+        if nodes > bound:
+            raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
+        upper = steps[-1]
+        for lower in [None, *sorted(_below(model, upper))]:
+            quotient = _step_quotient(model, upper, lower)
+            if next(_step_violations(model, kind, upper, lower, quotient, above), None):
+                continue
+            if lower is None:
+                found.append(_filtration(model, kind, _downward(kind, steps)))
+            else:
+                grow(steps + [lower], (upper, quotient))
+
+    grow([model.id], None)
+    return found
+
+
 def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
     """Every chain satisfying the Jordan-Holder conditions, in deterministic order."""
-    require_classifiable(model)
     verdict = gieseker_classify(model)
     if verdict.classification is StabilityClass.UNSTABLE:
         raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
-    bound = chain_bound()
-    found: list[Filtration] = []
-
-    def extend(current: HiggsObjectModel, steps):
-        if len(found) > bound:
-            raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
-        steps = steps + [current.id]
-        # stop here iff what remains is itself stable
-        if gieseker_classify(current).classification is StabilityClass.STABLE:
-            found.append(_filtration(model, FiltrationKind.JH, steps))
-        for e in _equal_p_candidates(current, model.data):
-            quotient_model = interval_quotient_model(current, current.id, e.id)
-            if gieseker_classify(quotient_model).classification is StabilityClass.STABLE:
-                extend(interval_quotient_model(current, e.id, None), steps)
-
-    extend(model, [])
-    if len(found) > bound:
-        raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
-    return found
+    return _search(model, FiltrationKind.JH)
 
 
 def grading(filt: Filtration) -> Grading:
@@ -351,41 +410,15 @@ def harder_narasimhan(model: HiggsObjectModel) -> Filtration:
 
 def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
     """Every chain satisfying the Harder-Narasimhan conditions, by exhaustive search."""
-    require_classifiable(model)
-    bound = chain_bound()
-    found: list[Filtration] = []
-    counter = [0]
-
-    def ascend(bottom: Optional[str], steps):
-        counter[0] += 1
-        if counter[0] > bound:
-            raise TooLargeError(f"more than {bound} chains; raise {CHAIN_BOUND_ENV}")
-        bottom_data = None if bottom is None else model.entry(bottom).data
-        candidates = [
-            e
-            for e in model.subobjects
-            if (bottom is None or bottom in e.contains)
-            and (bottom_data is None or e.data.rank > bottom_data.rank)
-            and e.data.rank < model.data.rank
-        ]
-        candidate_chain = _filtration(model, FiltrationKind.HN, steps + [model.id])
-        if not verify_filtration(model, candidate_chain):
-            found.append(candidate_chain)
-        for e in candidates:
-            ascend(e.id, steps + [e.id])
-
-    ascend(None, [])
-    return found
+    return _search(model, FiltrationKind.HN)
 
 
 def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violation]:
     """Check every filtration invariant; empty list means the chain is valid."""
-    out: list[Violation] = []
     steps = filt.steps
     if not steps:
         return [Violation(model.id, "Steps", "a filtration has at least one step")]
-    known = all(s == model.id or model.has_entry(s) for s in steps)
-    if not known:
+    if not all(s == model.id or model.has_entry(s) for s in steps):
         return [Violation(model.id, "UnknownId", "step id outside the declared family")]
 
     ordered = _downward(filt.kind, steps)
@@ -396,74 +429,26 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
         return [Violation(model.id, "Chain", "the object may only bound the chain")]
 
     # strict descent through the declared containment order
-    for upper, lower in zip(ordered, ordered[1:]):
-        upper_below = (
-            {e.id for e in model.subobjects}
-            if upper == model.id
-            else model.entry(upper).contains
-        )
-        if lower not in upper_below:
-            out.append(Violation(lower, "Chain", f"{lower} is not strictly below {upper}"))
+    out = [
+        Violation(lower, "Chain", f"{lower} is not strictly below {upper}")
+        for upper, lower in zip(ordered, ordered[1:])
+        if lower not in _below(model, upper)
+    ]
     if out:
         return out
 
-    # quotient bookkeeping: chi subtraction, conservation, positive ranks
-    downward_quotients = _downward(filt.kind, filt.quotients)
-    expected = _step_quotients(model, ordered)
-    for step, q, want in zip(ordered, downward_quotients, expected):
+    quotients = _downward(filt.kind, filt.quotients)
+    out = []
+    for (upper, lower), q in zip(_pairs(ordered), quotients):
+        want = _step_quotient(model, upper, lower)
         if (q.rank, q.deg_h, q.chi) != (want.rank, want.deg_h, want.chi):
-            out.append(Violation(step, "QuotientData", "quotient differs from chi subtraction"))
-        if q.rank <= 0:
-            out.append(Violation(step, "QuotientRank", "quotients need positive rank"))
+            out.append(Violation(upper, "QuotientData", "quotient differs from chi subtraction"))
     if out:
         return out
-    total_rank = sum(q.rank for q in filt.quotients)
-    total_chi = sum((q.chi for q in filt.quotients), HilbertPolynomial())
-    if total_rank != model.data.rank or total_chi != model.data.chi:
-        out.append(Violation(model.id, "Conservation", "quotients do not sum to the object"))
 
-    def step_verdict(i: int):
-        bottom = ordered[i + 1] if i + 1 < len(ordered) else None
-        try:
-            return gieseker_classify(interval_quotient_model(model, ordered[i], bottom))
-        except InvalidModelError as exc:
-            out.append(Violation(ordered[i], "InducedModel", str(exc)))
-            return None
-
-    if filt.kind is FiltrationKind.JH:
-        for i, q in enumerate(downward_quotients):
-            if compare_p(q, model.data) is not EventualOrder.EQUAL:
-                out.append(Violation(ordered[i], "EqualP", "quotient p differs from the object's"))
-                continue
-            verdict = step_verdict(i)
-            if verdict is not None and verdict.classification is not StabilityClass.STABLE:
-                out.append(
-                    Violation(
-                        ordered[i],
-                        "QuotientStable",
-                        f"quotient classifies {verdict.classification.value}",
-                    )
-                )
-    else:
-        for i, q in enumerate(downward_quotients):
-            verdict = step_verdict(i)
-            if verdict is not None and not verdict.semistable:
-                out.append(
-                    Violation(
-                        ordered[i],
-                        "QuotientSemistable",
-                        f"quotient classifies unstable (witness {verdict.witness})",
-                    )
-                )
-        # downward order reverses the required strict descent of p's
-        for i in range(len(downward_quotients) - 1):
-            lower, higher = downward_quotients[i], downward_quotients[i + 1]
-            if compare_p(lower, higher) is not EventualOrder.PRECEDES:
-                out.append(
-                    Violation(
-                        ordered[i],
-                        "StrictDecrease",
-                        "quotient polynomials must strictly decrease up the chain",
-                    )
-                )
+    above = None
+    for (upper, lower), q in zip(_pairs(ordered), quotients):
+        out.extend(_step_violations(model, filt.kind, upper, lower, q, above))
+        # a rank-zero quotient has no p to compare against the step below
+        above = (upper, q) if q.rank > 0 else None
     return out

@@ -52,27 +52,46 @@ class ModelFile:
 
 def _rat(value, where: str) -> Fraction:
     try:
+        if isinstance(value, bool):
+            raise TypeError("a boolean is not a rational")
         return parse_rational(value)
     except (ValueError, TypeError, AttributeError, ZeroDivisionError):
         raise ParseError(f"{where}: expected a rational 'num/den', got {value!r}")
 
 
+def _typed(value, kind: type, where: str):
+    """value itself if it has the JSON type kind: int (never a bool) or list."""
+    if not isinstance(value, kind) or isinstance(value, bool):
+        raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
+def _ints(value, where: str) -> tuple[int, ...]:
+    return tuple(_typed(v, int, where) for v in _typed(value, list, where))
+
+
+def _id(value) -> str:
+    text = str(value)
+    if text == "0":  # direct sums name the zero subobject "0"
+        raise ParseError('the id "0" is reserved for the zero subobject')
+    return text
+
+
 def _poly(value, where: str) -> HilbertPolynomial:
-    if not isinstance(value, list):
-        raise ParseError(f"{where}: expected a coefficient array")
-    return HilbertPolynomial(_rat(c, where) for c in value)
+    return HilbertPolynomial(_rat(c, where) for c in _typed(value, list, where))
 
 
 def kahler_from_json(block: dict) -> KahlerData:
     if not isinstance(block, dict) or "n" not in block:
         raise ParseError("ambient: expected an object with a dimension 'n'")
-    n = block["n"]
+    n = _typed(block["n"], int, "ambient.n")
     try:
         if n == 1:
-            return KahlerData.curve(int(block["genus"]), int(block["degH"]))
+            genus = _typed(block["genus"], int, "ambient.genus")
+            return KahlerData.curve(genus, _typed(block["degH"], int, "ambient.degH"))
         todd = block.get("todd")
         return KahlerData(
-            n=int(n),
+            n=n,
             hn=_rat(block["hn"], "ambient.hn"),
             c1x_h=_rat(block["c1X_H"], "ambient.c1X_H"),
             todd=tuple(_rat(t, "ambient.todd") for t in todd) if todd else None,
@@ -95,7 +114,7 @@ def kahler_to_json(kd: KahlerData) -> dict:
 def sheaf_from_json(block: dict, where: str) -> NumericalSheafData:
     try:
         return NumericalSheafData(
-            rank=int(block["rank"]),
+            rank=_typed(block["rank"], int, f"{where}.rank"),
             deg_h=_rat(block["degH"], f"{where}.degH"),
             chi=_poly(block["chi"], f"{where}.chi"),
             torsion_free=bool(block.get("torsion_free", True)),
@@ -117,16 +136,18 @@ def sheaf_to_json(s: NumericalSheafData) -> dict:
 
 def _entry_from_json(block: dict) -> SubobjectEntry:
     try:
-        eid = block["id"]
+        eid = _id(block["id"])
         torsion = block.get("quotient_torsion_part")
         return SubobjectEntry(
-            id=str(eid),
+            id=eid,
             data=sheaf_from_json(block["data"], f"{eid}.data"),
             quotient=sheaf_from_json(block["quotient"], f"{eid}.quotient"),
             quotient_torsion_part=(
                 sheaf_from_json(torsion, f"{eid}.torsion") if torsion else None
             ),
-            contains=frozenset(str(i) for i in block.get("contains", [])),
+            contains=frozenset(
+                str(i) for i in _typed(block.get("contains", []), list, f"{eid}.contains")
+            ),
         )
     except ParseError:
         raise
@@ -147,25 +168,25 @@ def entry_to_json(e: SubobjectEntry) -> dict:
 
 
 def chain_from_json(block: dict, ambient: KahlerData) -> HiggsChainSpec:
+    where = f"chain {block.get('id', '?')}"
     try:
+        arrows = _typed(block.get("arrows", []), list, f"{where}.arrows")
         return HiggsChainSpec(
             ambient=ambient,
-            summand_degrees=tuple(int(d) for d in block["degrees"]),
-            arrows=frozenset(
-                (int(i), int(j)) for i, j in block.get("arrows", [])
-            ),
+            summand_degrees=_ints(block["degrees"], f"{where}.degrees"),
+            arrows=frozenset(_ints(a, f"{where}.arrows") for a in arrows),
         )
     except ParseError:
         raise
     except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"chain {block.get('id', '?')}: {exc}")
+        raise ParseError(f"{where}: {exc}")
 
 
 def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
     if not isinstance(block, dict):
         raise ParseError("objects: each object must be a JSON object")
     kind = block.get("type", "model")
-    oid = str(block.get("id", "E"))
+    oid = _id(block.get("id", "E"))
     locally_free = bool(block.get("locally_free", False))
     chern_block = block.get("surface_chern")
     surface_chern = None
@@ -196,7 +217,8 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
                 ambient=ambient,
                 data=sheaf_from_json(block["data"], f"{oid}.data"),
                 subobjects=tuple(
-                    _entry_from_json(b) for b in block.get("subobjects", [])
+                    _entry_from_json(b)
+                    for b in _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
                 ),
                 family_complete=bool(block.get("family_complete", False)),
             )
@@ -214,7 +236,7 @@ def loads(text: str) -> ModelFile:
     """Parse and validate a model file; any violation rejects the file."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")

@@ -21,7 +21,6 @@ from .filtration import (
     all_jordan_holder,
     grading,
     harder_narasimhan,
-    verify_filtration,
 )
 from .hilbert import EventualOrder, format_rational
 from .model import direct_sum_model
@@ -181,11 +180,6 @@ def check_hn_uniqueness(obj: LoadedObject) -> CheckResult:
         return _skip("hn_uniqueness", obj.model.id, str(exc))
     except BrokenInvariantError as exc:
         return _result("hn_uniqueness", obj.model.id, False, str(exc))
-    problems = verify_filtration(obj.model, constructed)
-    if problems:
-        return _result(
-            "hn_uniqueness", obj.model.id, False, "; ".join(str(v) for v in problems)
-        )
     try:
         every = all_harder_narasimhan(obj.model)
     except TooLargeError as exc:

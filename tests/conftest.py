@@ -134,7 +134,7 @@ def descending_chains(model):
     return chains
 
 
-def oracle_jh_chains(model):
+def oracle_chains(model, kind):
     """Brute-force oracle: filter every descending chain through the verifier."""
     valid = []
     for chain in descending_chains(model):
@@ -154,10 +154,43 @@ def oracle_jh_chains(model):
                 )
             else:
                 quotients.append(upper)
-        candidate = Filtration(FiltrationKind.JH, tuple(chain), tuple(quotients))
+        if kind is FiltrationKind.HN:  # HN steps run upward
+            chain, quotients = chain[::-1], quotients[::-1]
+        candidate = Filtration(kind, tuple(chain), tuple(quotients))
         if not verify_filtration(model, candidate):
             valid.append(candidate)
     return valid
+
+
+def oracle_jh_chains(model):
+    return oracle_chains(model, FiltrationKind.JH)
+
+
+def oracle_hn_chains(model):
+    return oracle_chains(model, FiltrationKind.HN)
+
+
+def induced_model_failure():
+    """Unstable rank-2 model whose rank-1 entry A contains B, of rank 1 and higher degree.
+
+    The model validates, but the interval model of A over zero holds A/B, a
+    rank-zero quotient of negative chi, so it fails validation.
+    """
+    kd = KahlerData.curve(1, 1)
+    return HiggsObjectModel(
+        id="E",
+        ambient=kd,
+        data=chi_curve(kd, 2, 0),
+        subobjects=(
+            SubobjectEntry(
+                id="A",
+                data=chi_curve(kd, 1, 1),
+                quotient=chi_curve(kd, 1, -1),
+                contains={"B"},
+            ),
+            SubobjectEntry(id="B", data=chi_curve(kd, 1, 2), quotient=chi_curve(kd, 1, -2)),
+        ),
+    )
 
 
 def surface_entry(entry_id, total, rank, deg_h, constant):

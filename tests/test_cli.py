@@ -1,13 +1,18 @@
 """Command line behavior: reports, determinism, and exit codes."""
 
+import copy
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from higgs_lab import run
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
+HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
 
 HITCHIN = {
     "ambient": {"n": 1, "genus": 2, "degH": 1},
@@ -166,6 +171,26 @@ class TestVerify:
         assert any("a" in c["subject"] and "b" in c["subject"] for c in extensions)
         assert all(c["status"] == "pass" for c in extensions)
 
+    def test_equal_degree_six_chain_completes_both_searches(self, tmp_path, capsys):
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [{"type": "chain", "id": "E", "degrees": [0] * 6}],
+        }
+        path = tmp_path / "six.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("pass hn_uniqueness")
+            and line.endswith("E  1 valid chain(s) by search")
+            for line in lines
+        ), lines
+        assert any(
+            line.startswith("pass jh_grading_invariance")
+            and line.endswith("720 chain(s), 1 grading(s)")
+            for line in lines
+        ), lines
+
 
 class TestFuzz:
     def test_empty_run_passes(self, capsys):
@@ -214,7 +239,7 @@ class TestBadInput:
 
     def run_all(self, tmp_path, capsys, doc, object_id):
         path = tmp_path / "bad.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         for command in ("analyze", "verify", "jh", "hn"):
             extra = ["--object", object_id] if command in ("jh", "hn") else []
             self.input_error(capsys, [command, str(path), *extra])
@@ -244,6 +269,58 @@ class TestBadInput:
         }
         self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
 
+    @staticmethod
+    def typed_file():
+        """A valid file touching every integer and array field of the schema."""
+
+        def sheaf(rank):  # slope 1 on a genus-1 curve
+            return {"rank": rank, "degH": str(rank), "chi": [str(rank), str(rank)]}
+
+        def entry(eid, rank, contains):
+            return {"id": eid, "data": sheaf(rank), "quotient": sheaf(3 - rank), "contains": contains}
+
+        return {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                {"type": "chain", "id": "C", "degrees": [0, 0], "arrows": [[1, 2]]},
+                {
+                    "type": "model",
+                    "id": "E",
+                    "data": sheaf(3),
+                    "subobjects": [entry("F", 1, []), entry("G", 2, ["F"])],
+                },
+            ],
+        }
+
+    def test_typed_file_is_valid(self, tmp_path, capsys):
+        path = tmp_path / "typed.json"
+        path.write_text(json.dumps(self.typed_file()))
+        assert run(["verify", str(path)]) == 0
+
+    @pytest.mark.parametrize(
+        "where, value",
+        [
+            (("objects", 1, "subobjects", 0, "data", "rank"), 1.9),
+            (("objects", 0, "degrees"), "12"),
+            (("ambient", "genus"), 1.5),
+            (("objects", 1, "subobjects", 1, "contains"), "F"),
+            (("ambient", "n"), True),
+            (("ambient", "degH"), "1"),
+            (("objects", 0, "degrees", 1), 1.0),
+            (("objects", 0, "arrows", 0, 0), "1"),
+            (("objects", 0, "arrows"), {}),
+            (("objects", 1, "subobjects"), {}),
+            (("objects", 1, "subobjects", 0, "data", "degH"), True),
+            (("objects", 1, "id"), "0"),
+        ],
+    )
+    def test_schema_types_are_enforced(self, tmp_path, capsys, where, value):
+        # each of these used to be coerced to a valid file
+        self.run_all(tmp_path, capsys, _replaced(self.typed_file(), where, value), "E")
+
+    def test_deep_nesting(self, tmp_path, capsys):
+        self.run_all(tmp_path, capsys, "[" * 100000 + "]" * 100000, "E")
+
     @pytest.mark.parametrize(
         "flag, value", [("--max-rank", "0"), ("--genus", "-1"), ("--count", "-1")]
     )
@@ -257,6 +334,56 @@ class TestBadInput:
         for argv in (["verify", hitchin_file], ["fuzz", "--count", "2"]):
             line = self.input_error(capsys, argv)
             assert "HIGGS_LAB_MAX_CHAINS" in line
+
+
+def _replaced(doc, where, value):
+    """A copy of a JSON document with the value at path where replaced."""
+    doc = copy.deepcopy(doc)
+    *parents, last = where
+    node = doc
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return doc
+
+
+def _fields(node, prefix=()):
+    """(path, value) of every value below the document root."""
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,), child
+        yield from _fields(child, prefix + (key,))
+
+
+HITCHIN_DOC = json.loads(HITCHIN_PAIR.read_text())
+JSON_VALUES = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 3),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.lists(st.integers(-3, 3), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(-3, 3), max_size=2),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(field=st.sampled_from(list(_fields(HITCHIN_DOC))), value=JSON_VALUES)
+def test_swapped_field_type_never_raises(field, value):
+    """One field of docs/hitchin_pair.json takes a value of another JSON type."""
+    where, original = field
+    assume(type(original) is not type(value))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "swapped.json"
+        path.write_text(json.dumps(_replaced(HITCHIN_DOC, where, value)))
+        for command in ("analyze", "verify", "jh", "hn"):
+            extra = ["--object", "hitchin"] if command in ("jh", "hn") else []
+            assert run([command, str(path), *extra]) in (0, 1, 2)
 
 
 def test_bad_command_is_input_error(capsys):

@@ -32,7 +32,14 @@ from higgs_lab import (
 from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
-from conftest import ambiguous_model, curve_chain, oracle_jh_chains, poly
+from conftest import (
+    ambiguous_model,
+    curve_chain,
+    induced_model_failure,
+    oracle_hn_chains,
+    oracle_jh_chains,
+    poly,
+)
 
 
 class TestInducedSubmodel:
@@ -152,8 +159,11 @@ class TestAllJordanHolder:
 
     def test_chain_bound(self, monkeypatch):
         monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", "2")
-        with pytest.raises(TooLargeError):
-            all_jordan_holder(curve_chain(1, 1, (0, 0, 0)))
+        m = curve_chain(1, 1, (0, 0, 0))
+        with pytest.raises(TooLargeError, match="more than 2 search nodes"):
+            all_jordan_holder(m)
+        with pytest.raises(TooLargeError, match="more than 2 search nodes"):
+            all_harder_narasimhan(m)
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
     def test_chain_bound_must_be_a_positive_integer(self, monkeypatch, value):
@@ -249,6 +259,29 @@ class TestHarderNarasimhan:
     def test_ambiguous_maximizer(self):
         with pytest.raises(AmbiguousMaximizerError):
             harder_narasimhan(ambiguous_model())
+
+
+class TestAllHarderNarasimhan:
+    def test_matches_oracle_on_fuzzed_models(self):
+        rng = random.Random(37)
+        models = [realize(random_chain_spec(rng, 4, 2)) for _ in range(150)]
+        for m in models + [ambiguous_model()]:
+            chains = all_harder_narasimhan(m)
+            assert {f.steps for f in chains} == {f.steps for f in oracle_hn_chains(m)}
+            assert len(chains) == len({f.steps for f in chains})
+
+    def test_invalid_interval_model_fails_the_step(self):
+        # A/0 fails validation; the chain A < E passes every other step rule
+        m = induced_model_failure()
+        through_a = Filtration(
+            FiltrationKind.HN, ("A", "E"), (m.entry("A").data, m.entry("A").quotient)
+        )
+        assert [v.kind for v in verify_filtration(m, through_a)] == ["InducedModel"]
+        assert [f.steps for f in all_harder_narasimhan(m)] == [("B", "E")]
+        assert {f.steps for f in oracle_hn_chains(m)} == {("B", "E")}
+        # the JH search never reaches such a step: B destabilizes the object
+        with pytest.raises(NotSemistableError):
+            all_jordan_holder(m)
 
 
 class TestVerifyFiltration:
