@@ -2,8 +2,8 @@
 
 The verify suite re-derives each proved statement on concrete objects: the
 relation between the two stability notions, the equivalence of the subobject
-and quotient formulations, direct sums, the morphism decision table, grading
-invariance, and uniqueness of the descending-polynomial chain.
+and quotient formulations, direct sums, grading invariance, and uniqueness of
+the descending-polynomial chain.
 """
 
 from pathlib import Path

@@ -300,23 +300,28 @@ def _step_violations(
 def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     """Every valid chain of one kind, in deterministic order.
 
-    Chains grow down from the object one step at a time, and a prefix is
-    extended only through steps with no _step_violations, so every chain
-    found is valid and every valid chain is found.  A prefix whose lowest
-    step passes over zero is a chain, listed before its extensions.  Each
-    prefix visited is one search node, bounded by chain_bound().
+    Chains grow down from the object one step at a time, depth first, and a
+    prefix is extended only through steps with no _step_violations, so every
+    chain found is valid and every valid chain is found.  A prefix whose
+    lowest step passes over zero is a chain, listed before its extensions.
+    Each prefix visited is one search node, bounded by chain_bound().  The
+    pending prefixes sit on an explicit stack: a recursive closure would
+    refer to itself and keep every chain alive until the cycle collector runs.
     """
     require_classifiable(model)
     bound = chain_bound()
     found: list[Filtration] = []
     nodes = 0
-
-    def grow(steps: list[str], above: Optional[tuple[str, NumericalSheafData]]):
-        nonlocal nodes
+    stack: list[tuple[list[str], Optional[tuple[str, NumericalSheafData]]]] = [
+        ([model.id], None)
+    ]
+    while stack:
+        steps, above = stack.pop()
         nodes += 1
         if nodes > bound:
             raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
         upper = steps[-1]
+        deeper = []
         for lower in [None, *sorted(_below(model, upper))]:
             quotient = _step_quotient(model, upper, lower)
             if next(_step_violations(model, kind, upper, lower, quotient, above), None):
@@ -324,9 +329,8 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
             if lower is None:
                 found.append(_filtration(model, kind, _downward(kind, steps)))
             else:
-                grow(steps + [lower], (upper, quotient))
-
-    grow([model.id], None)
+                deeper.append((steps + [lower], (upper, quotient)))
+        stack.extend(reversed(deeper))
     return found
 
 

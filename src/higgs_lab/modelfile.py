@@ -60,18 +60,42 @@ def _rat(value, where: str) -> Fraction:
 
 
 def _typed(value, kind: type, where: str):
-    """value itself if it has the JSON type kind: int (never a bool) or list."""
-    if not isinstance(value, kind) or isinstance(value, bool):
+    """value itself if its type is exactly kind: int, bool, str or list."""
+    if type(value) is not kind:
         raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
+
+
+@dataclass
+class _reading:
+    """Turns a missing key or a rejected value into a ParseError naming where."""
+
+    where: str
+
+    def __enter__(self):
+        return None
+
+    def __exit__(self, kind, exc, tb):
+        if isinstance(exc, (KeyError, ValueError, TypeError)):
+            if not isinstance(exc, ParseError):
+                raise ParseError(f"{self.where}: {exc}")
 
 
 def _ints(value, where: str) -> tuple[int, ...]:
     return tuple(_typed(v, int, where) for v in _typed(value, list, where))
 
 
-def _id(value) -> str:
-    text = str(value)
+def _ids(value, where: str) -> frozenset[str]:
+    """A JSON array of string ids, as a set."""
+    items = _typed(value, list, where)
+    for item in items:  # one type test per id: declared lattices hold 10^4-10^5
+        if type(item) is not str:
+            _typed(item, str, where)  # raises
+    return frozenset(items)
+
+
+def _id(value, where: str) -> str:
+    text = _typed(value, str, where)
     if text == "0":  # direct sums name the zero subobject "0"
         raise ParseError('the id "0" is reserved for the zero subobject')
     return text
@@ -85,7 +109,7 @@ def kahler_from_json(block: dict) -> KahlerData:
     if not isinstance(block, dict) or "n" not in block:
         raise ParseError("ambient: expected an object with a dimension 'n'")
     n = _typed(block["n"], int, "ambient.n")
-    try:
+    with _reading("ambient"):
         if n == 1:
             genus = _typed(block["genus"], int, "ambient.genus")
             return KahlerData.curve(genus, _typed(block["degH"], int, "ambient.degH"))
@@ -96,10 +120,6 @@ def kahler_from_json(block: dict) -> KahlerData:
             c1x_h=_rat(block["c1X_H"], "ambient.c1X_H"),
             todd=tuple(_rat(t, "ambient.todd") for t in todd) if todd else None,
         )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"ambient: {exc}")
 
 
 def kahler_to_json(kd: KahlerData) -> dict:
@@ -112,17 +132,13 @@ def kahler_to_json(kd: KahlerData) -> dict:
 
 
 def sheaf_from_json(block: dict, where: str) -> NumericalSheafData:
-    try:
+    with _reading(where):
         return NumericalSheafData(
             rank=_typed(block["rank"], int, f"{where}.rank"),
             deg_h=_rat(block["degH"], f"{where}.degH"),
             chi=_poly(block["chi"], f"{where}.chi"),
-            torsion_free=bool(block.get("torsion_free", True)),
+            torsion_free=_typed(block.get("torsion_free", True), bool, f"{where}.torsion_free"),
         )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}")
 
 
 def sheaf_to_json(s: NumericalSheafData) -> dict:
@@ -135,8 +151,8 @@ def sheaf_to_json(s: NumericalSheafData) -> dict:
 
 
 def _entry_from_json(block: dict) -> SubobjectEntry:
-    try:
-        eid = _id(block["id"])
+    with _reading("subobject"):
+        eid = _id(block["id"], "subobject id")
         torsion = block.get("quotient_torsion_part")
         return SubobjectEntry(
             id=eid,
@@ -145,14 +161,8 @@ def _entry_from_json(block: dict) -> SubobjectEntry:
             quotient_torsion_part=(
                 sheaf_from_json(torsion, f"{eid}.torsion") if torsion else None
             ),
-            contains=frozenset(
-                str(i) for i in _typed(block.get("contains", []), list, f"{eid}.contains")
-            ),
+            contains=_ids(block.get("contains", []), f"{eid}.contains"),
         )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"subobject: {exc}")
 
 
 def entry_to_json(e: SubobjectEntry) -> dict:
@@ -169,29 +179,25 @@ def entry_to_json(e: SubobjectEntry) -> dict:
 
 def chain_from_json(block: dict, ambient: KahlerData) -> HiggsChainSpec:
     where = f"chain {block.get('id', '?')}"
-    try:
+    with _reading(where):
         arrows = _typed(block.get("arrows", []), list, f"{where}.arrows")
         return HiggsChainSpec(
             ambient=ambient,
             summand_degrees=_ints(block["degrees"], f"{where}.degrees"),
             arrows=frozenset(_ints(a, f"{where}.arrows") for a in arrows),
         )
-    except ParseError:
-        raise
-    except (KeyError, ValueError, TypeError) as exc:
-        raise ParseError(f"{where}: {exc}")
 
 
 def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
     if not isinstance(block, dict):
         raise ParseError("objects: each object must be a JSON object")
     kind = block.get("type", "model")
-    oid = _id(block.get("id", "E"))
-    locally_free = bool(block.get("locally_free", False))
+    oid = _id(block.get("id", "E"), "object id")
+    locally_free = _typed(block.get("locally_free", False), bool, f"{oid}.locally_free")
     chern_block = block.get("surface_chern")
     surface_chern = None
     if chern_block is not None:
-        try:
+        with _reading(f"{oid}.surface_chern"):
             surface_chern = SurfaceChernInput(
                 c1h=_rat(chern_block["c1H"], f"{oid}.c1H"),
                 ch2=_rat(chern_block["ch2"], f"{oid}.ch2"),
@@ -199,10 +205,6 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
                 c1sq=_rat(chern_block["c1sq"], f"{oid}.c1sq"),
                 c2int=_rat(chern_block["c2int"], f"{oid}.c2int"),
             )
-        except ParseError:
-            raise
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"{oid}.surface_chern: {exc}")
     if kind == "chain":
         spec = chain_from_json(block, ambient)
         try:
@@ -211,7 +213,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
             raise ParseError(f"chain {oid}: {exc}")
         return LoadedObject(model, "chain", chain=spec, locally_free=True)
     if kind == "model":
-        try:
+        with _reading(f"object {oid}"):
             model = HiggsObjectModel(
                 id=oid,
                 ambient=ambient,
@@ -220,12 +222,10 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
                     _entry_from_json(b)
                     for b in _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
                 ),
-                family_complete=bool(block.get("family_complete", False)),
+                family_complete=_typed(
+                    block.get("family_complete", False), bool, f"{oid}.family_complete"
+                ),
             )
-        except ParseError:
-            raise
-        except (KeyError, ValueError, TypeError) as exc:
-            raise ParseError(f"object {oid}: {exc}")
         return LoadedObject(
             model, "model", locally_free=locally_free, surface_chern=surface_chern
         )

@@ -10,9 +10,10 @@ statements.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 from typing import Iterable, Optional
 
-from .chern import bogomolov_discriminant, compare_p, normalized_p, rank_p_residual
+from .chern import bogomolov_discriminant, compare_p, rank_p_residual
 from .filtration import (
     AmbiguousMaximizerError,
     BrokenInvariantError,
@@ -27,13 +28,10 @@ from .model import direct_sum_model
 from .modelfile import LoadedObject
 from .stability import (
     IncompleteTorsionClosureError,
-    MorphismVerdict,
     StabilityClass,
-    check_extension_semistability,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
-    morphism_verdict,
     slope_classify,
 )
 
@@ -190,16 +188,12 @@ def check_hn_uniqueness(obj: LoadedObject) -> CheckResult:
     )
 
 
-def _pair_too_big(a: LoadedObject, b: LoadedObject) -> bool:
-    return (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT
-
-
 def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
     """The sum is semistable exactly when both parts are, with equal polynomials."""
     subject = f"{a.model.id} (+) {b.model.id}"
     if a.model.ambient != b.model.ambient:
         return _skip("direct_sum", subject, "different ambient data")
-    if _pair_too_big(a, b):
+    if (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
         return _skip("direct_sum", subject, "product family too large")
     total = direct_sum_model(a.model, b.model)
     lhs = gieseker_classify(total).semistable
@@ -212,60 +206,9 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
     return _result("direct_sum", subject, lhs == rhs, f"sum_semistable={lhs} parts={rhs}")
 
 
-def check_morphism_table(a: LoadedObject, b: LoadedObject) -> Optional[CheckResult]:
-    """The decision table is coherent for a map from a to b (both semistable)."""
-    subject = f"{a.model.id} -> {b.model.id}"
-    if a.model.ambient != b.model.ambient:
-        return None
-    va, vb = gieseker_classify(a.model), gieseker_classify(b.model)
-    if not (va.semistable and vb.semistable):
-        return None
-    p_a, p_b = normalized_p(a.model.data), normalized_p(b.model.data)
-    verdict = morphism_verdict(
-        p_a,
-        p_b,
-        va.classification is StabilityClass.STABLE,
-        vb.classification is StabilityClass.STABLE,
-    )
-    order = p_b.compare_eventual(p_a)
-    if order is EventualOrder.PRECEDES:
-        ok = verdict is MorphismVerdict.MUST_BE_ZERO
-    elif order is EventualOrder.EQUAL and va.classification is StabilityClass.STABLE:
-        ok = verdict is MorphismVerdict.ZERO_OR_INJECTIVE
-    elif order is EventualOrder.EQUAL and vb.classification is StabilityClass.STABLE:
-        ok = verdict is MorphismVerdict.ZERO_OR_GENERICALLY_SURJECTIVE
-    else:
-        ok = verdict is MorphismVerdict.NO_CONSTRAINT
-    detail = f"verdict={verdict.value}"
-    if (
-        order is EventualOrder.EQUAL
-        and va.classification is StabilityClass.STABLE
-        and vb.classification is StabilityClass.STABLE
-    ):
-        detail += " (also generically surjective)"
-    return _result("morphism_table", subject, ok, detail)
-
-
-def check_extension(a: LoadedObject, b: LoadedObject) -> Optional[CheckResult]:
-    """An extension of equal-p semistable pieces (here: their sum) is semistable."""
-    subject = f"0 -> {a.model.id} -> E -> {b.model.id} -> 0"
-    if a.model.ambient != b.model.ambient:
-        return None
-    va, vb = gieseker_classify(a.model), gieseker_classify(b.model)
-    if not (va.semistable and vb.semistable):
-        return None
-    if compare_p(a.model.data, b.model.data) is not EventualOrder.EQUAL:
-        return None
-    if _pair_too_big(a, b):
-        return _skip("extension_semistable", subject, "product family too large")
-    total = direct_sum_model(a.model, b.model)
-    ok = check_extension_semistability(a.model, b.model, total)
-    return _result("extension_semistable", subject, ok)
-
-
 def run_suite(objects: Iterable[LoadedObject], all_pairs: bool = True) -> list[CheckResult]:
-    """Run every theorem check; pairwise checks cover all same-ambient pairs,
-    or only consecutive ones when all_pairs is off (fuzz batches)."""
+    """Run every theorem check; the direct-sum check covers every pair, or
+    only consecutive ones when all_pairs is off (fuzz batches)."""
     objs = list(objects)
     results: list[CheckResult] = []
     for obj in objs:
@@ -278,19 +221,6 @@ def run_suite(objects: Iterable[LoadedObject], all_pairs: bool = True) -> list[C
                 results.append(maybe)
         results.append(check_jh_invariance(obj))
         results.append(check_hn_uniqueness(obj))
-    if all_pairs:
-        pairs = [
-            (objs[i], objs[j]) for i in range(len(objs)) for j in range(len(objs)) if i < j
-        ]
-    else:
-        pairs = list(zip(objs, objs[1:]))
-    for a, b in pairs:
-        results.append(check_direct_sum(a, b))
-        for first, second in ((a, b), (b, a)):
-            for maybe in (
-                check_morphism_table(first, second),
-                check_extension(first, second),
-            ):
-                if maybe is not None:
-                    results.append(maybe)
+    pairs = combinations(objs, 2) if all_pairs else zip(objs, objs[1:])
+    results.extend(check_direct_sum(a, b) for a, b in pairs)
     return results

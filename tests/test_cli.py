@@ -9,7 +9,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from higgs_lab import run
+from higgs_lab import HilbertPolynomial, StabilityClass, StabilityVerdict, run, suite
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
@@ -45,6 +45,18 @@ BAD_SURFACE = {
         }
     ],
 }
+
+
+def _stable_on_split(classify):
+    """classify, except that it calls the unstable object split stable."""
+
+    def wrong(model):
+        verdict = classify(model)
+        if model.id != "split":
+            return verdict
+        return StabilityVerdict(verdict.notion, StabilityClass.STABLE)
+
+    return wrong
 
 
 @pytest.fixture
@@ -146,7 +158,7 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path)]) == 0
 
-    def test_semistable_pairs_get_morphism_and_extension_checks(self, tmp_path, capsys):
+    def test_semistable_pairs_get_direct_sum_checks_only(self, tmp_path, capsys):
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
             "objects": [
@@ -159,17 +171,48 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path), "--format", "json"]) == 0
         report = json.loads(capsys.readouterr().out)
-        morphisms = {
-            c["subject"]: c for c in report["checks"] if c["check"] == "morphism_table"
-        }
-        # equal p, both stable: canonical injective verdict plus the surjective note
-        assert "(also generically surjective)" in morphisms["a -> b"]["detail"]
-        assert "zero_or_injective" in morphisms["a -> b"]["detail"]
-        # strictly smaller target polynomial forces the zero map
-        assert "must_be_zero" in morphisms["c -> a"]["detail"]
-        extensions = [c for c in report["checks"] if c["check"] == "extension_semistable"]
-        assert any("a" in c["subject"] and "b" in c["subject"] for c in extensions)
-        assert all(c["status"] == "pass" for c in extensions)
+        # pair subjects hold spaces; no morphism_table or extension_semistable line remains
+        pairs = [c for c in report["checks"] if " " in c["subject"]]
+        assert pairs == [
+            {
+                "check": "direct_sum",
+                "subject": "a (+) b",
+                "status": "pass",
+                "detail": "sum_semistable=True parts=True",
+            },
+            {
+                "check": "direct_sum",
+                "subject": "a (+) c",
+                "status": "pass",
+                "detail": "sum_semistable=False parts=False",
+            },
+            {
+                "check": "direct_sum",
+                "subject": "b (+) c",
+                "status": "pass",
+                "detail": "sum_semistable=False parts=False",
+            },
+        ]
+
+    @pytest.mark.parametrize(
+        "check, name, wrong",
+        [
+            ("stability_ladder", "slope_classify", _stable_on_split),
+            ("quotient_formulation", "gieseker_classify_by_quotients", _stable_on_split),
+            ("torsion_free_formulation", "gieseker_classify_tf_quotients", _stable_on_split),
+            ("rank_p_residual", "rank_p_residual", lambda real: lambda *_: HilbertPolynomial([1])),
+            ("dim1_coincidence", "slope_classify", _stable_on_split),
+            ("jh_grading_invariance", "all_jordan_holder", lambda real: lambda model: []),
+            ("hn_uniqueness", "all_harder_narasimhan", lambda real: lambda model: []),
+            ("direct_sum", "direct_sum_model", lambda real: lambda a, b: a),  # the sum is hitchin
+        ],
+    )
+    def test_every_check_can_fail(self, monkeypatch, capsys, check, name, wrong):
+        """A wrong answer from the one function a check judges makes the check fail."""
+        monkeypatch.setattr(suite, name, wrong(getattr(suite, name)))
+        assert run(["verify", str(HITCHIN_PAIR), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        assert any(c["check"] == check and c["status"] == "fail" for c in report["checks"])
 
     def test_equal_degree_six_chain_completes_both_searches(self, tmp_path, capsys):
         doc = {
@@ -312,6 +355,13 @@ class TestBadInput:
             (("objects", 1, "subobjects"), {}),
             (("objects", 1, "subobjects", 0, "data", "degH"), True),
             (("objects", 1, "id"), "0"),
+            (("objects", 1, "subobjects", 0, "data", "torsion_free"), "no"),
+            (("objects", 1, "family_complete"), "no"),
+            (("objects", 1, "locally_free"), 1),
+            (("objects", 1, "id"), [1]),
+            (("objects", 1, "id"), 3),
+            (("objects", 1, "subobjects", 1, "id"), 5),
+            (("objects", 1, "subobjects", 1, "contains", 0), None),
         ],
     )
     def test_schema_types_are_enforced(self, tmp_path, capsys, where, value):

@@ -1,5 +1,6 @@
 """Jordan-Holder and Harder-Narasimhan construction, gradings, verification."""
 
+import gc
 import random
 from itertools import permutations
 
@@ -177,6 +178,18 @@ class TestAllJordanHolder:
     def test_unstable_rejected(self):
         with pytest.raises(NotSemistableError):
             all_jordan_holder(curve_chain(0, 1, (2, 0)))
+
+    @pytest.mark.parametrize("search", [all_jordan_holder, all_harder_narasimhan])
+    def test_search_leaves_no_reference_cycles(self, search):
+        """A dropped result is freed at once, not left for the cycle collector."""
+        m = curve_chain(1, 1, (0,) * 5)
+        gc.collect()
+        gc.disable()
+        try:
+            assert len(search(m)) >= 1
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestGradingAndSEquivalence:
