@@ -8,6 +8,7 @@ the report), 2 on input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from typing import Sequence
@@ -166,12 +167,8 @@ def _checks_report(results: Sequence[CheckResult]) -> dict:
     }
 
 
-def _load_file(path: str) -> ModelFile:
-    return load(path)
-
-
 def _cmd_analyze(args) -> int:
-    mf = _load_file(args.file)
+    mf = load(args.file)
     report = {
         "objects": [_analyze_object(obj) for obj in mf.objects],
         "scope": _scope_note(mf.objects),
@@ -188,7 +185,7 @@ def _find_object(mf: ModelFile, object_id: str) -> LoadedObject:
 
 
 def _cmd_filtration(args, kind: str) -> int:
-    mf = _load_file(args.file)
+    mf = load(args.file)
     obj = _find_object(mf, args.object)
     build = jordan_holder if kind == "jh" else harder_narasimhan
     try:
@@ -210,7 +207,7 @@ def _cmd_filtration(args, kind: str) -> int:
 
 def _cmd_verify(args) -> int:
     chain_bound()  # a bad bound is an input error whether or not a search runs
-    mf = _load_file(args.file)
+    mf = load(args.file)
     results = run_suite(mf.objects, all_pairs=True)
     report = _checks_report(results)
     report["scope"] = _scope_note(mf.objects)
@@ -239,6 +236,7 @@ def _cmd_fuzz(args) -> int:
     return EXIT_CHECK_FAILED if any(r.failed for r in results) else EXIT_OK
 
 
+@functools.cache  # one parser per process: each build leaves cycles for the collector
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="higgs-lab",

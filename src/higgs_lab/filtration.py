@@ -1,17 +1,16 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
-Every step works on an interval model built by interval_quotient_model: a
-subobject (bottom of None) has the declared entries below it as its family,
-and a quotient has the declared entries above the kernel; quotient
-invariants come from chi subtraction.  The constructions collect step ids
-only; _step_quotient derives every quotient from its step ids.  Both
-filtrations are defined by a rule on each step alone, kept in
-_step_violations: verify_filtration applies it to every step of a chain,
-and _search, the one exhaustive search behind all_jordan_holder and
-all_harder_narasimhan, extends chains only through steps that pass it.
-Every construction passes the stability gate first, and verifies every
-filtration invariant before returning, so an under-declared family surfaces
-as an explicit error instead of a wrong answer.
+Every step is decided on the parent's lattice: _interval lists the entries
+strictly between two steps, relative to the lower one, and quotients come
+from chi subtraction.  Validation of the parent makes every such interval a
+valid model, so no step builds one; interval_quotient_model stays as a
+library function and as the step verdict's oracle.  Both filtrations are
+defined by a rule on each step alone, kept in _step_violations:
+verify_filtration applies it to every step of a chain, and _search, the one
+exhaustive search behind all_jordan_holder and all_harder_narasimhan,
+extends chains only through steps that pass it.  Every construction passes
+the stability gate first and verifies its chain before returning, so an
+under-declared family surfaces as an explicit error, not a wrong answer.
 """
 
 from __future__ import annotations
@@ -20,15 +19,17 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Iterable, Iterator, Optional, Sequence
 
 from .chern import NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial
 from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
-    InvalidModelError,
+    Notion,
     PreconditionUnmetError,
     StabilityClass,
+    StabilityVerdict,
+    _classify,
     gieseker_classify,
     require_classifiable,
 )
@@ -93,19 +94,14 @@ class Grading:
     pieces: tuple[tuple[int, Fraction, HilbertPolynomial], ...]
 
     def __post_init__(self):
-        ordered = tuple(
-            sorted(self.pieces, key=lambda t: (t[0], t[1], t[2].coeffs))
-        )
-        object.__setattr__(self, "pieces", ordered)
+        ordered = sorted(self.pieces, key=lambda t: (t[0], t[1], t[2].coeffs))
+        object.__setattr__(self, "pieces", tuple(ordered))
 
 
 def _sheaf_delta(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheafData:
     """Invariants of a/b for declared b inside a; positive rank is presumed torsion-free."""
-    rank = a.rank - b.rank
-    chi = a.chi - b.chi
-    return NumericalSheafData(
-        rank, a.deg_h - b.deg_h, chi, torsion_free=rank > 0 or chi.is_zero
-    )
+    rank, chi = a.rank - b.rank, a.chi - b.chi
+    return NumericalSheafData(rank, a.deg_h - b.deg_h, chi, torsion_free=rank > 0 or chi.is_zero)
 
 
 def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
@@ -113,11 +109,29 @@ def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
     return model.data if step == model.id else model.entry(step).data
 
 
-def _below(model: HiggsObjectModel, step: str) -> frozenset[str]:
-    """Ids of the declared entries strictly below a step."""
-    if step == model.id:
-        return frozenset(e.id for e in model.subobjects)
-    return model.entry(step).contains
+def _interval(
+    model: HiggsObjectModel, upper: str, lower: Optional[str]
+) -> Iterator[tuple[str, NumericalSheafData]]:
+    """(id, invariants relative to lower) of each entry strictly between two steps.
+
+    upper may be the model id; lower of None means zero.  Ids come in order.
+    """
+    if upper == model.id:
+        entries = model.subobjects
+    else:
+        entries = [model.entry(i) for i in sorted(model.entry(upper).contains)]
+    if lower is None:
+        return ((e.id, e.data) for e in entries)
+    base = model.entry(lower).data
+    return ((e.id, _sheaf_delta(e.data, base)) for e in entries if lower in e.contains)
+
+
+def _verdict(
+    between: Iterable[tuple[str, NumericalSheafData]], quotient: NumericalSheafData
+) -> StabilityVerdict:
+    """gieseker_classify of the interval model, from the interval and its quotient."""
+    orders = ((gid, compare_p(d, quotient)) for gid, d in between if 0 < d.rank < quotient.rank)
+    return _classify(Notion.GIESEKER, orders)
 
 
 def interval_quotient_model(
@@ -126,41 +140,23 @@ def interval_quotient_model(
     """Model of (top / bottom) with family drawn from strictly-between entries.
 
     top_id may be the model id (the whole object); bottom_id of None means
-    the zero subobject.  Entry ids are preserved so chains keep their
-    original names across recursion.
+    the zero subobject.  Entry ids are the parent's, so a witness names a
+    parent entry.
     """
     if top_id != model.id and not model.has_entry(top_id):
         raise UnknownIdError(top_id)
     if bottom_id is not None and not model.has_entry(bottom_id):
         raise UnknownIdError(bottom_id)
-    top_data = _data(model, top_id)
-    between = _below(model, top_id)
-    lift = lambda s: s
-    if bottom_id is not None:
-        bottom_data = model.entry(bottom_id).data
-        between = {i for i in between if bottom_id in model.entry(i).contains}
-        lift = lambda s: _sheaf_delta(s, bottom_data)
-
+    top = _step_quotient(model, top_id, bottom_id)
+    between = dict(_interval(model, top_id, bottom_id))
     entries = []
-    for gid in sorted(between):
-        g = model.entry(gid)
-        quotient = _sheaf_delta(top_data, g.data)
+    for gid, data in between.items():
+        q = _sheaf_delta(top, data)
+        torsion = None if q.torsion_free else q
         entries.append(
-            SubobjectEntry(
-                id=gid,
-                data=lift(g.data),
-                quotient=quotient,
-                quotient_torsion_part=quotient if not quotient.torsion_free else None,
-                contains=g.contains & between,
-            )
+            SubobjectEntry(gid, data, q, torsion, between.keys() & model.entry(gid).contains)
         )
-    return HiggsObjectModel(
-        id=top_id,
-        ambient=model.ambient,
-        data=lift(top_data),
-        subobjects=tuple(entries),
-        family_complete=model.family_complete,
-    )
+    return HiggsObjectModel(top_id, model.ambient, top, tuple(entries), model.family_complete)
 
 
 def chain_bound() -> int:
@@ -224,29 +220,27 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
     """
     require_classifiable(model)
     steps: list[str] = []
-    current = model
+    step = model.id
     while True:
-        verdict = gieseker_classify(current)
+        data = _data(model, step)
+        between = list(_interval(model, step, None))
+        verdict = _verdict(between, data)
         if verdict.classification is StabilityClass.UNSTABLE:
-            if current is model:
-                raise NotSemistableError(
-                    f"{model.id} is unstable (witness {verdict.witness})"
-                )
+            if step == model.id:
+                raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
             raise BrokenInvariantError(
-                f"intermediate step {current.id} is unstable; the family is under-declared"
+                f"intermediate step {step} is unstable; the family is under-declared"
             )
-        steps.append(current.id)
+        steps.append(step)
         if verdict.classification is StabilityClass.STABLE:
             break
         candidates = [
-            e
-            for e in current.subobjects
-            if 0 < e.data.rank < current.data.rank
-            and compare_p(e.data, model.data) is EventualOrder.EQUAL
+            (d.rank, gid)
+            for gid, d in between
+            if 0 < d.rank < data.rank and compare_p(d, model.data) is EventualOrder.EQUAL
         ]
-        best_rank = max(e.data.rank for e in candidates)
-        chosen = min(e.id for e in candidates if e.data.rank == best_rank)
-        current = interval_quotient_model(current, chosen, None)
+        best_rank = max(rank for rank, _ in candidates)
+        step = min(gid for rank, gid in candidates if rank == best_rank)
     return _verified(model, FiltrationKind.JH, steps)
 
 
@@ -279,11 +273,7 @@ def _step_violations(
             "StrictDecrease",
             "quotient polynomials must strictly decrease up the chain",
         )
-    try:
-        verdict = gieseker_classify(interval_quotient_model(model, upper, lower))
-    except InvalidModelError as exc:
-        yield Violation(upper, "InducedModel", str(exc))
-        return
+    verdict = _verdict(_interval(model, upper, lower), quotient)
     if kind is FiltrationKind.JH:
         if verdict.classification is not StabilityClass.STABLE:
             yield Violation(
@@ -322,7 +312,7 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
             raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
         upper = steps[-1]
         deeper = []
-        for lower in [None, *sorted(_below(model, upper))]:
+        for lower in [None, *(gid for gid, _ in _interval(model, upper, None))]:
             quotient = _step_quotient(model, upper, lower)
             if next(_step_violations(model, kind, upper, lower, quotient, above), None):
                 continue
@@ -364,28 +354,18 @@ def _destabilizer_step(
     Maximize the relative normalized polynomial, then rank; a tie between
     distinct entries is ambiguous and aborts.
     """
-    if bottom_id is None:
-        above = model.subobjects
-        top = model.data
-        relative = lambda data: data
-    else:
-        bottom_data = model.entry(bottom_id).data
-        above = [e for e in model.subobjects if bottom_id in e.contains]
-        top = _sheaf_delta(model.data, bottom_data)
-        relative = lambda data: _sheaf_delta(data, bottom_data)
-
+    top = _step_quotient(model, model.id, bottom_id)
     best_data = top
     best: list[tuple[int, Optional[str]]] = [(top.rank, None)]
-    for e in above:
-        data = relative(e.data)
+    for gid, data in _interval(model, model.id, bottom_id):
         if data.rank <= 0 or data.rank >= top.rank:
             continue
         order = compare_p(data, best_data)
         if order is EventualOrder.SUCCEEDS:
             best_data = data
-            best = [(data.rank, e.id)]
+            best = [(data.rank, gid)]
         elif order is EventualOrder.EQUAL:
-            best.append((data.rank, e.id))
+            best.append((data.rank, gid))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:
@@ -418,7 +398,11 @@ def all_harder_narasimhan(model: HiggsObjectModel) -> list[Filtration]:
 
 
 def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violation]:
-    """Check every filtration invariant; empty list means the chain is valid."""
+    """Check every filtration invariant; empty list means the chain is valid.
+
+    An invalid model raises InvalidModelError, as in every construction.
+    """
+    require_classifiable(model)
     steps = filt.steps
     if not steps:
         return [Violation(model.id, "Steps", "a filtration has at least one step")]
@@ -436,7 +420,7 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
     out = [
         Violation(lower, "Chain", f"{lower} is not strictly below {upper}")
         for upper, lower in zip(ordered, ordered[1:])
-        if lower not in _below(model, upper)
+        if upper != model.id and lower not in model.entry(upper).contains
     ]
     if out:
         return out

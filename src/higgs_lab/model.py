@@ -218,7 +218,13 @@ def _entry_violation(
     for label, part in (("subobject", e.data), ("quotient", e.quotient)):
         for problem in leading_term_violations(part, model.ambient):
             return Violation(e.id, "LeadingCoefficient", f"{label}: {problem}")
-    if not e.quotient.torsion_free:
+    if e.data.rank > 0 and not e.data.torsion_free:
+        return Violation(e.id, "TorsionSubobject", "a subobject of positive rank is torsion")
+    q = e.quotient  # of rank zero: zero, or torsion with eventually positive chi
+    if q.rank == 0 and not q.chi.is_zero:
+        if q.torsion_free or not HilbertPolynomial().eventually_less(q.chi):
+            return Violation(e.id, "TorsionQuotient", "rank-zero quotient is not 0 or torsion")
+    if not q.torsion_free:
         t = e.quotient_torsion_part
         if t is None:
             return Violation(e.id, "TorsionPart", "torsion quotient lacks its torsion part")
@@ -284,6 +290,11 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
                 )
             if inner.data.rank > e.data.rank:
                 out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
+            elif inner.data.rank == e.data.rank and e.data.chi.eventually_less(inner.data.chi):
+                # the torsion e/inner has chi zero or eventually positive
+                out.append(
+                    Violation(e.id, "Containment", f"contains {mid} of equal rank, larger chi")
+                )
             missing = inner.contains - e.contains
             if missing:
                 out.append(

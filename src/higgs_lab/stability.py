@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Optional
+from typing import Iterable, Optional
 
 from .chern import compare_p, compare_slope
 from .hilbert import EventualOrder, HilbertPolynomial
@@ -83,21 +83,18 @@ def _proper(model: HiggsObjectModel):
 
 
 def _classify(
-    notion: Notion,
-    entries: list[SubobjectEntry],
-    offends: Callable[[SubobjectEntry], EventualOrder],
+    notion: Notion, orders: Iterable[tuple[str, EventualOrder]]
 ) -> StabilityVerdict:
-    """offends reports the comparison of the entry against the whole object."""
-    destabilizer = None
+    """Verdict from (entry id, entry against the whole object) pairs in id order.
+
+    The first succeeding entry decides, so the scan stops there.
+    """
     equalizer = None
-    for e in entries:  # already in id order
-        order = offends(e)
-        if order is EventualOrder.SUCCEEDS and destabilizer is None:
-            destabilizer = e.id
-        elif order is EventualOrder.EQUAL and equalizer is None:
-            equalizer = e.id
-    if destabilizer is not None:
-        return StabilityVerdict(notion, StabilityClass.UNSTABLE, destabilizer)
+    for eid, order in orders:
+        if order is EventualOrder.SUCCEEDS:
+            return StabilityVerdict(notion, StabilityClass.UNSTABLE, eid)
+        if order is EventualOrder.EQUAL and equalizer is None:
+            equalizer = eid
     if equalizer is not None:
         return StabilityVerdict(notion, StabilityClass.STRICTLY_SEMISTABLE, equalizer)
     return StabilityVerdict(notion, StabilityClass.STABLE)
@@ -111,7 +108,7 @@ def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """
     require_classifiable(model)
     return _classify(
-        Notion.GIESEKER, _proper(model), lambda e: compare_p(e.data, model.data)
+        Notion.GIESEKER, ((e.id, compare_p(e.data, model.data)) for e in _proper(model))
     )
 
 
@@ -119,7 +116,7 @@ def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """Same quantifier with rational slope comparison."""
     require_classifiable(model)
     return _classify(
-        Notion.SLOPE, _proper(model), lambda e: compare_slope(e.data, model.data)
+        Notion.SLOPE, ((e.id, compare_slope(e.data, model.data)) for e in _proper(model))
     )
 
 
@@ -133,7 +130,7 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     require_classifiable(model)
     total = model.data
     entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
-    return _classify(Notion.GIESEKER, entries, lambda e: compare_p(total, e.quotient))
+    return _classify(Notion.GIESEKER, ((e.id, compare_p(total, e.quotient)) for e in entries))
 
 
 def _matches_enlargement(model: HiggsObjectModel, e: SubobjectEntry) -> bool:
@@ -170,7 +167,7 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             raise IncompleteTorsionClosureError(
                 f"entry {e.id} has a torsion quotient and no declared enlargement"
             )
-    return _classify(Notion.GIESEKER, kept, lambda e: compare_p(e.data, model.data))
+    return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, model.data)) for e in kept))
 
 
 def morphism_verdict(

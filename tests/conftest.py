@@ -171,10 +171,10 @@ def oracle_hn_chains(model):
 
 
 def induced_model_failure():
-    """Unstable rank-2 model whose rank-1 entry A contains B, of rank 1 and higher degree.
+    """Rank-2 model whose rank-1 entry A contains B, of rank 1 and higher degree.
 
-    The model validates, but the interval model of A over zero holds A/B, a
-    rank-zero quotient of negative chi, so it fails validation.
+    A/B would be a rank-zero quotient of negative chi, which no torsion sheaf
+    has, so validation rejects the model.
     """
     kd = KahlerData.curve(1, 1)
     return HiggsObjectModel(

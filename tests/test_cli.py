@@ -1,7 +1,11 @@
 """Command line behavior: reports, determinism, and exit codes."""
 
+import contextlib
 import copy
+import gc
+import io
 import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -280,12 +284,15 @@ class TestBadInput:
         assert len(lines) == 1 and lines[0].startswith("error: "), captured.err
         return lines[0]
 
-    def run_all(self, tmp_path, capsys, doc, object_id):
+    def run_all(self, tmp_path, capsys, doc, object_id) -> list[str]:
+        """input_error through analyze, verify, jh and hn; return the four lines."""
         path = tmp_path / "bad.json"
         path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        lines = []
         for command in ("analyze", "verify", "jh", "hn"):
             extra = ["--object", object_id] if command in ("jh", "hn") else []
-            self.input_error(capsys, [command, str(path), *extra])
+            lines.append(self.input_error(capsys, [command, str(path), *extra]))
+        return lines
 
     def test_rank_zero_model(self, tmp_path, capsys):
         zero = {"rank": 0, "degH": "0/1", "chi": []}
@@ -311,6 +318,33 @@ class TestBadInput:
             "subobjects": [entry("A", 1, ["B"]), entry("B", 2, [])],
         }
         self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+
+    @staticmethod
+    def curve_sheaf(rank, degree):  # genus 1, degH 1: chi(k) = degree + rank*k
+        return {"rank": rank, "degH": str(degree), "chi": [str(degree), str(rank)]}
+
+    def test_equal_rank_containment_of_larger_chi(self, tmp_path, capsys):
+        sheaf = self.curve_sheaf
+
+        def entry(eid, degree, contains):
+            return {"id": eid, "data": sheaf(1, degree), "quotient": sheaf(1, -degree),
+                    "contains": contains}
+
+        model = {
+            "type": "model",
+            "id": "E",
+            "data": sheaf(2, 0),
+            "subobjects": [entry("A", 1, ["B"]), entry("B", 2, [])],
+        }
+        lines = self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+        assert all("A: Containment (contains B of equal rank" in line for line in lines), lines
+
+    def test_rank_zero_quotient_declared_torsion_free(self, tmp_path, capsys):
+        quotient = {"rank": 0, "degH": "1", "chi": ["1"], "torsion_free": True}
+        entry = {"id": "F", "data": self.curve_sheaf(1, -1), "quotient": quotient}
+        model = {"type": "model", "id": "E", "data": self.curve_sheaf(1, 0), "subobjects": [entry]}
+        lines = self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+        assert all("F: TorsionQuotient" in line for line in lines), lines
 
     @staticmethod
     def typed_file():
@@ -438,3 +472,66 @@ def test_swapped_field_type_never_raises(field, value):
 
 def test_bad_command_is_input_error(capsys):
     assert run(["frobnicate"]) == 2
+
+
+def test_commands_leave_no_reference_cycles(capsys):
+    """A command run in-process is freed at once, its argument parser included."""
+    argv = ["verify", str(HITCHIN_PAIR)]
+    assert run(argv) == 0
+    gc.collect()
+    gc.disable()
+    try:
+        assert run(argv) == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+FORMAT = st.tuples(st.just("--format"), st.sampled_from(["table", "json", "xml"]))
+USUAL_FLAGS = {
+    # --count and --max-rank stay at most 3, so no example does real work
+    "fuzz": FORMAT
+    | st.tuples(st.sampled_from(["--count", "--max-rank", "--genus"]), st.integers(-1, 3).map(str))
+    | st.tuples(st.just("--seed"), st.integers(-(2**40), 2**40).map(str)),
+    "jh": FORMAT | st.tuples(st.just("--object"), st.sampled_from(["hitchin", "split", "nope"])),
+}
+USUAL_FLAGS["hn"] = USUAL_FLAGS["jh"]
+ODD_FLAG = st.sampled_from(
+    [("--help",), ("--bogus",), ("-x",), ("",), ("--count", "abc"), ("--seed", "1.5"),
+     ("--format",), ("--object",)]
+)
+
+
+@st.composite
+def command_lines(draw):
+    """One CLI argument list: mostly the command's own flags, at most one odd one."""
+    command = draw(st.sampled_from(["analyze", "jh", "hn", "verify", "fuzz", "frobnicate"]))
+    files = draw(st.sampled_from([[str(HITCHIN_PAIR)]] * 4 + [["/no/such/file.json"], []]))
+    flags = draw(st.lists(USUAL_FLAGS.get(command, FORMAT), max_size=4))
+    flags += draw(st.lists(ODD_FLAG, max_size=1))
+    return [command, *(files if command != "fuzz" else []), *(a for f in flags for a in f)]
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(
+    argv=command_lines(),
+    bound=st.sampled_from([None, "", "1", "2", "4096", "0", "-1", "abc", "2.5", " 3 "]),
+)
+def test_flag_fuzz_exits_cleanly(argv, bound):
+    """Any flags and HIGGS_LAB_MAX_CHAINS value: exit 0, 1 or 2, one error line on 2."""
+    saved = os.environ.pop("HIGGS_LAB_MAX_CHAINS", None)
+    if bound is not None:
+        os.environ["HIGGS_LAB_MAX_CHAINS"] = bound
+    out, err = io.StringIO(), io.StringIO()
+    try:
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(argv)  # an escaping exception fails the test
+    finally:
+        os.environ.pop("HIGGS_LAB_MAX_CHAINS", None)
+        if saved is not None:
+            os.environ["HIGGS_LAB_MAX_CHAINS"] = saved
+    assert code in (0, 1, 2), argv
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        errors = [line for line in err.getvalue().splitlines() if "error:" in line]
+        assert len(errors) == 1, (argv, err.getvalue())

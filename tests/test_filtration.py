@@ -2,6 +2,7 @@
 
 import gc
 import random
+from fractions import Fraction
 from itertools import permutations
 
 import pytest
@@ -12,15 +13,20 @@ from higgs_lab import (
     Filtration,
     FiltrationKind,
     HiggsObjectModel,
+    InvalidModelError,
     KahlerData,
     NotSemistableError,
+    NumericalSheafData,
     PreconditionUnmetError,
     StabilityClass,
+    SubobjectEntry,
     TooLargeError,
     UnknownIdError,
     all_harder_narasimhan,
     all_jordan_holder,
     chi_curve,
+    direct_sum_model,
+    filtration,
     gieseker_classify,
     grading,
     harder_narasimhan,
@@ -28,6 +34,7 @@ from higgs_lab import (
     jordan_holder,
     normalized_p,
     s_equivalent,
+    validate,
     verify_filtration,
 )
 from higgs_lab.fuzz import random_chain_spec
@@ -40,6 +47,9 @@ from conftest import (
     oracle_hn_chains,
     oracle_jh_chains,
     poly,
+    surface_entry,
+    surface_model,
+    torsion_closure_model,
 )
 
 
@@ -62,6 +72,93 @@ class TestInducedSubmodel:
     def test_unknown_id(self):
         with pytest.raises(UnknownIdError):
             interval_quotient_model(curve_chain(1, 1, (0, 0)), "{9}", None)
+
+
+def interval_fixtures():
+    """Valid models with every kind of entry the fixtures declare, plus 300 fuzzed chains."""
+    surface = surface_model("S", 2, 0, 0)
+    models = [
+        torsion_closure_model(strict=False),
+        torsion_closure_model(strict=True),
+        ambiguous_model(),
+        curve_chain(1, 1, (0, 0, 0)),
+        curve_chain(2, 1, (1, 0, -1), arrows={(1, 2), (2, 3)}),
+        direct_sum_model(curve_chain(1, 1, (0, 0)), curve_chain(1, 1, (1,), object_id="L")),
+    ]
+    models += [
+        surface_model("S", 2, 0, 0, [surface_entry("F", surface.data, 1, deg_h, constant)])
+        for deg_h, constant in ((-1, 7), (0, 3), (0, 0))
+    ]
+    rng = random.Random(38)
+    models += [realize(random_chain_spec(rng, 5, 2)) for _ in range(300)]
+    return models
+
+
+def steps_of_positive_rank(model):
+    """Every (upper, lower) pair of steps, lower below upper, of positive rank difference."""
+    rank = {e.id: e.data.rank for e in model.subobjects}
+    below = {model.id: sorted(rank), **{e.id: sorted(e.contains) for e in model.subobjects}}
+    rank.update({None: 0, model.id: model.data.rank})
+    for upper, lowers in below.items():
+        for lower in [None, *lowers]:
+            if rank[lower] < rank[upper]:
+                yield upper, lower
+
+
+class TestIntervals:
+    """Validating the parent makes every interval of positive rank a valid model."""
+
+    def test_interval_models_validate_and_match_the_step_verdict(self):
+        checked = 0
+        for m in interval_fixtures():
+            assert validate(m) == [], m.id
+            for upper, lower in steps_of_positive_rank(m):
+                interval = interval_quotient_model(m, upper, lower)
+                assert validate(interval) == [], (m.id, upper, lower)
+                expected = gieseker_classify(interval)
+                verdict = filtration._verdict(
+                    filtration._interval(m, upper, lower),
+                    filtration._step_quotient(m, upper, lower),
+                )
+                assert (verdict.classification, verdict.witness) == (
+                    expected.classification,
+                    expected.witness,
+                ), (m.id, upper, lower)
+                checked += 1
+        assert checked > 3000
+
+    def test_equal_rank_containment_of_larger_chi_is_rejected(self):
+        # A contains B of equal rank and larger degree: A/B would be torsion of
+        # negative chi, so the model is invalid and no search or check runs on it
+        m = induced_model_failure()
+        assert [(v.subject, v.kind) for v in validate(m)] == [("A", "Containment")]
+        through_a = Filtration(
+            FiltrationKind.HN, ("A", "E"), (m.entry("A").data, m.entry("A").quotient)
+        )
+        for run in (
+            all_harder_narasimhan,
+            all_jordan_holder,
+            harder_narasimhan,
+            jordan_holder,
+            lambda model: verify_filtration(model, through_a),
+        ):
+            with pytest.raises(InvalidModelError, match="A: Containment .*B of equal rank"):
+                run(m)
+
+    @pytest.mark.parametrize("torsion_free", [True, False])
+    def test_full_rank_entry_with_negative_quotient_chi_is_rejected(self, torsion_free):
+        kd = KahlerData.curve(1, 1)
+        quotient = NumericalSheafData(0, Fraction(-1), poly(-1), torsion_free=torsion_free)
+        entry = SubobjectEntry(
+            id="F",
+            data=chi_curve(kd, 1, 1),
+            quotient=quotient,
+            quotient_torsion_part=None if torsion_free else quotient,
+        )
+        m = HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=(entry,))
+        assert [(v.subject, v.kind) for v in validate(m)] == [("F", "TorsionQuotient")]
+        with pytest.raises(InvalidModelError, match="F: TorsionQuotient"):
+            all_harder_narasimhan(m)
 
 
 class TestJordanHolder:
@@ -282,19 +379,6 @@ class TestAllHarderNarasimhan:
             chains = all_harder_narasimhan(m)
             assert {f.steps for f in chains} == {f.steps for f in oracle_hn_chains(m)}
             assert len(chains) == len({f.steps for f in chains})
-
-    def test_invalid_interval_model_fails_the_step(self):
-        # A/0 fails validation; the chain A < E passes every other step rule
-        m = induced_model_failure()
-        through_a = Filtration(
-            FiltrationKind.HN, ("A", "E"), (m.entry("A").data, m.entry("A").quotient)
-        )
-        assert [v.kind for v in verify_filtration(m, through_a)] == ["InducedModel"]
-        assert [f.steps for f in all_harder_narasimhan(m)] == [("B", "E")]
-        assert {f.steps for f in oracle_hn_chains(m)} == {("B", "E")}
-        # the JH search never reaches such a step: B destabilizes the object
-        with pytest.raises(NotSemistableError):
-            all_jordan_holder(m)
 
 
 class TestVerifyFiltration:

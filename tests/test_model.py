@@ -237,6 +237,52 @@ class TestValidate:
         m = HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(entry,))
         assert [v.kind for v in validate(m)] == ["TorsionPart"]
 
+    @pytest.mark.parametrize("chi, torsion_free, kinds", [
+        (1, True, ["TorsionQuotient"]),  # a positive chi must be declared torsion
+        (1, False, []),
+        (-1, False, ["TorsionQuotient"]),  # torsion has eventually positive chi
+    ])
+    def test_rank_zero_quotient_is_zero_or_torsion(self, chi, torsion_free, kinds):
+        kd = KahlerData.curve(0, 1)
+        total = chi_curve(kd, 1, 0)
+        quotient = NumericalSheafData(0, Fraction(chi), poly(chi), torsion_free=torsion_free)
+        entry = SubobjectEntry(
+            id="F",
+            data=chi_curve(kd, 1, -chi),
+            quotient=quotient,
+            quotient_torsion_part=None if torsion_free else quotient,
+        )
+        m = HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(entry,))
+        assert [v.kind for v in validate(m)] == kinds
+
+    def test_subobject_of_positive_rank_is_torsion_free(self):
+        kd = KahlerData.curve(1, 1)
+        sub = chi_curve(kd, 1, 1)
+        declared_torsion = NumericalSheafData(1, sub.deg_h, sub.chi, torsion_free=False)
+        entry = SubobjectEntry(id="F", data=declared_torsion, quotient=chi_curve(kd, 1, -1))
+        m = HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 2, 0), subobjects=(entry,))
+        assert [(v.subject, v.kind) for v in validate(m)] == [("F", "TorsionSubobject")]
+
+    def test_equal_rank_containment_needs_nonnegative_chi_difference(self):
+        kd = KahlerData.curve(1, 1)
+
+        def entry(eid, deg, contains=()):
+            return SubobjectEntry(
+                id=eid,
+                data=chi_curve(kd, 1, deg),
+                quotient=chi_curve(kd, 1, -deg),
+                contains=frozenset(contains),
+            )
+
+        for inner_deg, kinds in ((0, []), (1, []), (2, ["Containment"])):
+            m = HiggsObjectModel(
+                id="E",
+                ambient=kd,
+                data=chi_curve(kd, 2, 0),
+                subobjects=(entry("A", 1, {"B"}), entry("B", inner_deg)),
+            )
+            assert [v.kind for v in validate(m)] == kinds, inner_deg
+
     def test_torsion_root_rejected(self):
         kd = KahlerData.curve(0, 1)
         data = NumericalSheafData(1, Fraction(0), poly(1, 1), torsion_free=False)

@@ -57,6 +57,12 @@ class TestGiesekerClassify:
         assert v.classification is StabilityClass.UNSTABLE
         assert v.witness == "{1}"
 
+    def test_destabilizer_wins_over_an_earlier_equalizer(self):
+        # in id order {1,3} ties the object before {2,3} destabilizes it
+        for classify in (gieseker_classify, slope_classify):
+            v = classify(curve_chain(1, 1, (-1, 0, 1)))
+            assert (v.classification, v.witness) == (StabilityClass.UNSTABLE, "{2,3}")
+
     def test_rank_one_vacuously_stable(self):
         v = gieseker_classify(curve_chain(3, 2, (-4,)))
         assert v.classification is StabilityClass.STABLE
