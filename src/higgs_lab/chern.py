@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import factorial
 from typing import Optional, Sequence
 
-from .hilbert import EventualOrder, HilbertPolynomial, Rational
+from .hilbert import EventualOrder, HilbertPolynomial, Rational, compare_scaled
 
 
 class ZeroRankError(ValueError):
@@ -185,24 +185,6 @@ def slope(s: NumericalSheafData) -> Fraction:
     return s.deg_h / s.rank
 
 
-def _cross_sign(
-    x: Sequence[Rational], rx: int, y: Sequence[Rational], ry: int
-) -> EventualOrder:
-    """Eventual sign of ry*x - rx*y for coefficient sequences, lowest degree first.
-
-    Scans from the top degree down.  Denominators are positive, so each
-    coefficient's sign is an integer cross product and no Fraction is built.
-    """
-    nx, ny = len(x), len(y)
-    for j in range(max(nx, ny) - 1, -1, -1):
-        a = x[j] if j < nx else 0
-        b = y[j] if j < ny else 0
-        d = ry * a.numerator * b.denominator - rx * b.numerator * a.denominator
-        if d:
-            return EventualOrder.SUCCEEDS if d > 0 else EventualOrder.PRECEDES
-    return EventualOrder.EQUAL
-
-
 def compare_p(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
     """Eventual order of normalized_p(a) against normalized_p(b), in integers.
 
@@ -210,14 +192,15 @@ def compare_p(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
     """
     if a.rank == 0 or b.rank == 0:
         raise ZeroRankError("normalized polynomial is undefined at rank zero")
-    return _cross_sign(a.chi.coeffs, a.rank, b.chi.coeffs, b.rank)
+    return compare_scaled(a.chi, a.rank, b.chi, b.rank)
 
 
 def compare_slope(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
-    """Order of slope(a) against slope(b): the sign of rk_b * deg_a - rk_a * deg_b."""
-    if a.rank == 0 or b.rank == 0:
-        raise ZeroRankError("slope is undefined at rank zero")
-    return _cross_sign((a.deg_h,), a.rank, (b.deg_h,), b.rank)
+    """Order of slope(a) against slope(b)."""
+    x, y = slope(a), slope(b)
+    if x == y:
+        return EventualOrder.EQUAL
+    return EventualOrder.SUCCEEDS if x > y else EventualOrder.PRECEDES
 
 
 def slope_from_p(p: HilbertPolynomial, kd: KahlerData, rank: int) -> Fraction:

@@ -1,15 +1,15 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
 Every step is decided on the parent's lattice: _interval lists the entries
-strictly between two steps, relative to the lower one, and quotients come
-from chi subtraction.  Validation of the parent makes every such interval a
-valid model, so no step builds one; interval_quotient_model stays as a
-library function and as the step verdict's oracle.  Both filtrations are
-defined by a rule on each step alone, kept in _step_violations:
+strictly between two steps, relative to the lower one, and quotients come from
+chi subtraction.  Validation of the parent makes the interval of every step
+without torsion a valid model, so no step builds one; the step rule rejects the
+others, and interval_quotient_model is the verdict's oracle.  Both filtrations
+are defined by a rule on each step alone, kept in _step_violations:
 verify_filtration applies it to every step of a chain, and _search, the one
-exhaustive search behind all_jordan_holder and all_harder_narasimhan,
-extends chains only through steps that pass it.  Every construction passes
-the stability gate first and verifies its chain before returning, so an
+exhaustive search behind all_jordan_holder and all_harder_narasimhan, extends
+chains only through steps that pass it.  Every construction passes the
+stability gate first and verifies its chain before returning, so an
 under-declared family surfaces as an explicit error, not a wrong answer.
 """
 
@@ -256,9 +256,9 @@ def _step_violations(
 
     quotient is upper/lower; above holds the upper id and the quotient of the
     step above, None at the top.  JH: the quotient is stable with p equal to
-    the object's.  HN: it is semistable, and p strictly decreases up the
-    chain.  Violations come cheapest first, so a search can stop at the
-    first one.
+    the object's.  HN: it is semistable, and p strictly decreases up the chain.
+    Both: it is torsion-free, so no entry in between has the lower step's rank
+    and another chi.  Violations come cheapest first; a search stops at one.
     """
     if quotient.rank <= 0:
         yield Violation(upper, "QuotientRank", "quotients need positive rank")
@@ -273,7 +273,12 @@ def _step_violations(
             "StrictDecrease",
             "quotient polynomials must strictly decrease up the chain",
         )
-    verdict = _verdict(_interval(model, upper, lower), quotient)
+    between = list(_interval(model, upper, lower))
+    for gid, d in between:
+        if d.rank == 0 and not d.chi.is_zero:
+            yield Violation(upper, "QuotientTorsion", f"{gid} is torsion over the step below")
+            return
+    verdict = _verdict(between, quotient)
     if kind is FiltrationKind.JH:
         if verdict.classification is not StabilityClass.STABLE:
             yield Violation(

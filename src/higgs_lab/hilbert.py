@@ -1,16 +1,17 @@
 """Exact rational polynomials in the twist variable, ordered by sign at large arguments.
 
-Coefficients are arbitrary-precision rationals throughout; no floating point
-enters this module.  Two polynomials are compared by which one is larger at
-every sufficiently large integer, which reduces to a lexicographic scan of
-coefficients from the top degree down.
+Coefficients are integer numerators over one positive denominator, so no
+floating point enters.  compare_scaled, the one ordering primitive, scans the
+numerators from the top degree down; it also orders chi/rank without dividing.
 """
 
 from __future__ import annotations
 
+import re
 from enum import Enum
 from fractions import Fraction
-from math import lcm
+from itertools import zip_longest
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 Rational = Union[int, Fraction]
@@ -34,18 +35,19 @@ class EventualOrder(Enum):
 class HilbertPolynomial:
     """Polynomial with exact rational coefficients, lowest degree first.
 
-    coeffs[j] multiplies k**j.  Trailing zero coefficients are stripped, so
-    the zero polynomial is the empty tuple and polynomial equality is plain
-    coefficient equality.
+    nums[j] / den multiplies k**j, in lowest terms with trailing zeros
+    stripped: the zero polynomial is () over 1, and equality is (nums, den).
     """
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("nums", "den")
 
     def __init__(self, coeffs: Iterable[Rational] = ()):
-        cs = [Fraction(c) for c in coeffs]
-        while cs and cs[-1] == 0:
+        cs = [c if type(c) is int else Fraction(c) for c in coeffs]
+        while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        # over the lcm of reduced denominators, no prime divides every numerator
+        self.den = lcm(*(c.denominator for c in cs))
+        self.nums = tuple(c.numerator * (self.den // c.denominator) for c in cs)
 
     @classmethod
     def from_strings(cls, items: Sequence[Union[str, int]]) -> "HilbertPolynomial":
@@ -57,48 +59,33 @@ class HilbertPolynomial:
         return [format_rational(c) for c in self.coeffs]
 
     @property
+    def coeffs(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(n, self.den) for n in self.nums)
+
+    @property
     def degree(self) -> int:
         """Degree, with the zero polynomial at -1."""
-        return len(self.coeffs) - 1
+        return len(self.nums) - 1
 
     @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.nums
 
     def coefficient(self, j: int) -> Fraction:
-        if 0 <= j < len(self.coeffs):
-            return self.coeffs[j]
+        if 0 <= j < len(self.nums):
+            return Fraction(self.nums[j], self.den)
         return Fraction(0)
 
     def evaluate(self, k: int) -> Fraction:
-        """Exact value at an integer argument.
-
-        Runs Horner's rule over a common denominator so the inner loop is
-        pure integer arithmetic.
-        """
-        if not self.coeffs:
-            return Fraction(0)
-        den = lcm(*(c.denominator for c in self.coeffs))
+        """Exact value at an integer argument, by Horner's rule on the numerators."""
         acc = 0
-        for c in reversed(self.coeffs):
-            acc = acc * k + c.numerator * (den // c.denominator)
-        return Fraction(acc, den)
+        for n in reversed(self.nums):
+            acc = acc * k + n
+        return Fraction(acc, self.den)
 
     def compare_eventual(self, other: "HilbertPolynomial") -> EventualOrder:
-        """Sign of self - other at every sufficiently large integer.
-
-        Lexicographic comparison from the highest degree down; EQUAL means
-        identical coefficient sequences.
-        """
-        a, b = self.coeffs, other.coeffs
-        for j in range(max(len(a), len(b)) - 1, -1, -1):
-            ca = a[j] if j < len(a) else 0
-            cb = b[j] if j < len(b) else 0
-            if ca < cb:
-                return EventualOrder.PRECEDES
-            if ca > cb:
-                return EventualOrder.SUCCEEDS
-        return EventualOrder.EQUAL
+        """Sign of self - other at every sufficiently large integer; EQUAL if identical."""
+        return compare_scaled(self, 1, other, 1)
 
     def eventually_less(self, other: "HilbertPolynomial") -> bool:
         return self.compare_eventual(other) is EventualOrder.PRECEDES
@@ -109,45 +96,39 @@ class HilbertPolynomial:
     def stabilization_threshold(self, other: "HilbertPolynomial") -> int:
         """Smallest K >= 0 with sign(self(k) - other(k)) settled for all k >= K.
 
-        The settled sign is the one compare_eventual reports.  All real roots
-        of the difference lie within the Cauchy bound on its coefficients, so
-        a finite upward scan suffices.
+        The settled sign is compare_eventual's.  Every real root of the difference
+        lies within the Cauchy bound on its numerators, so the scan starts there.
         """
-        diff = self - other
-        if diff.is_zero:
+        ints = (self - other).nums
+        if len(ints) <= 1:
             return 0
-        den = lcm(*(c.denominator for c in diff.coeffs))
-        ints = [c.numerator * (den // c.denominator) for c in diff.coeffs]
-        lead = ints[-1]
-        target = 1 if lead > 0 else -1
-        if len(ints) == 1:
-            return 0
-        top = abs(lead)
+        target = 1 if ints[-1] > 0 else -1
         biggest = max(abs(c) for c in ints[:-1])
-        hi = 1 + -(-biggest // top)  # ceil division; integer Cauchy bound
-        last_bad = -1
-        for k in range(0, hi + 1):
+        hi = 1 + -(-biggest // abs(ints[-1]))  # ceil division; integer Cauchy bound
+        for k in range(hi, -1, -1):  # down to the last k with the other sign
             acc = 0
             for c in reversed(ints):
                 acc = acc * k + c
-            sign = (acc > 0) - (acc < 0)
-            if sign != target:
-                last_bad = k
-        return last_bad + 1
+            if (acc > 0) - (acc < 0) != target:
+                return k + 1
+        return 0
 
     def scale(self, c: Rational) -> "HilbertPolynomial":
-        factor = Fraction(c)
-        return HilbertPolynomial(factor * x for x in self.coeffs)
+        f = c if type(c) is int else Fraction(c)
+        return _canonical([n * f.numerator for n in self.nums], self.den * f.denominator)
 
     def __add__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
-        a, b = self.coeffs, other.coeffs
-        n = max(len(a), len(b))
-        return HilbertPolynomial(
-            (a[j] if j < len(a) else 0) + (b[j] if j < len(b) else 0) for j in range(n)
-        )
+        return self._combine(other, 1)
 
     def __sub__(self, other: "HilbertPolynomial") -> "HilbertPolynomial":
-        return self + other.scale(-1)
+        return self._combine(other, -1)
+
+    def _combine(self, other: "HilbertPolynomial", sign: int) -> "HilbertPolynomial":
+        """self + sign * other over the least common denominator."""
+        den = lcm(self.den, other.den)
+        x, y = den // self.den, sign * (den // other.den)
+        pairs = zip_longest(self.nums, other.nums, fillvalue=0)
+        return _canonical([x * a + y * b for a, b in pairs], den)
 
     def __neg__(self) -> "HilbertPolynomial":
         return self.scale(-1)
@@ -155,20 +136,20 @@ class HilbertPolynomial:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HilbertPolynomial):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self.nums == other.nums and self.den == other.den
 
     def __hash__(self) -> int:
-        return hash(self.coeffs)
+        return hash((self.nums, self.den))
 
     def __repr__(self) -> str:
         return f"HilbertPolynomial({list(self.coeffs)!r})"
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         parts = []
-        for j in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[j]
+        for j in range(len(self.nums) - 1, -1, -1):
+            c = self.coefficient(j)
             if c == 0:
                 continue
             mag = format_rational(abs(c), compact=True)
@@ -184,11 +165,39 @@ class HilbertPolynomial:
         return " ".join(parts)
 
 
+def _canonical(nums: list[int], den: int) -> HilbertPolynomial:
+    """An arithmetic result in lowest terms, built without __init__."""
+    while nums and not nums[-1]:
+        nums.pop()
+    g = gcd(den, *nums)
+    p = object.__new__(HilbertPolynomial)
+    p.nums, p.den = tuple(n // g for n in nums), den // g
+    return p
+
+
+def compare_scaled(a: HilbertPolynomial, ra: int, b: HilbertPolynomial, rb: int) -> EventualOrder:
+    """Eventual order of a/ra against b/rb for positive integer weights.
+
+    That is the eventual sign of rb*a - ra*b, whose k^j coefficient times a.den*b.den
+    is rb*b.den*a.nums[j] - ra*a.den*b.nums[j].  Unequal degrees: the lead decides.
+    """
+    x, y = a.nums, b.nums
+    if len(x) != len(y):
+        lead = x[-1] if len(x) > len(y) else -y[-1]
+        return EventualOrder.SUCCEEDS if lead > 0 else EventualOrder.PRECEDES
+    wx, wy = rb * b.den, ra * a.den
+    for p, q in zip(reversed(x), reversed(y)):
+        d = wx * p - wy * q
+        if d:
+            return EventualOrder.SUCCEEDS if d > 0 else EventualOrder.PRECEDES
+    return EventualOrder.EQUAL
+
+
 def parse_rational(text: Union[str, int]) -> Fraction:
-    """Parse "num/den" (or a bare integer) into an exact rational."""
-    if isinstance(text, int):
-        return Fraction(text)
-    return Fraction(text.strip())
+    """Parse an integer, or a string of the file schema's form "num/den" or "num"."""
+    if not (isinstance(text, int) or re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
+        raise ValueError(f"not a rational 'num/den': {text!r}")
+    return Fraction(text)
 
 
 def format_rational(value: Rational, compact: bool = False) -> str:

@@ -220,6 +220,8 @@ def _entry_violation(
             return Violation(e.id, "LeadingCoefficient", f"{label}: {problem}")
     if e.data.rank > 0 and not e.data.torsion_free:
         return Violation(e.id, "TorsionSubobject", "a subobject of positive rank is torsion")
+    if e.data.rank == 0 and not e.data.chi.is_zero:
+        return Violation(e.id, "TorsionSubobject", "a nonzero subobject of rank zero is torsion")
     q = e.quotient  # of rank zero: zero, or torsion with eventually positive chi
     if q.rank == 0 and not q.chi.is_zero:
         if q.torsion_free or not HilbertPolynomial().eventually_less(q.chi):

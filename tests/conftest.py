@@ -5,6 +5,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from higgs_lab import (
+    EventualOrder,
     Filtration,
     FiltrationKind,
     HiggsChainSpec,
@@ -31,6 +32,18 @@ def curve_chain(genus, deg_h, degrees, arrows=(), object_id="E"):
 def poly(*coeffs):
     """Polynomial from lowest-degree coefficients."""
     return HilbertPolynomial(coeffs)
+
+
+def fraction_order(p, q, rank_p=1, rank_q=1):
+    """Oracle: eventual order of p/rank_p against q/rank_q, Fraction by Fraction.
+
+    Scans coefficient(j) from the top degree down; the first difference decides.
+    """
+    for j in range(max(p.degree, q.degree), -1, -1):
+        a, b = p.coefficient(j) / rank_p, q.coefficient(j) / rank_q
+        if a != b:
+            return EventualOrder.SUCCEEDS if a > b else EventualOrder.PRECEDES
+    return EventualOrder.EQUAL
 
 
 def torsion_closure_model(strict=False):
@@ -70,6 +83,26 @@ def torsion_closure_model(strict=False):
         subobjects=(entry_f, entry_fp),
         family_complete=False,
     )
+
+
+def torsion_step_model():
+    """O(5) + O on the projective line, with entries Fp = O(5) and F = O(4) inside it.
+
+    E/F is O plus a length-one torsion sheaf, so no filtration step may run
+    from E down to F; Fp is the saturation of F.
+    """
+    kd = KahlerData.curve(0, 1)
+    first, second, sub = (chi_curve(kd, 1, degree) for degree in (5, 0, 4))
+    total = NumericalSheafData(2, first.deg_h + second.deg_h, first.chi + second.chi, True)
+    torsion = NumericalSheafData(0, Fraction(1), poly(1), torsion_free=False)
+    quotient_of_sub = NumericalSheafData(
+        1, total.deg_h - sub.deg_h, total.chi - sub.chi, torsion_free=False
+    )
+    entries = (
+        SubobjectEntry(id="F", data=sub, quotient=quotient_of_sub, quotient_torsion_part=torsion),
+        SubobjectEntry(id="Fp", data=first, quotient=second, contains=frozenset({"F"})),
+    )
+    return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=entries)
 
 
 def ambiguous_model():

@@ -7,6 +7,7 @@ import io
 import json
 import os
 import tempfile
+import time
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,34 @@ class TestVerify:
         ), lines
 
 
+    def test_step_with_torsion_quotient_is_no_hn_step(self, tmp_path, capsys):
+        # O(5) + O on the projective line; E/F is O plus a length-one torsion
+        def sheaf(rank, degree, torsion_free=True):  # genus 0, degH 1
+            chi = [str(degree + rank), str(rank)] if rank else [str(degree)]
+            return {"rank": rank, "degH": str(degree), "chi": chi, "torsion_free": torsion_free}
+
+        model = {
+            "type": "model",
+            "id": "E",
+            "data": sheaf(2, 5),
+            "subobjects": [
+                {"id": "F", "data": sheaf(1, 4), "quotient": sheaf(1, 1, False),
+                 "quotient_torsion_part": sheaf(0, 1, False)},
+                {"id": "Fp", "data": sheaf(1, 5), "quotient": sheaf(1, 0), "contains": ["F"]},
+            ],
+        }
+        path = tmp_path / "torsion_step.json"
+        doc = {"ambient": {"n": 1, "genus": 0, "degH": 1}, "objects": [model]}
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(
+            line.startswith("pass hn_uniqueness")
+            and line.endswith("E  1 valid chain(s) by search")
+            for line in lines
+        ), lines
+
+
 class TestFuzz:
     def test_empty_run_passes(self, capsys):
         assert run(["fuzz", "--seed", "1", "--count", "0"]) == 0
@@ -346,6 +375,14 @@ class TestBadInput:
         lines = self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
         assert all("F: TorsionQuotient" in line for line in lines), lines
 
+    @pytest.mark.parametrize("torsion_free", [True, False])
+    def test_nonzero_subobject_of_rank_zero(self, tmp_path, capsys, torsion_free):
+        data = {"rank": 0, "degH": "1", "chi": ["1"], "torsion_free": torsion_free}
+        entry = {"id": "T", "data": data, "quotient": self.curve_sheaf(1, -1)}
+        model = {"type": "model", "id": "E", "data": self.curve_sheaf(1, 0), "subobjects": [entry]}
+        lines = self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+        assert all("T: TorsionSubobject" in line for line in lines), lines
+
     @staticmethod
     def typed_file():
         """A valid file touching every integer and array field of the schema."""
@@ -401,6 +438,15 @@ class TestBadInput:
     def test_schema_types_are_enforced(self, tmp_path, capsys, where, value):
         # each of these used to be coerced to a valid file
         self.run_all(tmp_path, capsys, _replaced(self.typed_file(), where, value), "E")
+
+    @pytest.mark.parametrize("value", ["1.0", " 1 ", "0_1", "1e0", "+1", "1/1 ", "1e4000000"])
+    def test_rationals_follow_the_schema_pattern(self, tmp_path, capsys, value):
+        # each but the last used to load as the valid value 1
+        doc = _replaced(self.typed_file(), ("objects", 1, "subobjects", 0, "data", "degH"), value)
+        start = time.perf_counter()
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert time.perf_counter() - start < 1.0
+        assert all("expected a rational" in line for line in lines), lines
 
     def test_deep_nesting(self, tmp_path, capsys):
         self.run_all(tmp_path, capsys, "[" * 100000 + "]" * 100000, "E")

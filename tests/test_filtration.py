@@ -50,6 +50,7 @@ from conftest import (
     surface_entry,
     surface_model,
     torsion_closure_model,
+    torsion_step_model,
 )
 
 
@@ -106,26 +107,36 @@ def steps_of_positive_rank(model):
 
 
 class TestIntervals:
-    """Validating the parent makes every interval of positive rank a valid model."""
+    """Validating the parent makes every torsion-free interval of positive rank valid."""
 
     def test_interval_models_validate_and_match_the_step_verdict(self):
-        checked = 0
+        # an interval model is valid exactly when the step rule finds no torsion
+        # in the quotient; on the valid ones the verdicts agree
+        checked = torsion = 0
         for m in interval_fixtures():
             assert validate(m) == [], m.id
             for upper, lower in steps_of_positive_rank(m):
                 interval = interval_quotient_model(m, upper, lower)
-                assert validate(interval) == [], (m.id, upper, lower)
+                quotient = filtration._step_quotient(m, upper, lower)
+                kinds = {
+                    v.kind
+                    for v in filtration._step_violations(
+                        m, FiltrationKind.HN, upper, lower, quotient, None
+                    )
+                }
+                has_torsion = "QuotientTorsion" in kinds
+                assert (validate(interval) == []) is not has_torsion, (m.id, upper, lower)
+                checked += 1
+                if has_torsion:
+                    torsion += 1
+                    continue
                 expected = gieseker_classify(interval)
-                verdict = filtration._verdict(
-                    filtration._interval(m, upper, lower),
-                    filtration._step_quotient(m, upper, lower),
-                )
+                verdict = filtration._verdict(filtration._interval(m, upper, lower), quotient)
                 assert (verdict.classification, verdict.witness) == (
                     expected.classification,
                     expected.witness,
                 ), (m.id, upper, lower)
-                checked += 1
-        assert checked > 3000
+        assert checked > 3000 and torsion > 0
 
     def test_equal_rank_containment_of_larger_chi_is_rejected(self):
         # A contains B of equal rank and larger degree: A/B would be torsion of
@@ -159,6 +170,23 @@ class TestIntervals:
         assert [(v.subject, v.kind) for v in validate(m)] == [("F", "TorsionQuotient")]
         with pytest.raises(InvalidModelError, match="F: TorsionQuotient"):
             all_harder_narasimhan(m)
+
+
+class TestTorsionSteps:
+    """A step whose quotient has torsion is no JH or HN step."""
+
+    def test_only_the_saturated_step_is_an_hn_step(self):
+        m = torsion_step_model()
+        assert validate(m) == []
+        assert [f.steps for f in all_harder_narasimhan(m)] == [("Fp", "E")]
+        assert harder_narasimhan(m).steps == ("Fp", "E")
+
+    def test_verify_rejects_the_step_through_the_torsion_quotient(self):
+        m = torsion_step_model()
+        through_f = filtration._filtration(m, FiltrationKind.HN, ("F", "E"))
+        assert [(v.subject, v.kind) for v in verify_filtration(m, through_f)] == [
+            ("E", "QuotientTorsion")
+        ]
 
 
 class TestJordanHolder:

@@ -1,13 +1,15 @@
 """Polynomial arithmetic and the large-k comparison order."""
 
+import random
 from fractions import Fraction
+from itertools import zip_longest
 
 import pytest
 from hypothesis import given, strategies as st
 
-from higgs_lab.hilbert import EventualOrder, HilbertPolynomial
+from higgs_lab.hilbert import EventualOrder, HilbertPolynomial, parse_rational
 
-from conftest import poly
+from conftest import fraction_order, poly
 
 
 def brute_force_threshold(p, q, horizon):
@@ -95,6 +97,58 @@ class TestArithmetic:
         assert HilbertPolynomial([0, 0]).degree == -1
 
 
+class TestRepresentation:
+    """Integer numerators over one denominator agree with Fraction arithmetic."""
+
+    @staticmethod
+    def random_coeffs(rng):
+        """Mixed denominators, int and Fraction entries, zeros and trailing zeros."""
+
+        def coefficient():
+            if rng.random() < 0.3:
+                return 0
+            if rng.random() < 0.3:
+                return rng.randint(-9, 9)
+            return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3, 4, 6, 9, 10, 12)))
+
+        return [coefficient() for _ in range(rng.randint(0, 5))] + [0] * rng.randint(0, 2)
+
+    @staticmethod
+    def stripped(cs):
+        cs = [Fraction(c) for c in cs]
+        while cs and cs[-1] == 0:
+            cs.pop()
+        return tuple(cs)
+
+    def test_matches_fraction_arithmetic(self):
+        rng = random.Random(53)
+        equal_pairs = 0
+        for _ in range(3000):
+            xs, ys = self.random_coeffs(rng), self.random_coeffs(rng)
+            if rng.random() < 0.2:  # the same values, as Fractions, other trailing zeros
+                ys = [Fraction(c) for c in xs] + [0] * rng.randint(0, 2)
+            p, q = HilbertPolynomial(xs), HilbertPolynomial(ys)
+            pairs = list(zip_longest(xs, ys, fillvalue=0))
+            assert p.coeffs == self.stripped(xs)
+            assert all(p.coefficient(j) == Fraction(c) for j, c in enumerate(xs))
+            assert (p + q).coeffs == self.stripped(a + b for a, b in pairs)
+            assert (p - q).coeffs == self.stripped(a - b for a, b in pairs)
+            assert (-p).coeffs == self.stripped(-a for a in xs)
+            c = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 5))))
+            assert p.scale(c).coeffs == self.stripped(c * a for a in xs)
+            k = rng.randint(-12, 12)
+            assert p.evaluate(k) == sum(Fraction(a) * k**j for j, a in enumerate(xs))
+            assert (p == q) is (p.coeffs == q.coeffs)
+            assert HilbertPolynomial(p.coeffs) == p
+            rebuilt = (HilbertPolynomial(p.coeffs), (p + q) - q, p.scale(3).scale(Fraction(1, 3)))
+            for same in rebuilt:
+                assert same == p and hash(same) == hash(p)
+            if p == q:
+                equal_pairs += 1
+                assert hash(p) == hash(q)
+        assert equal_pairs > 300
+
+
 class TestSerialization:
     def test_round_trip(self):
         p = poly(1, 2)
@@ -102,7 +156,12 @@ class TestSerialization:
         assert HilbertPolynomial.from_strings(["1/1", "2/1"]) == p
 
     def test_parse_variants(self):
-        assert HilbertPolynomial.from_strings(["-3/6", "2"]) == poly(Fraction(-1, 2), 2)
+        assert HilbertPolynomial.from_strings(["-3/6", "2", 4]) == poly(Fraction(-1, 2), 2, 4)
+
+    @pytest.mark.parametrize("text", ["1.5", " 3 ", "1_0", "1e4", "+1", "1/-2", "", "½", "٣"])
+    def test_parse_rejects_all_but_the_schema_pattern(self, text):
+        with pytest.raises(ValueError):
+            parse_rational(text)
 
 
 rationals = st.fractions(
@@ -114,6 +173,7 @@ polys = st.lists(rationals, min_size=0, max_size=5).map(HilbertPolynomial)
 @given(polys, polys)
 def test_trichotomy_and_antisymmetry(p, q):
     order = p.compare_eventual(q)
+    assert order is fraction_order(p, q)
     assert q.compare_eventual(p) is order.reversed()
     if order is EventualOrder.EQUAL:
         assert p == q

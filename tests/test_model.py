@@ -263,6 +263,15 @@ class TestValidate:
         m = HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 2, 0), subobjects=(entry,))
         assert [(v.subject, v.kind) for v in validate(m)] == [("F", "TorsionSubobject")]
 
+    @pytest.mark.parametrize("torsion_free", [True, False])
+    def test_nonzero_subobject_of_rank_zero_is_rejected(self, torsion_free):
+        # a torsion-free object has no torsion subobject, however it is declared
+        kd = KahlerData.curve(1, 1)
+        torsion = NumericalSheafData(0, Fraction(1), poly(1), torsion_free=torsion_free)
+        entry = SubobjectEntry(id="T", data=torsion, quotient=chi_curve(kd, 1, -1))
+        m = HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=(entry,))
+        assert [(v.subject, v.kind) for v in validate(m)] == [("T", "TorsionSubobject")]
+
     def test_equal_rank_containment_needs_nonnegative_chi_difference(self):
         kd = KahlerData.curve(1, 1)
 
