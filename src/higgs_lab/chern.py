@@ -245,15 +245,18 @@ def leading_term_violations(s: NumericalSheafData, kd: KahlerData) -> list[str]:
     """Check chi against the forced top two coefficients; empty when coherent.
 
     The k^n coefficient must be rank * hn / n! (zero for torsion) and the
-    k^(n-1) coefficient must be (degH + rank/2 * c1x_h) / (n-1)!.
+    k^(n-1) coefficient must be (degH + rank/2 * c1x_h) / (n-1)!.  Both tests
+    cross-multiply integers; a coefficient chi lacks is zero, with no factorial.
     """
     problems = []
-    if s.chi.degree > kd.n:
+    n, nums, den = kd.n, s.chi.nums, s.chi.den
+    if len(nums) > n + 1:
         problems.append(f"chi has degree {s.chi.degree} above the ambient dimension")
-    expected_top = s.rank * kd.hn / factorial(kd.n)
-    if s.chi.coefficient(kd.n) != expected_top:
+    top = nums[n] * kd.hn.denominator * factorial(n) if n < len(nums) else 0
+    if top != s.rank * kd.hn.numerator * den:
         problems.append("k^n coefficient of chi does not match rank * hn / n!")
-    expected_next = (s.deg_h + Fraction(s.rank, 2) * kd.c1x_h) / factorial(kd.n - 1)
-    if s.chi.coefficient(kd.n - 1) != expected_next:
+    b, d = s.deg_h.denominator, kd.c1x_h.denominator  # both sides times 2*b*d*den*(n-1)!
+    nxt = nums[n - 1] * 2 * b * d * factorial(n - 1) if n <= len(nums) else 0
+    if nxt != (2 * s.deg_h.numerator * d + s.rank * kd.c1x_h.numerator * b) * den:
         problems.append("k^(n-1) coefficient of chi does not match the H-degree")
     return problems

@@ -11,8 +11,7 @@ family_complete flag records whether that family is claimed exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from itertools import combinations
+from functools import cached_property
 from typing import FrozenSet, Iterable, Optional
 
 from .chern import (
@@ -144,21 +143,26 @@ def subset_id(members: Iterable[int]) -> str:
 
 
 def enumerate_invariant_subobjects(spec: HiggsChainSpec) -> list[frozenset[int]]:
-    """All proper nonempty arrow-closed index sets, in deterministic order.
+    """All proper nonempty arrow-closed index sets, by size, then lexicographically.
 
     A coordinate subobject is invariant under the field exactly when its
     index set is closed under arrows: i in S and (i, j) an arrow forces
     j in S.  The empty set and the full set are omitted.
     """
-    m = spec.size
-    indices = range(1, m + 1)
-    closed = []
-    for size in range(1, m):
-        for combo in combinations(indices, size):
-            s = frozenset(combo)
-            if all(j in s for i, j in spec.arrows if i in s):
-                closed.append(s)
-    return closed
+    return [frozenset(_members(mask)) for mask in _closed_masks(spec)]
+
+
+def _members(mask: int) -> list[int]:
+    """The indices of a mask, ascending; bit i-1 stands for summand i."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _closed_masks(spec: HiggsChainSpec) -> list[int]:
+    """enumerate_invariant_subobjects as masks, in the same order."""
+    arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]
+    masks = range(1, (1 << spec.size) - 1)
+    closed = (m for m in masks if all(m & j for i, j in arrows if m & i))
+    return sorted(closed, key=lambda mask: (mask.bit_count(), _members(mask)))
 
 
 def _check_arrows(spec: HiggsChainSpec) -> None:
@@ -172,31 +176,29 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 
 
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
-    """Build the model of a chain with its full coordinate subobject family."""
+    """Build the model of a chain with its full coordinate subobject family.
+
+    Each arrow-closed mask gets one label string, shared by every contains.
+    """
     _check_arrows(spec)
-    kd = spec.ambient
-    summands = [chi_curve(kd, 1, d) for d in spec.summand_degrees]
-    total = reduce(sum_data, summands)
-    closed = enumerate_invariant_subobjects(spec)
+    kd, degrees = spec.ambient, spec.summand_degrees
+    full = (1 << spec.size) - 1
+    labels = {mask: subset_id(_members(mask)) for mask in _closed_masks(spec)}
+
+    def part(mask: int) -> NumericalSheafData:
+        members = _members(mask)
+        return chi_curve(kd, len(members), sum(degrees[i - 1] for i in members))
+
     entries = []
-    for s in closed:
-        inside = reduce(sum_data, (summands[i - 1] for i in sorted(s)))
-        outside = reduce(
-            sum_data,
-            (summands[i - 1] for i in range(1, spec.size + 1) if i not in s),
-        )
-        below = frozenset(subset_id(t) for t in closed if t < s)
-        entries.append(
-            SubobjectEntry(
-                id=subset_id(s), data=inside, quotient=outside, contains=below
-            )
-        )
+    for mask, label in labels.items():
+        below, sub = [], (mask - 1) & mask
+        while sub:  # every nonempty proper submask; the closed ones are below
+            if sub in labels:
+                below.append(labels[sub])
+            sub = (sub - 1) & mask
+        entries.append(SubobjectEntry(label, part(mask), part(full ^ mask), contains=below))
     return HiggsObjectModel(
-        id=object_id,
-        ambient=kd,
-        data=total,
-        subobjects=tuple(entries),
-        family_complete=True,
+        id=object_id, ambient=kd, data=part(full), subobjects=tuple(entries), family_complete=True
     )
 
 
@@ -287,9 +289,7 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
         for mid in e.contains:
             inner = model.entry(mid)
             if e.id in inner.contains:
-                out.append(
-                    Violation(e.id, "Containment", f"containment cycle with {mid}")
-                )
+                out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))
             if inner.data.rank > e.data.rank:
                 out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
             elif inner.data.rank == e.data.rank and e.data.chi.eventually_less(inner.data.chi):
@@ -297,14 +297,10 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
                 out.append(
                     Violation(e.id, "Containment", f"contains {mid} of equal rank, larger chi")
                 )
-            missing = inner.contains - e.contains
-            if missing:
+            if not inner.contains <= e.contains:
+                missing = sorted(inner.contains - e.contains)
                 out.append(
-                    Violation(
-                        e.id,
-                        "Containment",
-                        f"not transitive: missing {sorted(missing)} below {mid}",
-                    )
+                    Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")
                 )
     return out
 

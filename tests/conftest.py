@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
+from itertools import combinations
+from math import factorial
 
 from higgs_lab import (
     EventualOrder,
@@ -15,6 +18,7 @@ from higgs_lab import (
     SubobjectEntry,
     chi_curve,
     realize,
+    sum_data,
     verify_filtration,
 )
 from higgs_lab.hilbert import HilbertPolynomial
@@ -44,6 +48,67 @@ def fraction_order(p, q, rank_p=1, rank_q=1):
         if a != b:
             return EventualOrder.SUCCEEDS if a > b else EventualOrder.PRECEDES
     return EventualOrder.EQUAL
+
+
+def fraction_leading_terms(s, kd):
+    """Oracle: the top two coefficients of chi against rank, hn, deg_h and c1x_h, in Fractions."""
+    problems = []
+    if s.chi.degree > kd.n:
+        problems.append(f"chi has degree {s.chi.degree} above the ambient dimension")
+    expected_top = s.rank * kd.hn / factorial(kd.n)
+    if s.chi.coefficient(kd.n) != expected_top:
+        problems.append("k^n coefficient of chi does not match rank * hn / n!")
+    expected_next = (s.deg_h + Fraction(s.rank, 2) * kd.c1x_h) / factorial(kd.n - 1)
+    if s.chi.coefficient(kd.n - 1) != expected_next:
+        problems.append("k^(n-1) coefficient of chi does not match the H-degree")
+    return problems
+
+
+def reachable_closure(start, size, arrows):
+    """Oracle: grow a subset along arrows until it stops changing."""
+    current = set(start)
+    changed = True
+    while changed:
+        changed = False
+        for i, j in arrows:
+            if i in current and j not in current:
+                current.add(j)
+                changed = True
+    return frozenset(current)
+
+
+def oracle_family(spec):
+    """Oracle: the proper nonempty index sets that reachable_closure leaves unchanged."""
+    out = set()
+    indices = range(1, spec.size + 1)
+    for size in range(1, spec.size):
+        for combo in combinations(indices, size):
+            s = frozenset(combo)
+            if reachable_closure(s, spec.size, spec.arrows) == s:
+                out.add(s)
+    return out
+
+
+def oracle_realization(spec):
+    """Oracle for realize: {id: (data, quotient, contains)} of every closed set.
+
+    contains is strict subset order among the closed sets, and data is the
+    sum_data of the members' line bundles.
+    """
+    family = oracle_family(spec)
+    everything = frozenset(range(1, spec.size + 1))
+
+    def label(s):
+        return "{" + ",".join(str(i) for i in sorted(s)) + "}"
+
+    def data(s):
+        degrees = spec.summand_degrees
+        return reduce(sum_data, (chi_curve(spec.ambient, 1, degrees[i - 1]) for i in sorted(s)))
+
+    return {
+        label(s): (data(s), data(everything - s), frozenset(label(t) for t in family if t < s))
+        for s in family
+    }
 
 
 def torsion_closure_model(strict=False):

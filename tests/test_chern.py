@@ -1,6 +1,7 @@
 """Euler characteristic constructors, slopes, residuals, and the discriminant."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -26,7 +27,7 @@ from higgs_lab import (
 )
 from higgs_lab.chern import NumericalSheafData, leading_term_violations
 
-from conftest import fraction_order, poly
+from conftest import fraction_leading_terms, fraction_order, poly
 
 
 def line_bundle_chi(a, k):
@@ -251,6 +252,61 @@ class TestConstructorCoherence:
         with pytest.raises(ValueError):
             SurfaceChernInput(0, 1, 0, 0, 1)
 
+
+class TestLeadingTerms:
+    """The integer leading-term check agrees with the Fraction oracle."""
+
+    AMBIENTS = (
+        KahlerData.curve(0, 1),
+        KahlerData.curve(3, 4),
+        KahlerData.surface(Fraction(3, 2), Fraction(-5, 3)),
+        KahlerData.surface(2, -3),
+        KahlerData(n=3, hn=Fraction(7, 2), c1x_h=Fraction(1, 2)),
+    )
+
+    @staticmethod
+    def q(rng, n):
+        return Fraction(rng.randint(-n, n), rng.randint(1, 4))
+
+    def coherent(self, rng, kd, rank):
+        """A sheaf of the given rank built by the ambient's own constructor; rank 0 is torsion."""
+        deg = self.q(rng, 9)
+        if kd.n == 1:
+            return chi_curve(kd, rank, deg)
+        if kd.n == 2:
+            c1sq, c2 = rng.randint(-6, 6), rng.randint(-6, 6)
+            sc = SurfaceChernInput(deg, Fraction(c1sq - 2 * c2, 2), self.q(rng, 4), c1sq, c2)
+            return chi_surface(kd, rank, sc, self.q(rng, 3))
+        pairings = [self.q(rng, 5), self.q(rng, 5), deg, rank * kd.hn]
+        return chi_from_pairings(kd, rank, pairings)
+
+    def planted(self, rng, kd, s):
+        """s, or s with one defect: a wrong k^n, k^(n-1) or k^(n+1) term, deg_h, or chi."""
+        plant = rng.randrange(6)
+        delta = self.q(rng, 3) or Fraction(1)
+        if plant in (1, 2, 3):
+            j = kd.n + 2 - plant  # n+1, n or n-1
+            return NumericalSheafData(s.rank, s.deg_h, s.chi + poly(*[0] * j, delta), s.torsion_free)
+        if plant == 4:
+            return NumericalSheafData(s.rank, s.deg_h + delta, s.chi, s.torsion_free)
+        if plant == 5:
+            chi = poly(*(self.q(rng, 4) for _ in range(rng.randint(0, kd.n + 2))))
+            return NumericalSheafData(s.rank, s.deg_h, chi, s.torsion_free)
+        return s
+
+    def test_matches_fraction_oracle(self):
+        rng = random.Random(8)
+        seen = Counter()
+        for _ in range(3000):
+            kd = rng.choice(self.AMBIENTS)
+            s = self.planted(rng, kd, self.coherent(rng, kd, rng.randint(0, 4)))
+            problems = leading_term_violations(s, kd)
+            assert problems == fraction_leading_terms(s, kd), (kd, s)
+            seen.update(p.split(" ")[0] for p in problems)
+            seen["coherent"] += not problems
+            seen["rational deg_h"] += s.deg_h.denominator != 1
+        assert min(seen.values()) > 100, seen
+        assert set(seen) == {"chi", "k^n", "k^(n-1)", "coherent", "rational deg_h"}
 
 class TestCompare:
     """The integer comparisons agree with Fraction-by-Fraction oracles."""

@@ -448,6 +448,22 @@ class TestBadInput:
         assert time.perf_counter() - start < 1.0
         assert all("expected a rational" in line for line in lines), lines
 
+    def test_huge_ambient_dimension(self, tmp_path, capsys):
+        # chi carries no k^n term, so its check needs no factorial of n
+        doc = {
+            "ambient": {"n": 10000000, "hn": "1", "c1X_H": "0"},
+            "objects": [
+                {"type": "model", "id": "E", "data": {"rank": 1, "degH": "0", "chi": ["1"]}}
+            ],
+        }
+        start = time.perf_counter()
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert time.perf_counter() - start < 1.0
+        assert set(lines) == {
+            "error: object E fails validation: E: LeadingCoefficient"
+            " (k^n coefficient of chi does not match rank * hn / n!)"
+        }
+
     def test_deep_nesting(self, tmp_path, capsys):
         self.run_all(tmp_path, capsys, "[" * 100000 + "]" * 100000, "E")
 

@@ -2,7 +2,6 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations
 
 import pytest
 
@@ -24,31 +23,7 @@ from higgs_lab import (
     validate,
 )
 
-from conftest import curve_chain, poly
-
-
-def reachable_closure(start, size, arrows):
-    """Oracle: grow a subset along arrows until it stops changing."""
-    current = set(start)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in arrows:
-            if i in current and j not in current:
-                current.add(j)
-                changed = True
-    return frozenset(current)
-
-
-def oracle_family(spec):
-    out = set()
-    indices = range(1, spec.size + 1)
-    for size in range(1, spec.size):
-        for combo in combinations(indices, size):
-            s = frozenset(combo)
-            if reachable_closure(s, spec.size, spec.arrows) == s:
-                out.add(s)
-    return out
+from conftest import curve_chain, oracle_family, oracle_realization, poly
 
 
 class TestEnumerate:
@@ -93,6 +68,17 @@ class TestEnumerate:
                 arrows=arrows,
             )
             assert set(enumerate_invariant_subobjects(spec)) == oracle_family(spec)
+
+    @pytest.mark.parametrize("arrows, expected", [
+        ((), [[1], [2], [3], [4], [1, 2], [1, 3], [1, 4], [2, 3], [2, 4], [3, 4],
+              [1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]),
+        ({(1, 2), (3, 4)}, [[2], [4], [1, 2], [2, 4], [3, 4], [1, 2, 4], [2, 3, 4]]),
+    ])
+    def test_order_by_size_then_lexicographic(self, arrows, expected):
+        spec = HiggsChainSpec(
+            ambient=KahlerData.curve(1, 1), summand_degrees=(0, 0, 0, 0), arrows=frozenset(arrows)
+        )
+        assert enumerate_invariant_subobjects(spec) == [frozenset(s) for s in expected]
 
     def test_lattice_closure(self):
         # arrow-closed sets close under union and intersection
@@ -144,6 +130,50 @@ class TestRealize:
         by_id = {e.id: e for e in m.subobjects}
         assert by_id["{1,2}"].contains == {"{1}", "{2}"}
         assert by_id["{1}"].contains == frozenset()
+
+    @staticmethod
+    def assert_matches_oracle(spec):
+        model = realize(spec)
+        expected = oracle_realization(spec)
+        assert [e.id for e in model.subobjects] == sorted(expected)
+        for e in model.subobjects:
+            assert (e.data, e.quotient, e.contains) == expected[e.id], e.id
+            assert e.quotient_torsion_part is None
+        return model
+
+    def test_matches_sum_oracle(self):
+        rng = random.Random(12)
+        with_arrows = 0
+        for _ in range(200):
+            size = rng.randint(1, 6)
+            genus = rng.randint(0, 3)
+            degrees = tuple(rng.randint(-4, 4) for _ in range(size))
+            feasible = [
+                (i, j)
+                for i in range(1, size + 1)
+                for j in range(1, size + 1)
+                if degrees[i - 1] <= degrees[j - 1] + 2 * genus - 2
+            ]
+            arrows = frozenset(p for p in feasible if rng.random() < 0.3)
+            with_arrows += bool(arrows)
+            spec = HiggsChainSpec(
+                ambient=KahlerData.curve(genus, rng.randint(1, 3)),
+                summand_degrees=degrees,
+                arrows=arrows,
+            )
+            self.assert_matches_oracle(spec)
+        assert with_arrows > 100
+
+    def test_equal_degree_chain_of_eight_matches_sum_oracle(self):
+        spec = HiggsChainSpec(ambient=KahlerData.curve(2, 1), summand_degrees=(3,) * 8)
+        assert len(self.assert_matches_oracle(spec).subobjects) == 2**8 - 2
+
+    def test_one_string_per_id(self):
+        # every contains holds the entry's own id object, not a copy
+        model = curve_chain(2, 1, (0,) * 8)
+        ids = [x for e in model.subobjects for x in e.contains]
+        assert len(ids) == 3**8 - 2 * 2**8 + 1 - (2**8 - 2)
+        assert all(x is model.entry(x).id for x in ids)
 
     def test_infeasible_arrow(self):
         spec = HiggsChainSpec(
@@ -402,3 +432,68 @@ class TestDirectSum:
 
 def test_subset_id_sorted():
     assert subset_id([3, 1]) == "{1,3}"
+
+
+class TestContainmentMessages:
+    """One hand-built model per branch of the containment check, with its exact messages."""
+
+    KD = KahlerData.curve(1, 1)
+
+    def model(self, *entries):
+        return HiggsObjectModel(
+            id="E", ambient=self.KD, data=chi_curve(self.KD, 3, 0), subobjects=entries
+        )
+
+    def entry(self, eid, rank=1, deg=0, contains=()):
+        return SubobjectEntry(
+            id=eid,
+            data=chi_curve(self.KD, rank, deg),
+            quotient=chi_curve(self.KD, 3 - rank, -deg),
+            contains=frozenset(contains),
+        )
+
+    def messages(self, *entries):
+        return [str(v) for v in validate(self.model(*entries))]
+
+    def test_unknown_ids(self):
+        assert self.messages(self.entry("A", contains={"nope", "B"}), self.entry("B")) == [
+            "A: Containment (contains unknown ids ['nope'])"
+        ]
+
+    def test_contains_itself(self):
+        assert self.messages(self.entry("A", contains={"A"}), self.entry("B")) == [
+            "A: Containment (entry contains itself)"
+        ]
+
+    def test_unknown_ids_reported_before_order_checks(self):
+        # a bad id list stops the scan before antisymmetry and transitivity
+        assert self.messages(
+            self.entry("A", contains={"B"}),
+            self.entry("B", contains={"A"}),
+            self.entry("C", contains={"C"}),
+        ) == ["C: Containment (entry contains itself)"]
+
+    def test_cycle(self):
+        assert self.messages(self.entry("A", contains={"B"}), self.entry("B", contains={"A"})) == [
+            "A: Containment (containment cycle with B)",
+            "A: Containment (not transitive: missing ['A'] below B)",
+            "B: Containment (containment cycle with A)",
+            "B: Containment (not transitive: missing ['B'] below A)",
+        ]
+
+    def test_larger_rank(self):
+        assert self.messages(self.entry("A", contains={"B"}), self.entry("B", rank=2)) == [
+            "A: Containment (contains B of larger rank)"
+        ]
+
+    def test_equal_rank_larger_chi(self):
+        assert self.messages(self.entry("A", deg=1, contains={"B"}), self.entry("B", deg=2)) == [
+            "A: Containment (contains B of equal rank, larger chi)"
+        ]
+
+    def test_not_transitive(self):
+        assert self.messages(
+            self.entry("A", rank=2, contains={"B"}),
+            self.entry("B", contains={"C"}),
+            self.entry("C", deg=-1),
+        ) == ["A: Containment (not transitive: missing ['C'] below B)"]
