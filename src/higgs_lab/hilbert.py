@@ -52,7 +52,9 @@ class HilbertPolynomial:
     @classmethod
     def from_strings(cls, items: Sequence[Union[str, int]]) -> "HilbertPolynomial":
         """Parse a coefficient array of "num/den" strings, lowest degree first."""
-        return cls(parse_rational(s) for s in items)
+        pairs = [_ratio(s) for s in items]
+        den = lcm(*(d for _, d in pairs))
+        return _canonical([n * (den // d) for n, d in pairs], den)
 
     def to_strings(self) -> list[str]:
         """Serialize as "num/den" strings, lowest degree first."""
@@ -193,11 +195,26 @@ def compare_scaled(a: HilbertPolynomial, ra: int, b: HilbertPolynomial, rb: int)
     return EventualOrder.EQUAL
 
 
+_RATIO = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _ratio(text: Union[str, int]) -> tuple[int, int]:
+    """Unreduced (num, den) of an int or a schema string "num/den" or "num"; a bool is not one."""
+    if type(text) is int:
+        return text, 1
+    match = _RATIO.fullmatch(text) if type(text) is str else None
+    try:
+        num, den = int(match[1]), int(match[2] or 1)  # TypeError when match is None
+    except (TypeError, ValueError):  # ValueError: a numeral past int()'s digit limit
+        raise ValueError(f"expected a rational 'num/den', got {text!r}") from None
+    if not den:
+        raise ZeroDivisionError(f"expected a rational 'num/den', got {text!r}")
+    return num, den
+
+
 def parse_rational(text: Union[str, int]) -> Fraction:
     """Parse an integer, or a string of the file schema's form "num/den" or "num"."""
-    if not (isinstance(text, int) or re.fullmatch(r"-?[0-9]+(/[0-9]+)?", text)):
-        raise ValueError(f"not a rational 'num/den': {text!r}")
-    return Fraction(text)
+    return Fraction(*_ratio(text))
 
 
 def format_rational(value: Rational, compact: bool = False) -> str:

@@ -11,7 +11,8 @@ family_complete flag records whether that family is claimed exhaustive.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import FrozenSet, Iterable, Optional
 
 from .chern import (
@@ -271,22 +272,35 @@ def _scan(model: HiggsObjectModel) -> list[Violation]:
 
 
 def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
+    """Unknown and self ids, else the order checks of each entry failing the mask screen."""
+    entries = model.subobjects
+    bit = {e.id: 1 << i for i, e in enumerate(entries)}
+    try:
+        below = {e.id: sum(map(bit.__getitem__, e.contains)) for e in entries}
+    except KeyError:  # an unknown id
+        below = None
     out = []
-    ids = {e.id for e in model.subobjects}
-    for e in model.subobjects:
-        unknown = e.contains - ids
-        if unknown:
-            out.append(
-                Violation(e.id, "Containment", f"contains unknown ids {sorted(unknown)}")
-            )
-            continue
-        if e.id in e.contains:
-            out.append(Violation(e.id, "Containment", "entry contains itself"))
-    if out:
+    if below is None or any(below[e.id] & bit[e.id] for e in entries):
+        for e in entries:
+            unknown = e.contains - bit.keys()
+            if unknown:
+                out.append(
+                    Violation(e.id, "Containment", f"contains unknown ids {sorted(unknown)}")
+                )
+                continue
+            if e.id in e.contains:
+                out.append(Violation(e.id, "Containment", "entry contains itself"))
         return out
-    # strict order: antisymmetric and transitive
-    for e in model.subobjects:
-        for mid in e.contains:
+    at_least, acc = {}, 0  # rank r -> mask of the entries of rank r or more
+    for e in sorted(entries, key=lambda e: -e.data.rank):
+        at_least[e.data.rank] = acc = acc | bit[e.id]
+    # A passing entry's members' members are its members, all of lower rank: it fails no
+    # order check, and lies on no cycle, which would put it in its own contains.
+    for e in entries:
+        mask = below[e.id]
+        if reduce(or_, map(below.__getitem__, e.contains), mask) == mask & ~at_least[e.data.rank]:
+            continue
+        for mid in sorted(e.contains):
             inner = model.entry(mid)
             if e.id in inner.contains:
                 out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))

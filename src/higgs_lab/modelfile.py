@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Union
 
@@ -50,13 +49,11 @@ class ModelFile:
     objects: tuple[LoadedObject, ...]
 
 
-def _rat(value, where: str) -> Fraction:
+def _rat(value, where: str, parse=parse_rational):
     try:
-        if isinstance(value, bool):
-            raise TypeError("a boolean is not a rational")
-        return parse_rational(value)
-    except (ValueError, TypeError, AttributeError, ZeroDivisionError):
-        raise ParseError(f"{where}: expected a rational 'num/den', got {value!r}")
+        return parse(value)
+    except (ValueError, ZeroDivisionError) as exc:  # its message names the bad item
+        raise ParseError(f"{where}: {exc}") from None
 
 
 def _typed(value, kind: type, where: str):
@@ -102,7 +99,7 @@ def _id(value, where: str) -> str:
 
 
 def _poly(value, where: str) -> HilbertPolynomial:
-    return HilbertPolynomial(_rat(c, where) for c in _typed(value, list, where))
+    return _rat(_typed(value, list, where), where, HilbertPolynomial.from_strings)
 
 
 def kahler_from_json(block: dict) -> KahlerData:

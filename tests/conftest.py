@@ -16,6 +16,7 @@ from higgs_lab import (
     KahlerData,
     NumericalSheafData,
     SubobjectEntry,
+    Violation,
     chi_curve,
     realize,
     sum_data,
@@ -109,6 +110,43 @@ def oracle_realization(spec):
         label(s): (data(s), data(everything - s), frozenset(label(t) for t in family if t < s))
         for s in family
     }
+
+
+def oracle_containment(model):
+    """Oracle: the Containment violations of a model, by frozenset tests, members in id order.
+
+    Unknown and self ids are reported alone; otherwise every member of every
+    entry is tested for a cycle, its rank and chi, and transitivity.
+    """
+    out = []
+    ids = {e.id for e in model.subobjects}
+    for e in model.subobjects:
+        unknown = sorted(e.contains - ids)
+        if unknown:
+            out.append(Violation(e.id, "Containment", f"contains unknown ids {unknown}"))
+        elif e.id in e.contains:
+            out.append(Violation(e.id, "Containment", "entry contains itself"))
+    if out:
+        return out
+    for e in model.subobjects:
+        for mid in sorted(e.contains):
+            inner = model.entry(mid)
+            if e.id in inner.contains:
+                out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))
+            if inner.data.rank > e.data.rank:
+                out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
+            elif inner.data.rank == e.data.rank and fraction_order(
+                e.data.chi, inner.data.chi
+            ) is EventualOrder.PRECEDES:
+                out.append(
+                    Violation(e.id, "Containment", f"contains {mid} of equal rank, larger chi")
+                )
+            missing = sorted(inner.contains - e.contains)
+            if missing:
+                out.append(
+                    Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")
+                )
+    return out
 
 
 def torsion_closure_model(strict=False):

@@ -6,6 +6,8 @@ import gc
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -347,6 +349,34 @@ class TestBadInput:
             "subobjects": [entry("A", 1, ["B"]), entry("B", 2, [])],
         }
         self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
+
+    def test_containment_order_ignores_the_hash_seed(self, tmp_path):
+        # A holds three members of larger rank; their messages come in id order
+        def entry(eid, rank, contains=()):
+            return {"id": eid, "data": self.curve_sheaf(rank, 0),
+                    "quotient": self.curve_sheaf(3 - rank, 0), "contains": list(contains)}
+
+        entries = [entry("A", 1, "DCB"), entry("B", 2), entry("C", 2), entry("D", 2)]
+        model = {"type": "model", "id": "E", "data": self.curve_sheaf(3, 0), "subobjects": entries}
+        path = tmp_path / "order.json"
+        path.write_text(json.dumps({"ambient": self.AMBIENT, "objects": [model]}))
+        src = str(Path(__file__).parents[1] / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        errors = []
+        for seed in ("1", "2"):
+            done = subprocess.run(
+                [sys.executable, "-c", "from higgs_lab.cli import main; main()", "analyze", path],
+                env=dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=pythonpath),
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+            assert done.returncode == 2 and done.stdout == "", done.stderr
+            errors.append(done.stderr)
+        assert errors == 2 * [
+            "error: object E fails validation: A: Containment (contains B of larger rank);"
+            " A: Containment (contains C of larger rank); A: Containment (contains D of larger rank)\n"
+        ]
 
     @staticmethod
     def curve_sheaf(rank, degree):  # genus 1, degH 1: chi(k) = degree + rank*k

@@ -3,6 +3,7 @@
 import random
 from fractions import Fraction
 from itertools import zip_longest
+from math import lcm
 
 import pytest
 from hypothesis import given, strategies as st
@@ -163,6 +164,41 @@ class TestSerialization:
         with pytest.raises(ValueError):
             parse_rational(text)
 
+
+    @staticmethod
+    def coefficient(rng):
+        """A schema item: int, "num" or "num/den", possibly negative, zero-padded or 40 digits."""
+        num = rng.choice([rng.randint(-30, 30), rng.randint(-(10**40), 10**40), 0])
+        den = rng.choice([1, rng.randint(1, 12), rng.randint(1, 10**40)])
+        sign, pad = "-" if num < 0 else "", "0" * rng.randint(0, 2)
+        text = f"{sign}{pad}{abs(num)}"
+        return rng.choice(
+            [num, text, f"{text}/{pad}{den}", f"{text}/{den * rng.randint(2, 6)}", "-0", f"-0/0{den}"]
+        )
+
+    def test_parsing_matches_fraction(self):
+        rng = random.Random(31)
+        for _ in range(2000):
+            items = [self.coefficient(rng) for _ in range(rng.randint(0, 5))]
+            fractions = [Fraction(item) for item in items]
+            assert [parse_rational(item) for item in items] == fractions
+            while fractions and not fractions[-1]:
+                fractions.pop()
+            den = lcm(*(f.denominator for f in fractions))
+            p = HilbertPolynomial.from_strings(items)
+            nums = tuple(f.numerator * (den // f.denominator) for f in fractions)
+            assert (p.nums, p.den) == (nums, den)
+
+    def test_leading_zeros_and_negative_zero(self):
+        assert HilbertPolynomial.from_strings(["007", "3/06", "-0"]) == poly(7, Fraction(1, 2))
+        assert HilbertPolynomial.from_strings(["-0/5", 0]).nums == ()
+
+    @pytest.mark.parametrize("text", ["3/0", "0/0", "-1/00"])
+    def test_zero_denominator(self, text):
+        with pytest.raises(ZeroDivisionError):
+            parse_rational(text)
+        with pytest.raises(ZeroDivisionError):
+            HilbertPolynomial.from_strings(["1", text])
 
 rationals = st.fractions(
     min_value=-10, max_value=10, max_denominator=9

@@ -1,5 +1,6 @@
 """Chain realization, subobject enumeration, validation, and direct sums."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ import pytest
 
 from higgs_lab import (
     AmbientMismatchError,
+    EventualOrder,
     HiggsChainSpec,
     HiggsObjectModel,
     InvalidArrowError,
@@ -23,7 +25,14 @@ from higgs_lab import (
     validate,
 )
 
-from conftest import curve_chain, oracle_family, oracle_realization, poly
+from conftest import (
+    curve_chain,
+    fraction_order,
+    oracle_containment,
+    oracle_family,
+    oracle_realization,
+    poly,
+)
 
 
 class TestEnumerate:
@@ -432,6 +441,114 @@ class TestDirectSum:
 
 def test_subset_id_sorted():
     assert subset_id([3, 1]) == "{1,3}"
+
+
+class TestContainmentScreen:
+    """validate() against oracle_containment on chain lattices with planted containment defects."""
+
+    DEFECTS = (
+        "unknown",
+        "self",
+        "cycle2",
+        "cycle3",
+        "larger_rank",
+        "equal_rank_larger_chi",
+        "equal_rank_smaller_chi",
+        "missing",
+    )
+
+    @staticmethod
+    def lattice(rng):
+        size = rng.randint(2, 6)
+        genus = rng.randint(0, 3)
+        degrees = [rng.randint(-4, 4) for _ in range(size)]
+        feasible = [
+            (i, j)
+            for i in range(1, size + 1)
+            for j in range(1, size + 1)
+            if i != j and degrees[i - 1] <= degrees[j - 1] + 2 * genus - 2
+        ]
+        arrows = [p for p in feasible if rng.random() < 0.2]
+        return curve_chain(genus, rng.randint(1, 3), degrees, arrows)
+
+    @staticmethod
+    def plant(rng, model, contains, defect):
+        """Change the contains map for one defect; False when the lattice has no room for it."""
+        entries = model.subobjects
+        above = lambda e: [x for x in entries if e.id in contains[x.id]]
+        if defect == "unknown":
+            e = rng.choice(entries)
+            contains[e.id] |= {"nope"}
+        elif defect == "self":
+            e = rng.choice(entries)
+            contains[e.id] |= {e.id}
+        elif defect == "cycle2":  # e contains one of the entries that contain it
+            pairs = [(e, y) for e in entries for y in above(e)]
+            if not pairs:
+                return False
+            e, y = rng.choice(pairs)
+            contains[e.id] |= {y.id}
+        elif defect == "cycle3":  # a below b below c, and a contains c
+            triples = [(a, b, c) for a in entries for b in above(a) for c in above(b)]
+            if not triples:
+                return False
+            a, b, c = rng.choice(triples)
+            contains[a.id] |= {c.id}
+        elif defect == "larger_rank":
+            pairs = [(e, x) for e in entries for x in entries if x.data.rank > e.data.rank]
+            if not pairs:
+                return False
+            e, x = rng.choice(pairs)
+            contains[e.id] |= {x.id}
+        elif defect.startswith("equal_rank"):
+            larger = defect.endswith("larger_chi")
+            want = EventualOrder.PRECEDES if larger else EventualOrder.SUCCEEDS
+            pairs = [
+                (e, x)
+                for e in entries
+                for x in entries
+                if x.data.rank == e.data.rank
+                and x.id != e.id
+                and fraction_order(e.data.chi, x.data.chi) is want
+            ]
+            if not pairs:
+                return False
+            e, x = rng.choice(pairs)
+            # x and its members go below e and below everything above e, so only chi can fail
+            for y in (e, *above(e)):
+                contains[y.id] |= {x.id} | contains[x.id]
+        elif defect == "missing":  # drop an id that a member also holds
+            pairs = [(e, t) for e in entries for m in contains[e.id] for t in contains.get(m, ())]
+            if not pairs:
+                return False
+            e, t = rng.choice(pairs)
+            contains[e.id] -= {t}
+        return True
+
+    def test_validate_matches_oracle(self):
+        rng = random.Random(2024)
+        seen = dict.fromkeys(("clean", *self.DEFECTS), 0)
+        for n in range(360):
+            model = self.lattice(rng)
+            contains = {e.id: set(e.contains) for e in model.subobjects}
+            defects = [] if n % 6 == 0 else rng.sample(self.DEFECTS, rng.randint(1, 2))
+            planted = [d for d in defects if self.plant(rng, model, contains, d)]
+            for d in planted or ["clean"]:
+                seen[d] += 1
+            planted_model = HiggsObjectModel(
+                id=model.id,
+                ambient=model.ambient,
+                data=model.data,
+                subobjects=tuple(
+                    dataclasses.replace(e, contains=frozenset(contains[e.id]))
+                    for e in model.subobjects
+                ),
+            )
+            expected = oracle_containment(planted_model)
+            assert validate(planted_model) == expected, (planted, expected)
+            if len(planted) < 2:  # one defect alone is reported, except a smaller chi
+                assert bool(expected) == (planted not in ([], ["equal_rank_smaller_chi"]))
+        assert all(count >= 20 for count in seen.values()), seen
 
 
 class TestContainmentMessages:

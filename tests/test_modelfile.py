@@ -80,6 +80,27 @@ def test_rejects_bad_rational():
         loads(json.dumps(doc))
 
 
+
+@pytest.mark.parametrize(
+    "value", ["3/0", "0/0", " 3 ", "+1", "1/-2", "", True, False, 1.5, None, [1], {"a": 1}]
+)
+@pytest.mark.parametrize("field", ["chi", "degH", "hn"])
+def test_bad_rational_names_the_item(field, value):
+    # chi items go through from_strings, degH and hn through parse_rational: one message
+    sheaf = {"rank": 1, "degH": "0", "chi": ["1", "1"]}
+    ambient = {"n": 1, "genus": 1, "degH": 1}
+    if field == "chi":
+        sheaf["chi"] = ["1", value, "2"]
+    elif field == "degH":
+        sheaf["degH"] = value
+    else:
+        ambient = {"n": 2, "hn": value, "c1X_H": "0"}
+    doc = {"ambient": ambient, "objects": [{"type": "model", "id": "E", "data": sheaf}]}
+    where = "ambient.hn" if field == "hn" else f"E.data.{field}"
+    with pytest.raises(ParseError) as info:
+        loads(json.dumps(doc))
+    assert str(info.value) == f"{where}: expected a rational 'num/den', got {value!r}"
+
 def test_rejects_duplicate_ids():
     doc = {
         "ambient": {"n": 1, "genus": 1, "degH": 1},
