@@ -94,7 +94,8 @@ class NumericalSheafData:
     torsion_free: bool
 
     def __post_init__(self):
-        object.__setattr__(self, "deg_h", Fraction(self.deg_h))
+        if not isinstance(self.deg_h, Fraction):
+            object.__setattr__(self, "deg_h", Fraction(self.deg_h))
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 
@@ -129,8 +130,8 @@ def chi_curve(kd: KahlerData, rank: int, deg: Rational) -> NumericalSheafData:
     if rank < 0:
         raise ValueError("rank must be nonnegative")
     d = Fraction(deg)
-    g = kd.genus
-    chi = HilbertPolynomial([d + rank * (1 - g), rank * kd.hn])
+    constant = d.numerator if d.denominator == 1 else d  # integer coefficients when integral
+    chi = HilbertPolynomial([constant + rank * (1 - kd.genus), rank * kd.hn.numerator])
     return NumericalSheafData(rank, d, chi, torsion_free=rank > 0)
 
 
@@ -196,11 +197,14 @@ def compare_p(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
 
 
 def compare_slope(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder:
-    """Order of slope(a) against slope(b)."""
-    x, y = slope(a), slope(b)
-    if x == y:
+    """Order of slope(a) against slope(b): the sign of rk_b * deg_a - rk_a * deg_b, in integers."""
+    if a.rank == 0 or b.rank == 0:
+        raise ZeroRankError("slope is undefined at rank zero")
+    x, y = a.deg_h, b.deg_h
+    d = b.rank * x.numerator * y.denominator - a.rank * y.numerator * x.denominator
+    if not d:
         return EventualOrder.EQUAL
-    return EventualOrder.SUCCEEDS if x > y else EventualOrder.PRECEDES
+    return EventualOrder.SUCCEEDS if d > 0 else EventualOrder.PRECEDES
 
 
 def slope_from_p(p: HilbertPolynomial, kd: KahlerData, rank: int) -> Fraction:

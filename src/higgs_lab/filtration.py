@@ -8,7 +8,7 @@ others, and interval_quotient_model is the verdict's oracle.  Both filtrations
 are defined by a rule on each step alone, kept in _step_violations:
 verify_filtration applies it to every step of a chain, and _search, the one
 exhaustive search behind all_jordan_holder and all_harder_narasimhan, extends
-chains only through steps that pass it.  Every construction passes the
+chains only through steps that pass it, deciding each step once.  Every construction passes the
 stability gate first and verifies its chain before returning, so an
 under-declared family surfaces as an explicit error, not a wrong answer.
 """
@@ -21,8 +21,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .chern import NumericalSheafData, compare_p
-from .hilbert import EventualOrder, HilbertPolynomial
+from .chern import ZERO_SHEAF, NumericalSheafData, compare_p
+from .hilbert import EventualOrder, HilbertPolynomial, compare_scaled
 from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
     Notion,
@@ -109,21 +109,24 @@ def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
     return model.data if step == model.id else model.entry(step).data
 
 
-def _interval(
-    model: HiggsObjectModel, upper: str, lower: Optional[str]
-) -> Iterator[tuple[str, NumericalSheafData]]:
-    """(id, invariants relative to lower) of each entry strictly between two steps.
-
-    upper may be the model id; lower of None means zero.  Ids come in order.
-    """
+def _between(model: HiggsObjectModel, upper: str, lower: Optional[str]) -> Sequence[SubobjectEntry]:
+    """Entries strictly between two steps, in id order; upper may be the object, lower None."""
     if upper == model.id:
         entries = model.subobjects
     else:
         entries = [model.entry(i) for i in sorted(model.entry(upper).contains)]
+    return entries if lower is None else [e for e in entries if lower in e.contains]
+
+
+def _interval(
+    model: HiggsObjectModel, upper: str, lower: Optional[str]
+) -> Iterator[tuple[str, NumericalSheafData]]:
+    """(id, invariants relative to lower) of each entry strictly between two steps."""
+    entries = _between(model, upper, lower)
     if lower is None:
         return ((e.id, e.data) for e in entries)
     base = model.entry(lower).data
-    return ((e.id, _sheaf_delta(e.data, base)) for e in entries if lower in e.contains)
+    return ((e.id, _sheaf_delta(e.data, base)) for e in entries)
 
 
 def _verdict(
@@ -258,7 +261,7 @@ def _step_violations(
     step above, None at the top.  JH: the quotient is stable with p equal to
     the object's.  HN: it is semistable, and p strictly decreases up the chain.
     Both: it is torsion-free, so no entry in between has the lower step's rank
-    and another chi.  Violations come cheapest first; a search stops at one.
+    and another chi.  Violations come cheapest first; _step_passes is the search's pass/fail form.
     """
     if quotient.rank <= 0:
         yield Violation(upper, "QuotientRank", "quotients need positive rank")
@@ -292,24 +295,52 @@ def _step_violations(
         )
 
 
+def _step_passes(
+    model: HiggsObjectModel,
+    kind: FiltrationKind,
+    upper: str,
+    lower: Optional[str],
+    quotient: NumericalSheafData,
+) -> bool:
+    """Whether _step_violations, StrictDecrease aside, finds nothing; builds no invariants.
+
+    The scan of the raw entries between the steps stops at the first torsion
+    one (the lower step's rank, another chi) or the first whose p over lower
+    is not below the quotient's (JH) or is above it (HN).
+    """
+    jh = kind is FiltrationKind.JH
+    if quotient.rank <= 0 or (jh and compare_p(quotient, model.data) is not EventualOrder.EQUAL):
+        return False
+    base = ZERO_SHEAF if lower is None else model.entry(lower).data
+    for e in _between(model, upper, lower):
+        rank = e.data.rank - base.rank
+        if rank == 0 and e.data.chi != base.chi:
+            return False
+        if 0 < rank < quotient.rank:
+            order = compare_scaled(e.data.chi - base.chi, rank, quotient.chi, quotient.rank)
+            if order is EventualOrder.SUCCEEDS or (jh and order is EventualOrder.EQUAL):
+                return False
+    return True
+
+
 def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     """Every valid chain of one kind, in deterministic order.
 
     Chains grow down from the object one step at a time, depth first, and a
     prefix is extended only through steps with no _step_violations, so every
-    chain found is valid and every valid chain is found.  A prefix whose
-    lowest step passes over zero is a chain, listed before its extensions.
-    Each prefix visited is one search node, bounded by chain_bound().  The
-    pending prefixes sit on an explicit stack: a recursive closure would
-    refer to itself and keep every chain alive until the cycle collector runs.
+    chain found is valid and every valid chain is found.  HN's StrictDecrease,
+    the one check that reads the prefix, runs first; _step_passes decides the
+    rest once per (upper, lower) step.  A prefix whose lowest step passes over
+    zero is a chain, listed before its extensions.  Each prefix visited is one
+    search node, bounded by chain_bound().  Pending prefixes sit on a stack: a
+    recursive closure would keep every chain alive until the collector runs.
     """
     require_classifiable(model)
     bound = chain_bound()
     found: list[Filtration] = []
+    known: dict[tuple[str, Optional[str]], list] = {}  # step -> [quotient, passes or None]
     nodes = 0
-    stack: list[tuple[list[str], Optional[tuple[str, NumericalSheafData]]]] = [
-        ([model.id], None)
-    ]
+    stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
         steps, above = stack.pop()
         nodes += 1
@@ -317,14 +348,23 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
             raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
         upper = steps[-1]
         deeper = []
-        for lower in [None, *(gid for gid, _ in _interval(model, upper, None))]:
-            quotient = _step_quotient(model, upper, lower)
-            if next(_step_violations(model, kind, upper, lower, quotient, above), None):
+        for lower in [None, *(e.id for e in _between(model, upper, None))]:
+            step = known.get((upper, lower))
+            if step is None:
+                step = known[upper, lower] = [_step_quotient(model, upper, lower), None]
+            quotient = step[0]
+            if above is not None and quotient.rank > 0:  # rank zero fails _step_passes
+                if compare_p(above, quotient) is not EventualOrder.PRECEDES:
+                    continue  # StrictDecrease
+            if step[1] is None:
+                step[1] = _step_passes(model, kind, upper, lower, quotient)
+            if not step[1]:
                 continue
-            if lower is None:
-                found.append(_filtration(model, kind, _downward(kind, steps)))
+            if lower is None:  # every step of the chain is known
+                quotients = [known[pair][0] for pair in _pairs(steps)]
+                found.append(Filtration(kind, _downward(kind, steps), _downward(kind, quotients)))
             else:
-                deeper.append((steps + [lower], (upper, quotient)))
+                deeper.append((steps + [lower], quotient if kind is FiltrationKind.HN else None))
         stack.extend(reversed(deeper))
     return found
 

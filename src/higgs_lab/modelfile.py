@@ -85,9 +85,9 @@ def _ints(value, where: str) -> tuple[int, ...]:
 def _ids(value, where: str) -> frozenset[str]:
     """A JSON array of string ids, as a set."""
     items = _typed(value, list, where)
-    for item in items:  # one type test per id: declared lattices hold 10^4-10^5
-        if type(item) is not str:
-            _typed(item, str, where)  # raises
+    if not set(map(type, items)) <= {str}:  # screened in C: lattices hold 10^4-10^5 ids
+        for item in items:  # the first bad id names the error
+            _typed(item, str, where)
     return frozenset(items)
 
 

@@ -26,6 +26,8 @@ from higgs_lab import (
     sum_data,
 )
 from higgs_lab.chern import NumericalSheafData, leading_term_violations
+from higgs_lab.filtration import _sheaf_delta
+from higgs_lab.hilbert import HilbertPolynomial, parse_rational
 
 from conftest import fraction_leading_terms, fraction_order, poly
 
@@ -79,6 +81,33 @@ class TestChiCurve:
         for genus, deg_h, rank, deg in [(0, 1, 1, 4), (2, 3, 2, -1), (1, 2, 3, 0)]:
             s = chi_curve(KahlerData.curve(genus, deg_h), rank, deg)
             assert s.chi.evaluate(0) == deg + rank * (1 - genus)
+
+    @pytest.mark.parametrize("deg", [Fraction(7, 2), Fraction(-5, 3), Fraction(4), 4, -3])
+    def test_matches_the_closed_form(self, deg):
+        for genus, deg_h, rank in [(0, 1, 1), (2, 3, 2), (3, 2, 0)]:
+            s = chi_curve(KahlerData.curve(genus, deg_h), rank, deg)
+            d = Fraction(deg)
+            assert s.chi == HilbertPolynomial([d + rank * (1 - genus), rank * deg_h])
+            assert type(s.deg_h) is Fraction and s.deg_h == d
+
+
+class TestDegreeType:
+    """deg_h is a Fraction however a sheaf is built, and an existing one is kept as is."""
+
+    def test_constructor(self):
+        three = Fraction(3)
+        assert NumericalSheafData(1, three, poly(3, 1), True).deg_h is three
+        for value in (3, parse_rational("3"), parse_rational("7/2")):
+            deg_h = NumericalSheafData(1, value, poly(3, 1), True).deg_h
+            assert type(deg_h) is Fraction and deg_h == value
+
+    def test_sums_and_differences(self):
+        kd = KahlerData.curve(1, 1)
+        a, b = chi_curve(kd, 2, 3), chi_curve(kd, 1, Fraction(1, 2))
+        for s in (sum_data(a, b), _sheaf_delta(a, b), sum_data(a, ZERO_SHEAF)):
+            assert type(s.deg_h) is Fraction
+        assert sum_data(a, b).deg_h == Fraction(7, 2)
+        assert _sheaf_delta(a, b).deg_h == Fraction(5, 2)
 
 
 class TestChiSurface:

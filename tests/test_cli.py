@@ -221,25 +221,27 @@ class TestVerify:
         report = json.loads(capsys.readouterr().out)
         assert any(c["check"] == check and c["status"] == "fail" for c in report["checks"])
 
-    def test_equal_degree_six_chain_completes_both_searches(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "size, jh_line",
+        [
+            (6, "pass jh_grading_invariance      E  720 chain(s), 1 grading(s)"),
+            (7, "skip jh_grading_invariance      E  more than 4096 search nodes;"
+                " raise HIGGS_LAB_MAX_CHAINS"),
+        ],
+        ids=["m6", "m7"],
+    )
+    def test_equal_degree_chain_search_lines(self, tmp_path, capsys, size, jh_line):
+        # m=6: both searches complete; m=7: JH meets the default node bound, HN does not
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
-            "objects": [{"type": "chain", "id": "E", "degrees": [0] * 6}],
+            "objects": [{"type": "chain", "id": "E", "degrees": [0] * size}],
         }
-        path = tmp_path / "six.json"
+        path = tmp_path / "chain.json"
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path)]) == 0
         lines = capsys.readouterr().out.splitlines()
-        assert any(
-            line.startswith("pass hn_uniqueness")
-            and line.endswith("E  1 valid chain(s) by search")
-            for line in lines
-        ), lines
-        assert any(
-            line.startswith("pass jh_grading_invariance")
-            and line.endswith("720 chain(s), 1 grading(s)")
-            for line in lines
-        ), lines
+        assert "pass hn_uniqueness              E  1 valid chain(s) by search" in lines, lines
+        assert jh_line in lines, lines
 
 
     def test_step_with_torsion_quotient_is_no_hn_step(self, tmp_path, capsys):
@@ -463,11 +465,20 @@ class TestBadInput:
             (("objects", 1, "id"), 3),
             (("objects", 1, "subobjects", 1, "id"), 5),
             (("objects", 1, "subobjects", 1, "contains", 0), None),
+            (("objects", 1, "subobjects", 1, "contains"), [f"id{i}" for i in range(10_000)] + [7]),
         ],
     )
     def test_schema_types_are_enforced(self, tmp_path, capsys, where, value):
         # each of these used to be coerced to a valid file
         self.run_all(tmp_path, capsys, _replaced(self.typed_file(), where, value), "E")
+
+    @pytest.mark.parametrize("at", [0, 5_000, 10_000])
+    def test_first_bad_contains_id_is_named_wherever_it_sits(self, tmp_path, capsys, at):
+        ids = [f"id{i}" for i in range(10_000)] + [None]
+        ids.insert(at, 7)
+        doc = _replaced(self.typed_file(), ("objects", 1, "subobjects", 1, "contains"), ids)
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert set(lines) == {"error: G.contains: expected str, got int"}
 
     @pytest.mark.parametrize("value", ["1.0", " 1 ", "0_1", "1e0", "+1", "1/1 ", "1e4000000"])
     def test_rationals_follow_the_schema_pattern(self, tmp_path, capsys, value):

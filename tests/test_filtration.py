@@ -2,6 +2,7 @@
 
 import gc
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations
 
@@ -95,15 +96,20 @@ def interval_fixtures():
     return models
 
 
+def every_step(model):
+    """Every (upper, lower) pair of steps, lower strictly below upper or None for zero."""
+    below = {model.id: [e.id for e in model.subobjects]}
+    below.update((e.id, sorted(e.contains)) for e in model.subobjects)
+    for upper, lowers in below.items():
+        for lower in [None, *lowers]:
+            yield upper, lower
+
+
 def steps_of_positive_rank(model):
     """Every (upper, lower) pair of steps, lower below upper, of positive rank difference."""
     rank = {e.id: e.data.rank for e in model.subobjects}
-    below = {model.id: sorted(rank), **{e.id: sorted(e.contains) for e in model.subobjects}}
     rank.update({None: 0, model.id: model.data.rank})
-    for upper, lowers in below.items():
-        for lower in [None, *lowers]:
-            if rank[lower] < rank[upper]:
-                yield upper, lower
+    return [(u, l) for u, l in every_step(model) if rank[l] < rank[u]]
 
 
 class TestIntervals:
@@ -170,6 +176,53 @@ class TestIntervals:
         assert [(v.subject, v.kind) for v in validate(m)] == [("F", "TorsionQuotient")]
         with pytest.raises(InvalidModelError, match="F: TorsionQuotient"):
             all_harder_narasimhan(m)
+
+
+class TestStepQuery:
+    """_step_passes, the search's one step query, against the explainer _step_violations."""
+
+    def test_query_matches_the_explainer_on_every_step(self):
+        rng = random.Random(39)
+        fuzzed = [random_chain_spec(rng, 5, 3) for _ in range(300)]
+        assert sum(bool(spec.arrows) for spec in fuzzed) > 150
+        models = interval_fixtures() + [torsion_step_model()] + [realize(s) for s in fuzzed]
+        seen = Counter()
+        for m in models:
+            for upper, lower in every_step(m):
+                quotient = filtration._step_quotient(m, upper, lower)
+                for kind in FiltrationKind:
+                    first = next(
+                        filtration._step_violations(m, kind, upper, lower, quotient, None), None
+                    )
+                    passes = filtration._step_passes(m, kind, upper, lower, quotient)
+                    assert passes is (first is None), (m.id, kind, upper, lower, first)
+                    seen[kind, first.kind if first else "pass"] += 1
+        for kind in ("QuotientRank", "QuotientTorsion", "pass"):
+            assert seen[FiltrationKind.JH, kind] and seen[FiltrationKind.HN, kind], seen
+        assert seen[FiltrationKind.JH, "EqualP"] and seen[FiltrationKind.JH, "QuotientStable"]
+        assert seen[FiltrationKind.HN, "QuotientSemistable"], seen
+
+    @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
+    def test_one_query_per_distinct_step(self, monkeypatch, size, jh_chains):
+        # JH reaches every (upper, lower) pair of nested index sets: 3^m - 2^m steps.
+        # HN queries only the steps down from the object: each deeper step
+        # fails StrictDecrease, which runs before the query, so 2^m - 1.
+        queries = []
+        real = filtration._step_passes
+
+        def counted(model, kind, upper, lower, quotient):
+            queries.append((upper, lower))
+            return real(model, kind, upper, lower, quotient)
+
+        monkeypatch.setattr(filtration, "_step_passes", counted)
+        m = curve_chain(1, 1, (0,) * size)
+        for search, chains, steps in (
+            (all_jordan_holder, jh_chains, 3**size - 2**size),
+            (all_harder_narasimhan, 1, 2**size - 1),
+        ):
+            queries.clear()
+            assert len(search(m)) == chains
+            assert len(queries) == len(set(queries)) == steps
 
 
 class TestTorsionSteps:
