@@ -229,13 +229,13 @@ def sum_data(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheafData
 def rank_p_residual(
     total: NumericalSheafData, sub: NumericalSheafData, quotient: NumericalSheafData
 ) -> HilbertPolynomial:
-    """rk F * (p_E - p_F) + rk Q * (p_E - p_Q); zero exactly on consistent extensions."""
+    """rk F * (p_E - p_F) + rk Q * (p_E - p_Q); zero exactly on consistent extensions.
+
+    Since rk F * p_F = chi_F, this is (rk F + rk Q) / rk E * chi_E - chi_F - chi_Q.
+    """
     if total.rank == 0 or sub.rank == 0 or quotient.rank == 0:
         raise ZeroRankError("residual needs positive ranks throughout")
-    p_total = normalized_p(total)
-    left = (p_total - normalized_p(sub)).scale(sub.rank)
-    right = (p_total - normalized_p(quotient)).scale(quotient.rank)
-    return left + right
+    return total.chi.scale(Fraction(sub.rank + quotient.rank, total.rank)) - sub.chi - quotient.chi
 
 
 def bogomolov_discriminant(kd: KahlerData, rank: int, sc: SurfaceChernInput) -> Fraction:

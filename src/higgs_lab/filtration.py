@@ -330,15 +330,17 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     prefix is extended only through steps with no _step_violations, so every
     chain found is valid and every valid chain is found.  HN's StrictDecrease,
     the one check that reads the prefix, runs first; _step_passes decides the
-    rest once per (upper, lower) step.  A prefix whose lowest step passes over
-    zero is a chain, listed before its extensions.  Each prefix visited is one
-    search node, bounded by chain_bound().  Pending prefixes sit on a stack: a
-    recursive closure would keep every chain alive until the collector runs.
+    rest once per (upper, lower) step, and each upper's lowers are listed once.
+    A prefix whose lowest step passes over zero is a chain, listed before its
+    extensions.  Each prefix visited is one search node, bounded by
+    chain_bound().  Pending prefixes sit on a stack: a recursive closure would
+    keep every chain alive until the collector runs.
     """
     require_classifiable(model)
     bound = chain_bound()
     found: list[Filtration] = []
     known: dict[tuple[str, Optional[str]], list] = {}  # step -> [quotient, passes or None]
+    lowers: dict[str, list[Optional[str]]] = {}  # upper -> [None, *ids of the entries below]
     nodes = 0
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
@@ -348,7 +350,9 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
             raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
         upper = steps[-1]
         deeper = []
-        for lower in [None, *(e.id for e in _between(model, upper, None))]:
+        if upper not in lowers:
+            lowers[upper] = [None, *(e.id for e in _between(model, upper, None))]
+        for lower in lowers[upper]:
             step = known.get((upper, lower))
             if step is None:
                 step = known[upper, lower] = [_step_quotient(model, upper, lower), None]

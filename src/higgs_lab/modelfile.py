@@ -147,16 +147,24 @@ def sheaf_to_json(s: NumericalSheafData) -> dict:
     }
 
 
-def _entry_from_json(block: dict) -> SubobjectEntry:
+def _shared_sheaf(memo: dict, block, where: str) -> NumericalSheafData:
+    """sheaf_from_json once per distinct block: repr tells true, 1, 1.0 and "1" apart."""
+    key = repr(block)
+    if key not in memo:  # a block that fails to parse is never stored
+        memo[key] = sheaf_from_json(block, where)
+    return memo[key]
+
+
+def _entry_from_json(block: dict, memo: dict) -> SubobjectEntry:
     with _reading("subobject"):
         eid = _id(block["id"], "subobject id")
         torsion = block.get("quotient_torsion_part")
         return SubobjectEntry(
             id=eid,
-            data=sheaf_from_json(block["data"], f"{eid}.data"),
-            quotient=sheaf_from_json(block["quotient"], f"{eid}.quotient"),
+            data=_shared_sheaf(memo, block["data"], f"{eid}.data"),
+            quotient=_shared_sheaf(memo, block["quotient"], f"{eid}.quotient"),
             quotient_torsion_part=(
-                sheaf_from_json(torsion, f"{eid}.torsion") if torsion else None
+                None if torsion is None else _shared_sheaf(memo, torsion, f"{eid}.torsion")
             ),
             contains=_ids(block.get("contains", []), f"{eid}.contains"),
         )
@@ -210,13 +218,14 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
             raise ParseError(f"chain {oid}: {exc}")
         return LoadedObject(model, "chain", chain=spec, locally_free=True)
     if kind == "model":
+        memo: dict[str, NumericalSheafData] = {}  # repeated blocks share one frozen sheaf
         with _reading(f"object {oid}"):
             model = HiggsObjectModel(
                 id=oid,
                 ambient=ambient,
-                data=sheaf_from_json(block["data"], f"{oid}.data"),
+                data=_shared_sheaf(memo, block["data"], f"{oid}.data"),
                 subobjects=tuple(
-                    _entry_from_json(b)
+                    _entry_from_json(b, memo)
                     for b in _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
                 ),
                 family_complete=_typed(

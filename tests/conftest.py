@@ -18,6 +18,7 @@ from higgs_lab import (
     SubobjectEntry,
     Violation,
     chi_curve,
+    normalized_p,
     realize,
     sum_data,
     verify_filtration,
@@ -63,6 +64,14 @@ def fraction_leading_terms(s, kd):
     if s.chi.coefficient(kd.n - 1) != expected_next:
         problems.append("k^(n-1) coefficient of chi does not match the H-degree")
     return problems
+
+
+def oracle_rank_p_residual(total, sub, quotient):
+    """Oracle: rk F * (p_E - p_F) + rk Q * (p_E - p_Q), one normalized polynomial at a time."""
+    p_total = normalized_p(total)
+    left = (p_total - normalized_p(sub)).scale(sub.rank)
+    right = (p_total - normalized_p(quotient)).scale(quotient.rank)
+    return left + right
 
 
 def reachable_closure(start, size, arrows):

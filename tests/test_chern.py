@@ -29,7 +29,17 @@ from higgs_lab.chern import NumericalSheafData, leading_term_violations
 from higgs_lab.filtration import _sheaf_delta
 from higgs_lab.hilbert import HilbertPolynomial, parse_rational
 
-from conftest import fraction_leading_terms, fraction_order, poly
+from higgs_lab.fuzz import random_chain_spec
+from higgs_lab.model import realize
+
+from conftest import (
+    fraction_leading_terms,
+    fraction_order,
+    oracle_rank_p_residual,
+    poly,
+    surface_entry,
+    surface_model,
+)
 
 
 def line_bundle_chi(a, k):
@@ -229,6 +239,27 @@ class TestSumAndResidual:
         f = NumericalSheafData(1, Fraction(1), poly(2, 1), True)
         q = NumericalSheafData(1, Fraction(0), poly(1, 1), True)
         assert rank_p_residual(total, f, q) == poly(-1)
+
+    def test_residual_matches_the_term_by_term_oracle(self):
+        rng = random.Random(41)
+        triples = []
+        for _ in range(300):
+            m = realize(random_chain_spec(rng, 5, 3))
+            triples += [(m.data, e.data, e.quotient) for e in m.subobjects]
+        total = surface_model("S", 2, 0, 0).data
+        for deg_h, constant in ((-1, 7), (0, 3), (0, 0), (1, -2)):
+            e = surface_entry("F", total, 1, deg_h, constant)
+            triples += [(total, e.data, e.quotient), (total, e.data, e.data)]
+        kd = KahlerData.curve(1, 1)  # the nonzero residuals of test_model
+        triples += [(chi_curve(kd, 3, 0), chi_curve(kd, 1, 1), chi_curve(kd, r, d))
+                    for r, d in ((2, -2), (1, 0))]
+        assert len(triples) > 800
+        nonzero = 0
+        for total, sub, quotient in triples:
+            residual = rank_p_residual(total, sub, quotient)
+            assert residual == oracle_rank_p_residual(total, sub, quotient)
+            nonzero += not residual.is_zero
+        assert nonzero >= 5
 
     def test_residual_needs_ranks(self):
         total = NumericalSheafData(1, Fraction(0), poly(1, 1), True)

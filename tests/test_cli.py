@@ -480,6 +480,64 @@ class TestBadInput:
         lines = self.run_all(tmp_path, capsys, doc, "E")
         assert set(lines) == {"error: G.contains: expected str, got int"}
 
+    @staticmethod
+    def repeated_blocks(**changed):
+        """Rank-1 entries A, B and C of O + O on the projective line, all with one sheaf block.
+
+        The block mixes JSON types, so each value changed in the tests below
+        leaves it equal under Python's ==.  changed maps an entry id to the
+        (field, value) set in that entry's data block.
+        """
+
+        def line():  # O on the projective line: chi(k) = 1 + k
+            return {"rank": 1, "degH": 0, "chi": [1, "1"], "torsion_free": True}
+
+        entries = []
+        for eid in "ABC":
+            data = line()
+            if eid in changed:
+                data[changed[eid][0]] = changed[eid][1]
+            entries.append({"id": eid, "data": data, "quotient": line()})
+        total = {"rank": 2, "degH": "0", "chi": ["2", "2"]}
+        model = {"type": "model", "id": "E", "data": total, "subobjects": entries}
+        return {"ambient": {"n": 1, "genus": 0, "degH": 1}, "objects": [model]}
+
+    @pytest.mark.parametrize(
+        "field, value, line",
+        [
+            ("rank", True, "error: B.data.rank: expected int, got bool"),
+            ("rank", 1.0, "error: B.data.rank: expected int, got float"),
+            ("degH", False, "error: B.data.degH: expected a rational 'num/den', got False"),
+            ("chi", [True, "1"], "error: B.data.chi: expected a rational 'num/den', got True"),
+            ("torsion_free", 1, "error: B.data.torsion_free: expected bool, got int"),
+        ],
+        ids=["rank-true", "rank-float", "degH-false", "chi-true", "torsion_free-int"],
+    )
+    def test_a_block_equal_to_a_parsed_one_under_python_is_parsed_anew(
+        self, tmp_path, capsys, field, value, line
+    ):
+        # true == 1 == 1.0 and false == 0 in Python; A's parsed block must not stand in for B's
+        doc = self.repeated_blocks(B=(field, value))
+        assert set(self.run_all(tmp_path, capsys, doc, "E")) == {line}
+
+    def test_a_string_rational_equal_to_a_parsed_int_loads(self, tmp_path, capsys):
+        path = tmp_path / "int_degree.json"
+        path.write_text(json.dumps(self.repeated_blocks(B=("degH", "0"))))
+        assert run(["analyze", str(path)]) == 0
+
+    def test_a_repeated_bad_block_is_named_where_it_first_sits(self, tmp_path, capsys):
+        doc = self.repeated_blocks(B=("rank", "1"), C=("rank", "1"))
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert set(lines) == {"error: B.data.rank: expected int, got str"}
+
+    @pytest.mark.parametrize("value", [{}, False, 0, [], ""], ids=["{}", "false", "0", "[]", "''"])
+    def test_a_falsy_torsion_part_is_no_sheaf(self, tmp_path, capsys, value):
+        # only null means "no torsion part"; these used to load as if absent
+        doc = self.repeated_blocks()
+        doc["objects"][0]["subobjects"][0]["quotient_torsion_part"] = value
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert len(set(lines)) == 1 and lines[0].startswith("error: A.torsion: "), lines
+
     @pytest.mark.parametrize("value", ["1.0", " 1 ", "0_1", "1e0", "+1", "1/1 ", "1e4000000"])
     def test_rationals_follow_the_schema_pattern(self, tmp_path, capsys, value):
         # each but the last used to load as the valid value 1

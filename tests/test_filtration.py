@@ -224,6 +224,31 @@ class TestStepQuery:
             assert len(search(m)) == chains
             assert len(queries) == len(set(queries)) == steps
 
+    @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
+    def test_lowers_listed_once_per_upper(self, monkeypatch, size, jh_chains):
+        # every nested index set is an upper: 2^m - 1 of them, each listed once
+        # and queried once over zero; the parent listed one upper per prefix
+        listings = []
+        real = filtration._between
+
+        def counted(model, upper, lower):
+            if lower is None:
+                listings.append(upper)
+            return real(model, upper, lower)
+
+        def depth_first(f):  # each step's place among [None, *lowers] of the step above
+            steps = [*filtration._downward(f.kind, f.steps), None]
+            return [[None, *(e.id for e in real(m, upper, None))].index(lower)
+                    for upper, lower in zip(steps, steps[1:])]
+
+        monkeypatch.setattr(filtration, "_between", counted)
+        m = curve_chain(1, 1, (0,) * size)
+        for search, chains in ((all_jordan_holder, jh_chains), (all_harder_narasimhan, 1)):
+            listings.clear()
+            found = search(m)
+            assert len(found) == chains and found == sorted(found, key=depth_first)
+            assert len(listings) <= 2 * (2**size - 1)
+
 
 class TestTorsionSteps:
     """A step whose quotient has torsion is no JH or HN step."""

@@ -30,6 +30,7 @@ from conftest import (
     fraction_order,
     oracle_containment,
     oracle_family,
+    oracle_rank_p_residual,
     oracle_realization,
     poly,
 )
@@ -378,7 +379,9 @@ class TestValidate:
             (chi_curve(kd, 2, -2), "ChiAdditivity"),
             (chi_curve(kd, 1, 0), "RankAdditivity"),
         ):
-            assert not rank_p_residual(total, sub, quotient).is_zero
+            residual = rank_p_residual(total, sub, quotient)
+            assert not residual.is_zero
+            assert residual == oracle_rank_p_residual(total, sub, quotient)
             entry = SubobjectEntry(id="F", data=sub, quotient=quotient)
             m = HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(entry,))
             assert [v.kind for v in validate(m)] == [kind]

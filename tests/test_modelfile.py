@@ -1,10 +1,12 @@
 """Model file parsing, validation gating, and round trips."""
 
 import json
+from itertools import combinations
 
 import pytest
 
-from higgs_lab import ParseError, loads, realize
+from higgs_lab import ParseError, loads, modelfile, realize
+from higgs_lab.cli import run
 from higgs_lab.modelfile import kahler_to_json, model_to_json, sheaf_to_json
 
 from conftest import curve_chain, poly
@@ -169,3 +171,67 @@ def test_surface_model_with_chern_block():
     obj = mf.objects[0]
     assert obj.locally_free
     assert obj.surface_chern.c1sq == 2
+
+
+def declared_equal_degree_chain(m):
+    """Every proper subset of m degree-zero line bundles on a genus-1 curve, written by hand."""
+
+    def sheaf(rank):
+        return {"rank": rank, "degH": "0/1", "chi": ["0/1", f"{rank}/1"], "torsion_free": True}
+
+    subsets = [set(s) for size in range(1, m) for s in combinations(range(1, m + 1), size)]
+
+    def label(s):
+        return "{" + ",".join(str(i) for i in sorted(s)) + "}"
+
+    entries = [
+        {"id": label(s), "data": sheaf(len(s)), "quotient": sheaf(m - len(s)),
+         "contains": sorted(label(t) for t in subsets if t < s)}
+        for s in subsets
+    ]
+    model = {"type": "model", "id": "E", "data": sheaf(m), "subobjects": entries}
+    return {"ambient": {"n": 1, "genus": 1, "degH": 1}, "objects": [model]}
+
+
+def unshared(memo, block, where):
+    """modelfile._shared_sheaf without the memo: every block parsed on its own."""
+    return modelfile.sheaf_from_json(block, where)
+
+
+class TestRepeatedBlocks:
+    """A sheaf block repeated within one declared object is parsed once and shared."""
+
+    DOC = declared_equal_degree_chain(6)
+
+    @staticmethod
+    def sheaves(model):
+        return [s for e in model.subobjects for s in (e.data, e.quotient)]
+
+    def test_one_object_per_distinct_block(self, monkeypatch):
+        entries = self.DOC["objects"][0]["subobjects"]
+        blocks = {json.dumps(e[k], sort_keys=True) for e in entries for k in ("data", "quotient")}
+        (obj,) = loads(json.dumps(self.DOC)).objects
+        assert len(self.sheaves(obj.model)) == 2 * 62 and len(blocks) == 5
+        assert len({id(s) for s in self.sheaves(obj.model)}) == len(blocks)
+        monkeypatch.setattr(modelfile, "_shared_sheaf", unshared)
+        (copy,) = loads(json.dumps(self.DOC)).objects
+        assert len({id(s) for s in self.sheaves(copy.model)}) == 2 * 62
+        assert (copy.model.data, copy.model.subobjects) == (obj.model.data, obj.model.subobjects)
+
+    def test_blocks_serialize_back_unchanged(self):
+        (obj,) = loads(json.dumps(self.DOC)).objects
+        out, given = model_to_json(obj), self.DOC["objects"][0]
+        assert out["data"] == given["data"]
+        written = {e["id"]: (e["data"], e["quotient"]) for e in out["subobjects"]}
+        assert written == {e["id"]: (e["data"], e["quotient"]) for e in given["subobjects"]}
+
+    def test_reports_match_an_unshared_load(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "declared.json"
+        path.write_text(json.dumps(self.DOC))
+        commands = [["analyze", str(path)]]
+        commands += [[command, str(path), "--object", "E"] for command in ("jh", "hn")]
+        shared = [(run(argv), capsys.readouterr()) for argv in commands]
+        monkeypatch.setattr(modelfile, "_shared_sheaf", unshared)
+        assert [(run(argv), capsys.readouterr()) for argv in commands] == shared
+        assert [code for code, _ in shared] == [0, 0, 0]
+
