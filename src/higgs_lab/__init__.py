@@ -23,7 +23,6 @@ from .chern import (
     normalized_p,
     rank_p_residual,
     slope,
-    slope_from_p,
     sum_data,
 )
 from .model import (
@@ -34,7 +33,6 @@ from .model import (
     SubobjectEntry,
     Violation,
     direct_sum_model,
-    enumerate_invariant_subobjects,
     realize,
     subset_id,
     validate,
@@ -63,12 +61,10 @@ from .filtration import (
     Grading,
     NotSemistableError,
     TooLargeError,
-    UnknownIdError,
     all_harder_narasimhan,
     all_jordan_holder,
     grading,
     harder_narasimhan,
-    interval_quotient_model,
     jordan_holder,
     s_equivalent,
     verify_filtration,

@@ -207,15 +207,6 @@ def compare_slope(a: NumericalSheafData, b: NumericalSheafData) -> EventualOrder
     return EventualOrder.SUCCEEDS if d > 0 else EventualOrder.PRECEDES
 
 
-def slope_from_p(p: HilbertPolynomial, kd: KahlerData, rank: int) -> Fraction:
-    """Recover the slope from the k^(n-1) coefficient of a normalized polynomial."""
-    if rank <= 0:
-        raise ZeroRankError("slope recovery needs positive rank")
-    if p.coefficient(kd.n) != kd.hn / factorial(kd.n):
-        raise MalformedPolynomialError("top coefficient must equal hn / n!")
-    return factorial(kd.n - 1) * p.coefficient(kd.n - 1) - kd.c1x_h / 2
-
-
 def sum_data(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheafData:
     """Invariants of a direct sum (or any extension): everything adds."""
     return NumericalSheafData(

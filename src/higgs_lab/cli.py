@@ -20,7 +20,6 @@ from .filtration import (
     ChainBoundError,
     Filtration,
     NotSemistableError,
-    UnknownIdError,
     chain_bound,
     harder_narasimhan,
     jordan_holder,
@@ -296,9 +295,6 @@ def run(argv: Sequence[str]) -> int:
             return _cmd_fuzz(args)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except UnknownIdError as exc:
-        print(f"error: unknown id {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except InvalidModelError as exc:
         print(f"error: invalid model: {exc}", file=sys.stderr)

@@ -1,14 +1,15 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
-Every step is decided on the parent's lattice: _interval lists the entries
-strictly between two steps, relative to the lower one, and quotients come from
-chi subtraction.  Validation of the parent makes the interval of every step
-without torsion a valid model, so no step builds one; the step rule rejects the
-others, and interval_quotient_model is the verdict's oracle.  Both filtrations
-are defined by a rule on each step alone, kept in _step_violations:
-verify_filtration applies it to every step of a chain, and _search, the one
-exhaustive search behind all_jordan_holder and all_harder_narasimhan, extends
-chains only through steps that pass it, deciding each step once.  Every construction passes the
+Every step is decided on the parent's lattice by one integer scan, _orders:
+it orders each entry strictly between two steps, relative to the lower one,
+against the step's quotient, or marks it as torsion over the lower step.
+Validation of the parent makes the interval of every step without torsion a
+valid model, so no step builds one: the scan is that model's classification.
+Both filtrations are defined by a rule on each
+step alone, kept in _step_violations: verify_filtration applies it to every
+step of a chain, and _search, the one exhaustive search behind
+all_jordan_holder and all_harder_narasimhan, extends chains only through steps
+that pass it, deciding each step once.  Every construction passes the
 stability gate first and verifies its chain before returning, so an
 under-declared family surfaces as an explicit error, not a wrong answer.
 """
@@ -19,7 +20,7 @@ import os
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from .chern import ZERO_SHEAF, NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial, compare_scaled
@@ -28,7 +29,6 @@ from .stability import (
     Notion,
     PreconditionUnmetError,
     StabilityClass,
-    StabilityVerdict,
     _classify,
     gieseker_classify,
     require_classifiable,
@@ -36,10 +36,6 @@ from .stability import (
 
 CHAIN_BOUND_ENV = "HIGGS_LAB_MAX_CHAINS"
 DEFAULT_CHAIN_BOUND = 4096
-
-
-class UnknownIdError(KeyError):
-    """The requested subobject id is not in the declared family."""
 
 
 class NotSemistableError(ValueError):
@@ -118,48 +114,24 @@ def _between(model: HiggsObjectModel, upper: str, lower: Optional[str]) -> Seque
     return entries if lower is None else [e for e in entries if lower in e.contains]
 
 
-def _interval(
-    model: HiggsObjectModel, upper: str, lower: Optional[str]
-) -> Iterator[tuple[str, NumericalSheafData]]:
-    """(id, invariants relative to lower) of each entry strictly between two steps."""
-    entries = _between(model, upper, lower)
-    if lower is None:
-        return ((e.id, e.data) for e in entries)
-    base = model.entry(lower).data
-    return ((e.id, _sheaf_delta(e.data, base)) for e in entries)
+def _orders(
+    model: HiggsObjectModel, upper: str, lower: Optional[str], quotient: NumericalSheafData
+) -> Iterator[tuple[str, Optional[EventualOrder]]]:
+    """The one step rule's scan: each entry strictly between two steps, in id order.
 
-
-def _verdict(
-    between: Iterable[tuple[str, NumericalSheafData]], quotient: NumericalSheafData
-) -> StabilityVerdict:
-    """gieseker_classify of the interval model, from the interval and its quotient."""
-    orders = ((gid, compare_p(d, quotient)) for gid, d in between if 0 < d.rank < quotient.rank)
-    return _classify(Notion.GIESEKER, orders)
-
-
-def interval_quotient_model(
-    model: HiggsObjectModel, top_id: str, bottom_id: Optional[str]
-) -> HiggsObjectModel:
-    """Model of (top / bottom) with family drawn from strictly-between entries.
-
-    top_id may be the model id (the whole object); bottom_id of None means
-    the zero subobject.  Entry ids are the parent's, so a witness names a
-    parent entry.
+    An entry of the lower step's rank and another chi is torsion over it and
+    yields (id, None).  An entry of relative rank strictly between 0 and the
+    quotient's yields (id, its p over lower against the quotient's p).  Other
+    entries yield nothing.
     """
-    if top_id != model.id and not model.has_entry(top_id):
-        raise UnknownIdError(top_id)
-    if bottom_id is not None and not model.has_entry(bottom_id):
-        raise UnknownIdError(bottom_id)
-    top = _step_quotient(model, top_id, bottom_id)
-    between = dict(_interval(model, top_id, bottom_id))
-    entries = []
-    for gid, data in between.items():
-        q = _sheaf_delta(top, data)
-        torsion = None if q.torsion_free else q
-        entries.append(
-            SubobjectEntry(gid, data, q, torsion, between.keys() & model.entry(gid).contains)
-        )
-    return HiggsObjectModel(top_id, model.ambient, top, tuple(entries), model.family_complete)
+    base = ZERO_SHEAF if lower is None else model.entry(lower).data
+    for e in _between(model, upper, lower):
+        rank = e.data.rank - base.rank
+        if rank == 0 and e.data.chi != base.chi:
+            yield e.id, None
+        elif 0 < rank < quotient.rank:
+            chi = e.data.chi if lower is None else e.data.chi - base.chi
+            yield e.id, compare_scaled(chi, rank, quotient.chi, quotient.rank)
 
 
 def chain_bound() -> int:
@@ -225,9 +197,8 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
     steps: list[str] = []
     step = model.id
     while True:
-        data = _data(model, step)
-        between = list(_interval(model, step, None))
-        verdict = _verdict(between, data)
+        orders = list(_orders(model, step, None, _data(model, step)))
+        verdict = _classify(Notion.GIESEKER, orders)
         if verdict.classification is StabilityClass.UNSTABLE:
             if step == model.id:
                 raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
@@ -237,13 +208,12 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
         steps.append(step)
         if verdict.classification is StabilityClass.STABLE:
             break
-        candidates = [
-            (d.rank, gid)
-            for gid, d in between
-            if 0 < d.rank < data.rank and compare_p(d, model.data) is EventualOrder.EQUAL
-        ]
-        best_rank = max(rank for rank, _ in candidates)
-        step = min(gid for rank, gid in candidates if rank == best_rank)
+        # every step has the object's p, so its equalizers are the equal-p entries
+        _, step = min(
+            (-model.entry(gid).data.rank, gid)
+            for gid, order in orders
+            if order is EventualOrder.EQUAL
+        )
     return _verified(model, FiltrationKind.JH, steps)
 
 
@@ -260,8 +230,8 @@ def _step_violations(
     quotient is upper/lower; above holds the upper id and the quotient of the
     step above, None at the top.  JH: the quotient is stable with p equal to
     the object's.  HN: it is semistable, and p strictly decreases up the chain.
-    Both: it is torsion-free, so no entry in between has the lower step's rank
-    and another chi.  Violations come cheapest first; _step_passes is the search's pass/fail form.
+    Both: it is torsion-free, so _orders marks no entry in between.  Violations
+    come cheapest first; _step_passes is the search's pass/fail form.
     """
     if quotient.rank <= 0:
         yield Violation(upper, "QuotientRank", "quotients need positive rank")
@@ -276,12 +246,12 @@ def _step_violations(
             "StrictDecrease",
             "quotient polynomials must strictly decrease up the chain",
         )
-    between = list(_interval(model, upper, lower))
-    for gid, d in between:
-        if d.rank == 0 and not d.chi.is_zero:
+    orders = list(_orders(model, upper, lower, quotient))
+    for gid, order in orders:
+        if order is None:
             yield Violation(upper, "QuotientTorsion", f"{gid} is torsion over the step below")
             return
-    verdict = _verdict(between, quotient)
+    verdict = _classify(Notion.GIESEKER, orders)
     if kind is FiltrationKind.JH:
         if verdict.classification is not StabilityClass.STABLE:
             yield Violation(
@@ -302,24 +272,18 @@ def _step_passes(
     lower: Optional[str],
     quotient: NumericalSheafData,
 ) -> bool:
-    """Whether _step_violations, StrictDecrease aside, finds nothing; builds no invariants.
+    """Whether _step_violations, StrictDecrease aside, finds nothing.
 
-    The scan of the raw entries between the steps stops at the first torsion
-    one (the lower step's rank, another chi) or the first whose p over lower
-    is not below the quotient's (JH) or is above it (HN).
+    The scan stops at the first torsion entry, the first entry whose p over
+    lower is above the quotient's, or, for JH, the first that ties with it.
     """
     jh = kind is FiltrationKind.JH
     if quotient.rank <= 0 or (jh and compare_p(quotient, model.data) is not EventualOrder.EQUAL):
         return False
-    base = ZERO_SHEAF if lower is None else model.entry(lower).data
-    for e in _between(model, upper, lower):
-        rank = e.data.rank - base.rank
-        if rank == 0 and e.data.chi != base.chi:
+    fails = (None, EventualOrder.SUCCEEDS, EventualOrder.EQUAL if jh else None)
+    for _, order in _orders(model, upper, lower, quotient):
+        if order in fails:
             return False
-        if 0 < rank < quotient.rank:
-            order = compare_scaled(e.data.chi - base.chi, rank, quotient.chi, quotient.rank)
-            if order is EventualOrder.SUCCEEDS or (jh and order is EventualOrder.EQUAL):
-                return False
     return True
 
 
@@ -404,17 +368,17 @@ def _destabilizer_step(
     distinct entries is ambiguous and aborts.
     """
     top = _step_quotient(model, model.id, bottom_id)
-    best_data = top
-    best: list[tuple[int, Optional[str]]] = [(top.rank, None)]
-    for gid, data in _interval(model, model.id, bottom_id):
-        if data.rank <= 0 or data.rank >= top.rank:
-            continue
-        order = compare_p(data, best_data)
-        if order is EventualOrder.SUCCEEDS:
-            best_data = data
-            best = [(data.rank, gid)]
-        elif order is EventualOrder.EQUAL:
-            best.append((data.rank, gid))
+    base = ZERO_SHEAF if bottom_id is None else model.entry(bottom_id).data
+    best_p, best = (top.chi, top.rank), [(top.rank, None)]
+    for e in _between(model, model.id, bottom_id):
+        rank = e.data.rank - base.rank
+        if 0 < rank < top.rank:
+            chi = e.data.chi if bottom_id is None else e.data.chi - base.chi
+            order = compare_scaled(chi, rank, *best_p)
+            if order is EventualOrder.SUCCEEDS:
+                best_p, best = (chi, rank), []
+            if order is not EventualOrder.PRECEDES:
+                best.append((rank, e.id))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:

@@ -143,23 +143,18 @@ def subset_id(members: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(members)) + "}"
 
 
-def enumerate_invariant_subobjects(spec: HiggsChainSpec) -> list[frozenset[int]]:
-    """All proper nonempty arrow-closed index sets, by size, then lexicographically.
-
-    A coordinate subobject is invariant under the field exactly when its
-    index set is closed under arrows: i in S and (i, j) an arrow forces
-    j in S.  The empty set and the full set are omitted.
-    """
-    return [frozenset(_members(mask)) for mask in _closed_masks(spec)]
-
-
 def _members(mask: int) -> list[int]:
     """The indices of a mask, ascending; bit i-1 stands for summand i."""
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
 
 
 def _closed_masks(spec: HiggsChainSpec) -> list[int]:
-    """enumerate_invariant_subobjects as masks, in the same order."""
+    """All proper nonempty arrow-closed index sets as masks, by size, then lexicographically.
+
+    A coordinate subobject is invariant under the field exactly when its
+    index set is closed under arrows: i in S and (i, j) an arrow forces
+    j in S.  The empty set and the full set are omitted.
+    """
     arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]
     masks = range(1, (1 << spec.size) - 1)
     closed = (m for m in masks if all(m & j for i, j in arrows if m & i))

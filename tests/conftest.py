@@ -14,9 +14,11 @@ from higgs_lab import (
     HiggsChainSpec,
     HiggsObjectModel,
     KahlerData,
+    MalformedPolynomialError,
     NumericalSheafData,
     SubobjectEntry,
     Violation,
+    ZeroRankError,
     chi_curve,
     normalized_p,
     realize,
@@ -24,6 +26,7 @@ from higgs_lab import (
     verify_filtration,
 )
 from higgs_lab.hilbert import HilbertPolynomial
+from higgs_lab.model import _closed_masks, _members
 
 
 def curve_chain(genus, deg_h, degrees, arrows=(), object_id="E"):
@@ -72,6 +75,20 @@ def oracle_rank_p_residual(total, sub, quotient):
     left = (p_total - normalized_p(sub)).scale(sub.rank)
     right = (p_total - normalized_p(quotient)).scale(quotient.rank)
     return left + right
+
+
+def slope_from_p(p, kd, rank):
+    """Oracle for slope: recover it from the k^(n-1) coefficient of a normalized polynomial."""
+    if rank <= 0:
+        raise ZeroRankError("slope recovery needs positive rank")
+    if p.coefficient(kd.n) != kd.hn / factorial(kd.n):
+        raise MalformedPolynomialError("top coefficient must equal hn / n!")
+    return factorial(kd.n - 1) * p.coefficient(kd.n - 1) - kd.c1x_h / 2
+
+
+def enumerate_invariant_subobjects(spec):
+    """The proper nonempty arrow-closed index sets of a chain, in the order realize lists them."""
+    return [frozenset(_members(mask)) for mask in _closed_masks(spec)]
 
 
 def reachable_closure(start, size, arrows):
@@ -156,6 +173,45 @@ def oracle_containment(model):
                     Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")
                 )
     return out
+
+
+class UnknownIdError(KeyError):
+    """interval_quotient_model was asked for a step outside the declared family."""
+
+
+def interval_quotient_model(model, top_id, bottom_id):
+    """Oracle for the step rule: the model of top/bottom, by plain invariant subtraction.
+
+    top_id may be the model id; bottom_id None means zero.  The family is
+    every declared entry strictly between the two, read from the contains
+    lists, with the parent's ids, so a witness names a parent entry.
+    """
+    if top_id != model.id and not model.has_entry(top_id):
+        raise UnknownIdError(top_id)
+    if bottom_id is not None and not model.has_entry(bottom_id):
+        raise UnknownIdError(bottom_id)
+
+    def minus(a, b):  # invariants of a/b; positive rank is presumed torsion-free
+        rank, chi = a.rank - b.rank, a.chi - b.chi
+        return NumericalSheafData(rank, a.deg_h - b.deg_h, chi, rank > 0 or chi.is_zero)
+
+    def data(step):
+        return model.data if step == model.id else model.entry(step).data
+
+    top = data(top_id) if bottom_id is None else minus(data(top_id), data(bottom_id))
+    between = [
+        e
+        for e in model.subobjects
+        if (top_id == model.id or e.id in model.entry(top_id).contains)
+        and (bottom_id is None or bottom_id in e.contains)
+    ]
+    ids = {e.id for e in between}
+    entries = []
+    for e in between:
+        sub = e.data if bottom_id is None else minus(e.data, data(bottom_id))
+        q = minus(top, sub)
+        entries.append(SubobjectEntry(e.id, sub, q, None if q.torsion_free else q, ids & e.contains))
+    return HiggsObjectModel(top_id, model.ambient, top, tuple(entries), model.family_complete)
 
 
 def torsion_closure_model(strict=False):

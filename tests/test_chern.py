@@ -22,7 +22,6 @@ from higgs_lab import (
     normalized_p,
     rank_p_residual,
     slope,
-    slope_from_p,
     sum_data,
 )
 from higgs_lab.chern import NumericalSheafData, leading_term_violations
@@ -37,6 +36,7 @@ from conftest import (
     fraction_order,
     oracle_rank_p_residual,
     poly,
+    slope_from_p,
     surface_entry,
     surface_model,
 )

@@ -106,6 +106,20 @@ class TestAnalyze:
     def test_missing_file(self, capsys):
         assert run(["analyze", "/no/such/file.json"]) == 2
 
+    def test_python_dash_m_runs_the_cli(self, capsys):
+        assert run(["analyze", str(HITCHIN_PAIR)]) == 0
+        src = str(Path(__file__).parents[1] / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        done = subprocess.run(
+            [sys.executable, "-m", "higgs_lab", "analyze", str(HITCHIN_PAIR)],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert (done.returncode, done.stderr) == (0, "")
+        assert done.stdout == capsys.readouterr().out != ""
+
 
 class TestFiltrationCommands:
     def test_hn_of_unstable_object(self, unstable_file, capsys):

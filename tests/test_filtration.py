@@ -11,30 +11,32 @@ import pytest
 from higgs_lab import (
     AmbiguousMaximizerError,
     ChainBoundError,
+    EventualOrder,
     Filtration,
     FiltrationKind,
     HiggsObjectModel,
     InvalidModelError,
     KahlerData,
     NotSemistableError,
+    Notion,
     NumericalSheafData,
     PreconditionUnmetError,
     StabilityClass,
     SubobjectEntry,
     TooLargeError,
-    UnknownIdError,
     all_harder_narasimhan,
     all_jordan_holder,
     chi_curve,
+    compare_p,
     direct_sum_model,
     filtration,
     gieseker_classify,
     grading,
     harder_narasimhan,
-    interval_quotient_model,
     jordan_holder,
     normalized_p,
     s_equivalent,
+    stability,
     validate,
     verify_filtration,
 )
@@ -42,9 +44,11 @@ from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
 from conftest import (
+    UnknownIdError,
     ambiguous_model,
     curve_chain,
     induced_model_failure,
+    interval_quotient_model,
     oracle_hn_chains,
     oracle_jh_chains,
     poly,
@@ -79,7 +83,12 @@ class TestInducedSubmodel:
 def interval_fixtures():
     """Valid models with every kind of entry the fixtures declare, plus 300 fuzzed chains."""
     surface = surface_model("S", 2, 0, 0)
+    kd = KahlerData.curve(1, 1)
+    line = chi_curve(kd, 1, 0)
+    # A contains B of the same invariants, so B has the full rank of the step A over zero
+    twins = (SubobjectEntry("A", line, line, contains={"B"}), SubobjectEntry("B", line, line))
     models = [
+        HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 2, 0), subobjects=twins),
         torsion_closure_model(strict=False),
         torsion_closure_model(strict=True),
         ambiguous_model(),
@@ -137,7 +146,8 @@ class TestIntervals:
                     torsion += 1
                     continue
                 expected = gieseker_classify(interval)
-                verdict = filtration._verdict(filtration._interval(m, upper, lower), quotient)
+                orders = filtration._orders(m, upper, lower, quotient)
+                verdict = stability._classify(Notion.GIESEKER, orders)
                 assert (verdict.classification, verdict.witness) == (
                     expected.classification,
                     expected.witness,
@@ -179,7 +189,9 @@ class TestIntervals:
 
 
 class TestStepQuery:
-    """_step_passes, the search's one step query, against the explainer _step_violations."""
+    """_step_passes, the search's one step query, against the explainer _step_violations
+    and against the classification of the oracle's interval model.
+    """
 
     def test_query_matches_the_explainer_on_every_step(self):
         rng = random.Random(39)
@@ -190,12 +202,23 @@ class TestStepQuery:
         for m in models:
             for upper, lower in every_step(m):
                 quotient = filtration._step_quotient(m, upper, lower)
+                oracle = None  # the interval's class, on steps of positive rank without torsion
+                if quotient.rank > 0:
+                    interval = interval_quotient_model(m, upper, lower)
+                    if validate(interval) == []:
+                        oracle = gieseker_classify(interval).classification
+                equal_p = quotient.rank > 0 and compare_p(quotient, m.data) is EventualOrder.EQUAL
+                want = {
+                    FiltrationKind.JH: equal_p and oracle is StabilityClass.STABLE,
+                    FiltrationKind.HN: oracle not in (None, StabilityClass.UNSTABLE),
+                }
                 for kind in FiltrationKind:
                     first = next(
                         filtration._step_violations(m, kind, upper, lower, quotient, None), None
                     )
                     passes = filtration._step_passes(m, kind, upper, lower, quotient)
                     assert passes is (first is None), (m.id, kind, upper, lower, first)
+                    assert passes is want[kind], (m.id, kind, upper, lower, first, oracle)
                     seen[kind, first.kind if first else "pass"] += 1
         for kind in ("QuotientRank", "QuotientTorsion", "pass"):
             assert seen[FiltrationKind.JH, kind] and seen[FiltrationKind.HN, kind], seen

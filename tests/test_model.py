@@ -18,7 +18,6 @@ from higgs_lab import (
     ZERO_SHEAF,
     chi_curve,
     direct_sum_model,
-    enumerate_invariant_subobjects,
     rank_p_residual,
     realize,
     subset_id,
@@ -27,6 +26,7 @@ from higgs_lab import (
 
 from conftest import (
     curve_chain,
+    enumerate_invariant_subobjects,
     fraction_order,
     oracle_containment,
     oracle_family,

@@ -22,7 +22,6 @@ from higgs_lab import (
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     harder_narasimhan,
-    interval_quotient_model,
     morphism_verdict,
     normalized_p,
     slope_classify,
@@ -34,6 +33,7 @@ from higgs_lab.model import realize
 from conftest import (
     ambiguous_model,
     curve_chain,
+    interval_quotient_model,
     poly,
     surface_entry,
     surface_model,
