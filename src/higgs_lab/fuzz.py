@@ -11,9 +11,8 @@ import random
 from typing import Iterator
 
 from .chern import KahlerData
-from .model import HiggsChainSpec
+from .model import HiggsChainSpec, realize
 from .modelfile import LoadedObject
-from .model import realize
 
 DEGREE_LOW, DEGREE_HIGH = -5, 5
 
@@ -43,4 +42,4 @@ def fuzz_objects(
     for index in range(count):
         spec = random_chain_spec(rng, max_rank, max_genus)
         model = realize(spec, object_id=f"fuzz{index:04d}")
-        yield LoadedObject(model, "chain", chain=spec, locally_free=True)
+        yield LoadedObject(model, chain=spec, locally_free=True)

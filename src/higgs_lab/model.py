@@ -336,73 +336,35 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
     for m in (a, b):
         if m.id == "0" or m.has_entry("0"):
             raise ValueError('the id "0" is reserved for the zero subobject')
-
-    def options(m: HiggsObjectModel):
-        # (id, data, ids weakly below) with "0" for zero and m.id for the whole object
-        zero_id, full_id = "0", m.id
-        out = [(zero_id, ZERO_SHEAF, [zero_id])]
-        for e in m.subobjects:
-            out.append((e.id, e.data, [zero_id, e.id, *sorted(e.contains)]))
-        out.append((full_id, m.data, [zero_id, *(e.id for e in m.subobjects), full_id]))
-        return out
-
-    left = list(options(a))
-    right = list(options(b))
-    pair_ok = lambda lid, rid: not (
-        (lid == "0" and rid == "0") or (lid == a.id and rid == b.id)
-    )
-
-    total = sum_data(a.data, b.data)
+    left, right = _parts(a), _parts(b)
+    label = {(lid, rid): f"{lid}(+){rid}" for lid, *_ in left for rid, *_ in right}
+    del label["0", "0"], label[a.id, b.id]  # the zero and total combinations
     entries = []
-    for lid, ldata, lbelow in left:
-        for rid, rdata, rbelow in right:
-            if not pair_ok(lid, rid):
+    for lid, ldata, lquot, ltors, lbelow in left:
+        for rid, rdata, rquot, rtors, rbelow in right:
+            eid = label.get((lid, rid))
+            if eid is None:
                 continue
-            eid = f"{lid}(+){rid}"
-            data = sum_data(ldata, rdata)
-            lquot = _factor_quotient(a, lid)
-            rquot = _factor_quotient(b, rid)
-            quotient = sum_data(lquot[0], rquot[0])
-            torsion = _merge_torsion(lquot[1], rquot[1])
-            inside = frozenset(
-                f"{l2}(+){r2}"
-                for l2 in lbelow
-                for r2 in rbelow
-                if (l2, r2) != (lid, rid) and pair_ok(l2, r2)
-            )
+            inside = {label.get((l2, r2)) for l2 in lbelow for r2 in rbelow} - {None, eid}
+            torsion = sum_data(ltors, rtors) if ltors and rtors else ltors or rtors
             entries.append(
-                SubobjectEntry(
-                    id=eid,
-                    data=data,
-                    quotient=quotient,
-                    quotient_torsion_part=torsion,
-                    contains=inside,
-                )
+                SubobjectEntry(eid, sum_data(ldata, rdata), sum_data(lquot, rquot), torsion, inside)
             )
     return HiggsObjectModel(
         id=f"{a.id}(+){b.id}",
         ambient=a.ambient,
-        data=total,
+        data=sum_data(a.data, b.data),
         subobjects=tuple(entries),
         family_complete=a.family_complete and b.family_complete,
     )
 
 
-def _factor_quotient(m: HiggsObjectModel, part_id: str):
-    """Quotient invariants of one factor by the given part, with torsion info."""
-    if part_id == "0":
-        return m.data, None
-    if part_id == m.id:
-        return ZERO_SHEAF, None
-    e = m.entry(part_id)
-    return e.quotient, e.quotient_torsion_part
-
-
-def _merge_torsion(
-    t1: Optional[NumericalSheafData], t2: Optional[NumericalSheafData]
-) -> Optional[NumericalSheafData]:
-    if t1 is None:
-        return t2
-    if t2 is None:
-        return t1
-    return sum_data(t1, t2)
+def _parts(m: HiggsObjectModel) -> list[tuple]:
+    """(id, data, quotient, torsion part, ids weakly below) for zero, each entry and m."""
+    entries = m.subobjects
+    return [
+        ("0", ZERO_SHEAF, m.data, None, ("0",)),
+        *((e.id, e.data, e.quotient, e.quotient_torsion_part, ("0", e.id, *e.contains))
+          for e in entries),
+        (m.id, m.data, ZERO_SHEAF, None, ("0", *(e.id for e in entries), m.id)),
+    ]

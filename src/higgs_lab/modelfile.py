@@ -37,7 +37,6 @@ class LoadedObject:
     """One object from a file: the model plus file-level metadata."""
 
     model: HiggsObjectModel
-    source: str  # "chain" or "model"
     chain: Optional[HiggsChainSpec] = None
     locally_free: bool = False
     surface_chern: Optional[SurfaceChernInput] = None
@@ -216,7 +215,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
             model = realize(spec, object_id=oid)
         except ValueError as exc:  # infeasible arrows and the like
             raise ParseError(f"chain {oid}: {exc}")
-        return LoadedObject(model, "chain", chain=spec, locally_free=True)
+        return LoadedObject(model, chain=spec, locally_free=True)
     if kind == "model":
         memo: dict[str, NumericalSheafData] = {}  # repeated blocks share one frozen sheaf
         with _reading(f"object {oid}"):
@@ -232,9 +231,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
                     block.get("family_complete", False), bool, f"{oid}.family_complete"
                 ),
             )
-        return LoadedObject(
-            model, "model", locally_free=locally_free, surface_chern=surface_chern
-        )
+        return LoadedObject(model, locally_free=locally_free, surface_chern=surface_chern)
     raise ParseError(f"object {oid}: unknown type {kind!r}")
 
 
@@ -242,7 +239,7 @@ def loads(text: str) -> ModelFile:
     """Parse and validate a model file; any violation rejects the file."""
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError, or an over-long integer
         raise ParseError(f"not valid JSON: {exc}")
     if not isinstance(doc, dict):
         raise ParseError("top level must be a JSON object")
@@ -272,7 +269,7 @@ def loads(text: str) -> ModelFile:
 def load(path: Union[str, Path]) -> ModelFile:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     return loads(text)
 

@@ -195,7 +195,10 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
         return _skip("direct_sum", subject, "different ambient data")
     if (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
         return _skip("direct_sum", subject, "product family too large")
-    total = direct_sum_model(a.model, b.model)
+    try:
+        total = direct_sum_model(a.model, b.model)
+    except ValueError as exc:  # two pairs, or a pair and the sum, share one label
+        return _skip("direct_sum", subject, str(exc))
     lhs = gieseker_classify(total).semistable
     va, vb = gieseker_classify(a.model), gieseker_classify(b.model)
     rhs = (

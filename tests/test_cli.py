@@ -216,6 +216,52 @@ class TestVerify:
         ]
 
     @pytest.mark.parametrize(
+        "a_entries, b_id, b_entries, detail",
+        [
+            (["p(+)q", "p"], "B", ["r", "q(+)r"], "duplicate subobject id 'p(+)q(+)r'"),
+            (["A(+)B"], "B(+)C", ["C"], "a subobject may not reuse the model id"),
+        ],
+        ids=["two-pairs", "the-sum"],
+    )
+    def test_colliding_sum_labels_skip_the_pair(
+        self, tmp_path, capsys, a_entries, b_id, b_entries, detail
+    ):
+        def sheaf(rank):  # degree 0 on a genus-1 curve
+            return {"rank": rank, "degH": "0", "chi": ["0", str(rank)]}
+
+        def model(oid, ids):
+            entries = [{"id": i, "data": sheaf(1), "quotient": sheaf(1)} for i in ids]
+            return {"type": "model", "id": oid, "data": sheaf(2), "subobjects": entries}
+
+        doc = {"ambient": {"n": 1, "genus": 1, "degH": 1},
+               "objects": [model("A", a_entries), model(b_id, b_entries)]}
+        path = tmp_path / "collide.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"skip direct_sum                 A (+) {b_id}  {detail}" in lines, lines
+        assert "checks: 14 passed, 0 failed, 1 skipped" in lines, lines
+
+    def test_product_family_limit(self, tmp_path, capsys):
+        # arrow-free chains of 5, 4 and 5 line bundles: families of (30+2)(14+2) = 512 and 1,024
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                {"type": "chain", "id": id_, "degrees": [0] * size}
+                for id_, size in (("A", 5), ("B", 4), ("C", 5))
+            ],
+        }
+        path = tmp_path / "chains.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
+        assert lines == [
+            "pass direct_sum                 A (+) B  sum_semistable=True parts=True",
+            "skip direct_sum                 A (+) C  product family too large",
+            "pass direct_sum                 B (+) C  sum_semistable=True parts=True",
+        ]
+
+    @pytest.mark.parametrize(
         "check, name, wrong",
         [
             ("stability_ladder", "slope_classify", _stable_on_split),
@@ -334,7 +380,10 @@ class TestBadInput:
     def run_all(self, tmp_path, capsys, doc, object_id) -> list[str]:
         """input_error through analyze, verify, jh and hn; return the four lines."""
         path = tmp_path / "bad.json"
-        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+        if isinstance(doc, bytes):
+            path.write_bytes(doc)
+        else:
+            path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
         lines = []
         for command in ("analyze", "verify", "jh", "hn"):
             extra = ["--object", object_id] if command in ("jh", "hn") else []
@@ -579,6 +628,17 @@ class TestBadInput:
 
     def test_deep_nesting(self, tmp_path, capsys):
         self.run_all(tmp_path, capsys, "[" * 100000 + "]" * 100000, "E")
+
+    def test_integer_beyond_the_digit_limit(self, tmp_path, capsys):
+        doc = json.dumps({"ambient": self.AMBIENT, "objects": [
+            {"type": "chain", "id": "E", "degrees": ["DEGREE"]}]})
+        lines = self.run_all(tmp_path, capsys, doc.replace('"DEGREE"', "9" * 5000), "E")
+        assert all(line.startswith("error: not valid JSON: ") for line in lines), lines
+
+    def test_bytes_beyond_utf8(self, tmp_path, capsys):
+        lines = self.run_all(tmp_path, capsys, b'{"ambient": "\xff"}', "E")
+        prefix = f"error: cannot read {tmp_path / 'bad.json'}: 'utf-8' codec can't decode"
+        assert all(line.startswith(prefix) for line in lines), lines
 
     @pytest.mark.parametrize(
         "flag, value", [("--max-rank", "0"), ("--genus", "-1"), ("--count", "-1")]

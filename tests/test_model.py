@@ -24,6 +24,8 @@ from higgs_lab import (
     validate,
 )
 
+from higgs_lab.fuzz import random_chain_spec
+
 from conftest import (
     curve_chain,
     enumerate_invariant_subobjects,
@@ -33,6 +35,7 @@ from conftest import (
     oracle_rank_p_residual,
     oracle_realization,
     poly,
+    torsion_closure_model,
 )
 
 
@@ -441,6 +444,66 @@ class TestDirectSum:
         with pytest.raises(AmbientMismatchError):
             direct_sum_model(a, b)
 
+    def test_matches_the_concatenated_chain(self):
+        """a + b of chains is the chain of a's summands, then b's: S maps to (S∩a)(+)(S∩b)."""
+
+        def side(members, size, whole):
+            if not members:
+                return "0"
+            return whole if len(members) == size else "{" + ",".join(map(str, members)) + "}"
+
+        def table(model, name):
+            return {
+                name(e.id): (e.data, e.quotient, e.quotient_torsion_part)
+                + (set(map(name, e.contains)),)
+                for e in model.subobjects
+            }
+
+        rng = random.Random(2016)
+        pairs = 0
+        while pairs < 300:
+            a, b = random_chain_spec(rng, 4, 2), random_chain_spec(rng, 4, 2)
+            if a.ambient != b.ambient:
+                continue
+            pairs += 1
+            m = a.size
+            concat = HiggsChainSpec(
+                a.ambient,
+                a.summand_degrees + b.summand_degrees,
+                a.arrows | {(i + m, j + m) for i, j in b.arrows},
+            )
+
+            def mapped(subset):
+                members = [int(i) for i in subset[1:-1].split(",")]
+                left = side([i for i in members if i <= m], m, "a")
+                return left + "(+)" + side([i - m for i in members if i > m], b.size, "b")
+
+            whole = realize(concat, object_id="a(+)b")
+            total = direct_sum_model(realize(a, object_id="a"), realize(b, object_id="b"))
+            assert (total.id, total.data) == (whole.id, whole.data)
+            assert table(total, str) == table(whole, mapped), (a, b)
+
+    def test_torsion_parts_add(self):
+        """Each sum entry carries its factors' torsion parts: one of them, or both added."""
+        e = torsion_closure_model()
+        kd = e.ambient
+        line = HiggsObjectModel(id="L", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
+        twin = HiggsObjectModel(id="T", ambient=kd, data=e.data, subobjects=e.subobjects)
+        both = NumericalSheafData(0, Fraction(2), poly(2), torsion_free=False)  # two of length one
+
+        def torsion(m, eid):
+            return m.entry(eid).quotient_torsion_part if m.has_entry(eid) else None
+
+        for other in (line, twin):
+            total = direct_sum_model(e, other)
+            assert validate(total) == []
+            for entry in total.subobjects:
+                left, right = entry.id.split("(+)")
+                parts = (torsion(e, left), torsion(other, right))
+                want = both if None not in parts else parts[0] or parts[1]
+                assert entry.quotient_torsion_part == want, entry.id
+        assert direct_sum_model(e, line).entry("F(+)L").quotient_torsion_part is not None
+        assert direct_sum_model(e, twin).entry("F(+)F").quotient_torsion_part == both
 
 def test_subset_id_sorted():
     assert subset_id([3, 1]) == "{1,3}"

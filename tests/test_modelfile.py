@@ -23,7 +23,7 @@ HITCHIN_DOC = {
 def test_chain_file_realizes():
     mf = loads(json.dumps(HITCHIN_DOC))
     (obj,) = mf.objects
-    assert obj.source == "chain"
+    assert obj.chain is not None
     assert obj.model.data.chi == poly(-2, 2)
     assert [e.id for e in obj.model.subobjects] == ["{2}"]
     assert obj.locally_free
