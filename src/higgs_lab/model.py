@@ -10,8 +10,8 @@ family_complete flag records whether that family is claimed exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property, reduce
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property, partial, reduce
 from operator import or_
 from typing import FrozenSet, Iterable, Optional
 
@@ -40,17 +40,40 @@ class SubobjectEntry:
 
     quotient_torsion_part, when present, is the rank-zero torsion of the
     quotient; contains lists the ids of declared subobjects strictly below
-    this one.
+    this one.  A realized chain entry also keeps its arrow-closed mask and the
+    chain's shared mask -> label table, and reads contains off them when first asked.
     """
 
     id: str
     data: NumericalSheafData
     quotient: NumericalSheafData
     quotient_torsion_part: Optional[NumericalSheafData] = None
-    contains: FrozenSet[str] = frozenset()
+    contains: FrozenSet[str] = field(default_factory=frozenset)
+    mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
+    labels: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "contains", frozenset(self.contains))
+
+    @classmethod
+    def realized(cls, mask: int, labels: dict, data, quotient) -> SubobjectEntry:
+        """The chain entry labels[mask]; unlike __init__, this leaves contains unset."""
+        e = cls.__new__(cls)
+        vars(e).update(id=labels[mask], data=data, quotient=quotient, quotient_torsion_part=None)
+        vars(e).update(mask=mask, labels=labels)
+        return e
+
+    def __getattr__(self, name):
+        """Reached only by the first read of a realized entry's contains."""
+        mask = vars(self).get("mask")
+        if name != "contains" or mask is None:
+            raise AttributeError(name)
+        below, sub = [], (mask - 1) & mask
+        while sub:  # every nonempty proper submask; the closed ones are below
+            below.append(self.labels.get(sub))
+            sub = (sub - 1) & mask
+        contains = vars(self)["contains"] = frozenset(below) - {None}
+        return contains
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,7 +101,7 @@ class HiggsObjectModel:
             if e.id in index:
                 raise ValueError(f"duplicate subobject id {e.id!r}")
             if e.id == self.id:
-                raise ValueError("a subobject may not reuse the model id")
+                raise ValueError(f"a subobject may not reuse the model id {e.id!r}")
             index[e.id] = e
         object.__setattr__(self, "_index", index)
 
@@ -174,28 +197,19 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     """Build the model of a chain with its full coordinate subobject family.
 
-    Each arrow-closed mask gets one label string, shared by every contains.
+    Each arrow-closed mask gets one label string, shared by every contains,
+    and each distinct (rank, degree) one sheaf, shared by every entry.
     """
     _check_arrows(spec)
-    kd, degrees = spec.ambient, spec.summand_degrees
-    full = (1 << spec.size) - 1
-    labels = {mask: subset_id(_members(mask)) for mask in _closed_masks(spec)}
-
-    def part(mask: int) -> NumericalSheafData:
+    kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
+    part, total = cache(partial(chi_curve, kd)), sum(degrees)  # one sheaf per (rank, degree)
+    labels, entries = {}, []
+    for mask in _closed_masks(spec):
         members = _members(mask)
-        return chi_curve(kd, len(members), sum(degrees[i - 1] for i in members))
-
-    entries = []
-    for mask, label in labels.items():
-        below, sub = [], (mask - 1) & mask
-        while sub:  # every nonempty proper submask; the closed ones are below
-            if sub in labels:
-                below.append(labels[sub])
-            sub = (sub - 1) & mask
-        entries.append(SubobjectEntry(label, part(mask), part(full ^ mask), contains=below))
-    return HiggsObjectModel(
-        id=object_id, ambient=kd, data=part(full), subobjects=tuple(entries), family_complete=True
-    )
+        labels[mask] = subset_id(members)
+        r, d = mask.bit_count(), sum(degrees[i - 1] for i in members)
+        entries.append(SubobjectEntry.realized(mask, labels, part(r, d), part(m - r, total - d)))
+    return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
 
 
 def _entry_violation(
@@ -258,17 +272,28 @@ def _scan(model: HiggsObjectModel) -> list[Violation]:
         )
     for problem in leading_term_violations(model.data, model.ambient):
         violations.append(Violation(model.id, "LeadingCoefficient", problem))
+    first = {}  # (data, quotient, torsion part) by identity -> its check, run once
     for e in model.subobjects:
-        v = _entry_violation(model, e)
+        key = (id(e.data), id(e.quotient), id(e.quotient_torsion_part))
+        v = first[key] = first[key] if key in first else _entry_violation(model, e)
         if v is not None:
-            violations.append(v)
+            violations.append(replace(v, subject=e.id))
     violations.extend(_containment_violations(model))
     return violations
 
 
 def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
-    """Unknown and self ids, else the order checks of each entry failing the mask screen."""
+    """Unknown and self ids, else the order checks of each entry failing the bit screen.
+
+    One chain's realized entries, each of its mask's rank, pass outright: strict
+    inclusion of closed masks is transitive, acyclic and raises the rank.
+    """
     entries = model.subobjects
+    table = entries[0].labels if entries else None
+    if table and len(table) == len(entries) and all(
+        e.labels is table and e.data.rank == e.mask.bit_count() for e in entries
+    ):
+        return []
     bit = {e.id: 1 << i for i, e in enumerate(entries)}
     try:
         below = {e.id: sum(map(bit.__getitem__, e.contains)) for e in entries}

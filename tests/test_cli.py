@@ -120,6 +120,38 @@ class TestAnalyze:
         assert (done.returncode, done.stderr) == (0, "")
         assert done.stdout == capsys.readouterr().out != ""
 
+    def test_m14_chain_within_budget(self, tmp_path):
+        """analyze on the equal-degree m=14 chain (16,382 entries): under 5 s and 100 MB."""
+        path = tmp_path / "m14.json"
+        path.write_text(json.dumps({
+            "ambient": {"n": 1, "genus": 2, "degH": 1},
+            "objects": [{"type": "chain", "id": "E", "degrees": [1] * 14}],
+        }))
+        src = str(Path(__file__).parents[1] / "src")
+        pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+        script = (
+            "import resource, sys; from higgs_lab import run; code = run(sys.argv[1:]);"
+            " print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss); sys.exit(code)"
+        )
+        start = time.perf_counter()
+        done = subprocess.run(
+            [sys.executable, "-c", script, "analyze", str(path), "--format", "json"],
+            env=dict(os.environ, PYTHONPATH=pythonpath),
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        elapsed = time.perf_counter() - start
+        assert (done.returncode, done.stderr) == (0, "")
+        report, peak_kb = done.stdout.rsplit("\n", 2)[:2]
+        assert elapsed < 5 and int(peak_kb) < 100 * 1024, (elapsed, peak_kb)
+        (block,) = json.loads(report)["objects"]
+        # every proper entry ties; the first in id order is {1,10,11,12,13,14}, not {1}
+        for notion in ("gieseker", "gieseker_by_quotients", "gieseker_torsion_free", "slope"):
+            assert (block[notion]["class"], block[notion]["witness"]) == (
+                "strictly_semistable", "{1,10,11,12,13,14}"
+            ), notion
+
 
 class TestFiltrationCommands:
     def test_hn_of_unstable_object(self, unstable_file, capsys):
@@ -219,7 +251,7 @@ class TestVerify:
         "a_entries, b_id, b_entries, detail",
         [
             (["p(+)q", "p"], "B", ["r", "q(+)r"], "duplicate subobject id 'p(+)q(+)r'"),
-            (["A(+)B"], "B(+)C", ["C"], "a subobject may not reuse the model id"),
+            (["A(+)B"], "B(+)C", ["C"], "a subobject may not reuse the model id 'A(+)B(+)C'"),
         ],
         ids=["two-pairs", "the-sum"],
     )
@@ -389,6 +421,15 @@ class TestBadInput:
             extra = ["--object", object_id] if command in ("jh", "hn") else []
             lines.append(self.input_error(capsys, [command, str(path), *extra]))
         return lines
+
+    def test_entry_reusing_the_object_id_is_named(self, tmp_path, capsys):
+        line = {"rank": 1, "degH": "0", "chi": ["0", "1"]}
+        entry = {"id": "E", "data": line, "quotient": line}
+        data = {"rank": 2, "degH": "0", "chi": ["0", "2"]}
+        doc = {"ambient": self.AMBIENT,
+               "objects": [{"type": "model", "id": "E", "data": data, "subobjects": [entry]}]}
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert set(lines) == {"error: object E: a subobject may not reuse the model id 'E'"}
 
     def test_rank_zero_model(self, tmp_path, capsys):
         zero = {"rank": 0, "degH": "0/1", "chi": []}

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+import higgs_lab.model
 from higgs_lab import (
     AmbientMismatchError,
     EventualOrder,
@@ -25,6 +26,7 @@ from higgs_lab import (
 )
 
 from higgs_lab.fuzz import random_chain_spec
+from higgs_lab.modelfile import LoadedObject, model_to_json
 
 from conftest import (
     curve_chain,
@@ -216,6 +218,81 @@ class TestRealize:
         assert curve_chain(1, 1, (0,)).family_complete
 
 
+class TestLazyContains:
+    """A realized entry derives contains from its mask on first read, and the mask screen holds."""
+
+    @staticmethod
+    def chains(count):
+        rng = random.Random(1406)
+        specs = [random_chain_spec(rng, 6, 3) for _ in range(count)]
+        assert sum(bool(s.arrows) for s in specs) > count // 2
+        return specs
+
+    def test_contains_matches_the_oracle(self):
+        for spec in self.chains(300):
+            model = realize(spec)
+            assert not any("contains" in vars(e) for e in model.subobjects)  # nothing derived yet
+            assert validate(model) == []
+            assert not any("contains" in vars(e) for e in model.subobjects)  # the screen reads none
+            expected = oracle_realization(spec)
+            assert {e.id: e.contains for e in model.subobjects} == {
+                eid: below for eid, (_, _, below) in expected.items()
+            }
+            assert oracle_containment(model) == []
+            written = model_to_json(LoadedObject(model))["subobjects"]
+            assert {e["id"]: e["contains"] for e in written} == {
+                eid: sorted(below) for eid, (_, _, below) in expected.items()
+            }
+
+    def test_entry_of_the_wrong_rank_is_reported(self):
+        """An entry whose rank is not its mask's bit count drops the model to the per-id screen."""
+        planted = 0
+        for spec in self.chains(300):
+            model = realize(spec)
+            pairs = [(e, x) for x in model.subobjects for e in model.subobjects if e.id in x.contains]
+            if not pairs:
+                continue
+            e, x = pairs[planted % len(pairs)]
+            # e takes x's rank and one degree more: a consistent entry, but x contains it
+            kd, rank, degree = model.ambient, x.data.rank, x.data.deg_h + 1
+            wrong = SubobjectEntry.realized(
+                e.mask, e.labels, chi_curve(kd, rank, degree),
+                chi_curve(kd, model.data.rank - rank, model.data.deg_h - degree),
+            )
+            bad = HiggsObjectModel(
+                model.id, kd, model.data,
+                tuple(wrong if y is e else y for y in model.subobjects), model.family_complete,
+            )
+            expected = oracle_containment(bad)
+            assert f"{x.id}: Containment (contains {e.id} of equal rank, larger chi)" in map(
+                str, expected
+            )
+            assert validate(bad) == expected
+            planted += 1
+        assert planted > 100
+
+    def test_part_of_a_chain_gets_the_id_checks(self):
+        """Entries of one chain that miss some of its closed masks are screened by id."""
+        model = curve_chain(1, 1, (0, 0, 0))
+        kept = tuple(e for e in model.subobjects if e.id != "{1}")
+        part = HiggsObjectModel(model.id, model.ambient, model.data, kept)
+        assert [str(v) for v in validate(part)] == [
+            "{1,2}: Containment (contains unknown ids ['{1}'])",
+            "{1,3}: Containment (contains unknown ids ['{1}'])",
+        ] == [str(v) for v in oracle_containment(part)]
+
+
+class TestSharedSheaves:
+    def test_one_sheaf_per_rank_and_degree(self):
+        for spec in TestLazyContains.chains(100):
+            model = realize(spec)
+            sheaves = [model.data] + [s for e in model.subobjects for s in (e.data, e.quotient)]
+            by_key = {}
+            for s in sheaves:
+                by_key.setdefault((s.rank, s.deg_h), set()).add(id(s))
+            assert all(len(ids) == 1 for ids in by_key.values()), spec
+
+
 class TestValidate:
     def test_realize_is_clean(self):
         rng = random.Random(9)
@@ -388,6 +465,34 @@ class TestValidate:
             entry = SubobjectEntry(id="F", data=sub, quotient=quotient)
             m = HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(entry,))
             assert [v.kind for v in validate(m)] == [kind]
+
+    def test_a_repeated_invalid_pair_is_checked_once(self, monkeypatch):
+        """One check per distinct (data, quotient, torsion part), one violation per entry."""
+        kd = KahlerData.curve(1, 1)
+        sub, bad_quotient = chi_curve(kd, 1, 1), chi_curve(kd, 1, -2)  # chi does not add up
+        good = SubobjectEntry("B", chi_curve(kd, 1, 0), chi_curve(kd, 1, 0))
+        shared = HiggsObjectModel(
+            "E", kd, chi_curve(kd, 2, 0),
+            (SubobjectEntry("A", sub, bad_quotient), good, SubobjectEntry("C", sub, bad_quotient)),
+        )
+        unshared = HiggsObjectModel(
+            "E", kd, shared.data,
+            tuple(dataclasses.replace(e, data=dataclasses.replace(e.data)) for e in shared.subobjects),
+        )
+        calls = []
+        original = higgs_lab.model._entry_violation
+        monkeypatch.setattr(
+            higgs_lab.model, "_entry_violation",
+            lambda model, e: calls.append((model, e.id)) or original(model, e),
+        )
+        found = validate(shared)
+        assert [str(v) for v in found] == [
+            "A: ChiAdditivity (chi_F + chi_Q differs from chi_E)",
+            "C: ChiAdditivity (chi_F + chi_Q differs from chi_E)",
+        ]
+        assert found == validate(unshared)
+        assert [eid for model, eid in calls if model is shared] == ["A", "B"]
+        assert [eid for model, eid in calls if model is unshared] == ["A", "B", "C"]
 
     def test_result_is_a_fresh_list(self):
         kd = KahlerData.curve(1, 1)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import higgs_lab.model
 from higgs_lab import ParseError, loads, modelfile, realize
 from higgs_lab.cli import run
 from higgs_lab.modelfile import kahler_to_json, model_to_json, sheaf_to_json
@@ -235,3 +236,33 @@ class TestRepeatedBlocks:
         assert [(run(argv), capsys.readouterr()) for argv in commands] == shared
         assert [code for code, _ in shared] == [0, 0, 0]
 
+
+class TestSharedChainSheaves:
+    """realize builds one sheaf per (rank, degree); reports match a fresh sheaf per entry."""
+
+    DOC = {
+        "ambient": {"n": 1, "genus": 2, "degH": 1},
+        "objects": [
+            {"type": "chain", "id": "E", "degrees": [1, 1, 1, 1]},
+            {"type": "chain", "id": "H", "degrees": [3, 1, 0], "arrows": [[1, 2], [2, 3]]},
+            {"type": "chain", "id": "U", "degrees": [2, 0, 1]},
+        ],
+    }
+
+    @staticmethod
+    def sheaves(model):
+        return [model.data] + [s for e in model.subobjects for s in (e.data, e.quotient)]
+
+    def test_reports_match_unshared_sheaves(self, tmp_path, monkeypatch, capsys):
+        path = tmp_path / "chains.json"
+        path.write_text(json.dumps(self.DOC))
+        commands = [["analyze", str(path)], ["verify", str(path)]]
+        commands += [["jh", str(path), "--object", "E"], ["hn", str(path), "--object", "U"]]
+        model = loads(json.dumps(self.DOC)).objects[0].model
+        assert len({id(s) for s in self.sheaves(model)}) == 4  # ranks 1, 2, 3 and the object
+        shared = [(run(argv), capsys.readouterr()) for argv in commands]
+        monkeypatch.setattr(higgs_lab.model, "cache", lambda build: build)  # a fresh sheaf per call
+        model = loads(json.dumps(self.DOC)).objects[0].model
+        assert len({id(s) for s in self.sheaves(model)}) == 2 * 14 + 1
+        assert [(run(argv), capsys.readouterr()) for argv in commands] == shared
+        assert [code for code, _ in shared] == [0, 0, 0, 0]

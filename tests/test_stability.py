@@ -91,12 +91,16 @@ class TestGiesekerClassify:
 
 class TestGate:
     def test_each_model_is_scanned_once(self, monkeypatch):
+        """Each distinct sheaf triple once per model, no rescan across the five classifiers."""
         scans = []
         original = higgs_lab.model._entry_violation
 
         def counting(model, entry):
-            scans.append((model, entry.id))  # keeps models alive, so ids stay unique
+            scans.append((model, entry))  # keeps models alive, so ids stay unique
             return original(model, entry)
+
+        def triple(e):
+            return id(e.data), id(e.quotient), id(e.quotient_torsion_part)
 
         monkeypatch.setattr(higgs_lab.model, "_entry_violation", counting)
         m = curve_chain(1, 1, (0, 0, 1))
@@ -108,13 +112,13 @@ class TestGate:
             harder_narasimhan,
         ):
             classify(m)
-        assert sorted(eid for model, eid in scans if model is m) == [
-            e.id for e in m.subobjects
-        ]
+        scanned = sorted(triple(e) for model, e in scans if model is m)
+        assert scanned == sorted({triple(e) for e in m.subobjects})
+        assert len(scanned) == 4 < len(m.subobjects)  # {1} and {2}, {1,3} and {2,3} share
         per_model = {}
-        for model, eid in scans:
-            per_model.setdefault(id(model), []).append(eid)
-        assert all(len(ids) == len(set(ids)) for ids in per_model.values())
+        for model, e in scans:
+            per_model.setdefault(id(model), []).append(triple(e))
+        assert all(len(keys) == len(set(keys)) for keys in per_model.values())
 
 
 class TestSlopeClassify:
