@@ -166,24 +166,6 @@ def subset_id(members: Iterable[int]) -> str:
     return "{" + ",".join(str(i) for i in sorted(members)) + "}"
 
 
-def _members(mask: int) -> list[int]:
-    """The indices of a mask, ascending; bit i-1 stands for summand i."""
-    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
-
-
-def _closed_masks(spec: HiggsChainSpec) -> list[int]:
-    """All proper nonempty arrow-closed index sets as masks, by size, then lexicographically.
-
-    A coordinate subobject is invariant under the field exactly when its
-    index set is closed under arrows: i in S and (i, j) an arrow forces
-    j in S.  The empty set and the full set are omitted.
-    """
-    arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]
-    masks = range(1, (1 << spec.size) - 1)
-    closed = (m for m in masks if all(m & j for i, j in arrows if m & i))
-    return sorted(closed, key=lambda mask: (mask.bit_count(), _members(mask)))
-
-
 def _check_arrows(spec: HiggsChainSpec) -> None:
     g = spec.ambient.genus
     d = spec.summand_degrees
@@ -195,21 +177,31 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 
 
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
-    """Build the model of a chain with its full coordinate subobject family.
+    """Build the model of a chain: one entry per proper nonempty arrow-closed index set.
 
-    Each arrow-closed mask gets one label string, shared by every contains,
-    and each distinct (rank, degree) one sheaf, shared by every entry.
+    Each such mask gets one label string, shared by every contains, and each
+    distinct (rank, degree) one sheaf, shared by every entry.
     """
     _check_arrows(spec)
     kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
     part, total = cache(partial(chi_curve, kd)), sum(degrees)  # one sheaf per (rank, degree)
+    arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]  # bit i-1 for summand i
     labels, entries = {}, []
-    for mask in _closed_masks(spec):
-        members = _members(mask)
-        labels[mask] = subset_id(members)
-        r, d = mask.bit_count(), sum(degrees[i - 1] for i in members)
+    closed = (s for s in range(1, (1 << m) - 1) if all(s & j for i, j in arrows if s & i))
+    for mask in closed:
+        members = [i + 1 for i in range(m) if mask >> i & 1]
+        labels[mask] = "{" + ",".join(map(str, members)) + "}"
+        r, d = len(members), sum([degrees[i - 1] for i in members])
         entries.append(SubobjectEntry.realized(mask, labels, part(r, d), part(m - r, total - d)))
     return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
+
+
+def chain_sum(a: HiggsChainSpec, b: HiggsChainSpec) -> HiggsChainSpec:
+    """The chain of a + b: a's summands, then b's, with b's arrows shifted by a.size."""
+    if a.ambient != b.ambient:
+        raise AmbientMismatchError("direct sum needs a common ambient")
+    arrows = a.arrows | {(i + a.size, j + a.size) for i, j in b.arrows}
+    return HiggsChainSpec(a.ambient, a.summand_degrees + b.summand_degrees, arrows)
 
 
 def _entry_violation(
@@ -364,17 +356,21 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
     left, right = _parts(a), _parts(b)
     label = {(lid, rid): f"{lid}(+){rid}" for lid, *_ in left for rid, *_ in right}
     del label["0", "0"], label[a.id, b.id]  # the zero and total combinations
-    entries = []
+    sums, entries = {}, []  # sums by operand identity: shared sheaves give shared sums
+
+    def add(x, y):  # so that _scan checks each distinct sum triple once
+        if (key := (id(x), id(y))) not in sums:
+            sums[key] = sum_data(x, y)
+        return sums[key]
+
     for lid, ldata, lquot, ltors, lbelow in left:
         for rid, rdata, rquot, rtors, rbelow in right:
             eid = label.get((lid, rid))
             if eid is None:
                 continue
             inside = {label.get((l2, r2)) for l2 in lbelow for r2 in rbelow} - {None, eid}
-            torsion = sum_data(ltors, rtors) if ltors and rtors else ltors or rtors
-            entries.append(
-                SubobjectEntry(eid, sum_data(ldata, rdata), sum_data(lquot, rquot), torsion, inside)
-            )
+            tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
+            entries.append(SubobjectEntry(eid, add(ldata, rdata), add(lquot, rquot), tors, inside))
     return HiggsObjectModel(
         id=f"{a.id}(+){b.id}",
         ambient=a.ambient,

@@ -24,7 +24,7 @@ from .filtration import (
     harder_narasimhan,
 )
 from .hilbert import EventualOrder, format_rational
-from .model import direct_sum_model
+from .model import chain_sum, direct_sum_model, realize
 from .modelfile import LoadedObject
 from .stability import (
     IncompleteTorsionClosureError,
@@ -35,7 +35,7 @@ from .stability import (
     slope_classify,
 )
 
-PAIR_FAMILY_LIMIT = 600  # product families beyond this are skipped, not built
+PAIR_FAMILY_LIMIT = 600  # sum families beyond this are skipped, not built
 
 
 @dataclass(frozen=True)
@@ -195,8 +195,11 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
         return _skip("direct_sum", subject, "different ambient data")
     if (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
         return _skip("direct_sum", subject, "product family too large")
-    try:
-        total = direct_sum_model(a.model, b.model)
+    try:  # a chain pair is summed as one chain, a declared pair as a product family
+        if a.chain and b.chain:
+            total = realize(chain_sum(a.chain, b.chain))
+        else:
+            total = direct_sum_model(a.model, b.model)
     except ValueError as exc:  # two pairs, or a pair and the sum, share one label
         return _skip("direct_sum", subject, str(exc))
     lhs = gieseker_classify(total).semistable

@@ -26,7 +26,6 @@ from higgs_lab import (
     verify_filtration,
 )
 from higgs_lab.hilbert import HilbertPolynomial
-from higgs_lab.model import _closed_masks, _members
 
 
 def curve_chain(genus, deg_h, degrees, arrows=(), object_id="E"):
@@ -86,8 +85,26 @@ def slope_from_p(p, kd, rank):
     return factorial(kd.n - 1) * p.coefficient(kd.n - 1) - kd.c1x_h / 2
 
 
+def _members(mask):
+    """The indices of a mask, ascending; bit i-1 stands for summand i."""
+    return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
+
+
+def _closed_masks(spec):
+    """All proper nonempty arrow-closed index sets as masks, by size, then lexicographically.
+
+    A coordinate subobject is invariant under the field exactly when its
+    index set is closed under arrows: i in S and (i, j) an arrow forces
+    j in S.  The empty set and the full set are omitted.
+    """
+    arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]
+    masks = range(1, (1 << spec.size) - 1)
+    closed = (m for m in masks if all(m & j for i, j in arrows if m & i))
+    return sorted(closed, key=lambda mask: (mask.bit_count(), _members(mask)))
+
+
 def enumerate_invariant_subobjects(spec):
-    """The proper nonempty arrow-closed index sets of a chain, in the order realize lists them."""
+    """The proper nonempty arrow-closed index sets of a chain, by size, then lexicographically."""
     return [frozenset(_members(mask)) for mask in _closed_masks(spec)]
 
 

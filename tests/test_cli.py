@@ -16,7 +16,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from higgs_lab import HilbertPolynomial, StabilityClass, StabilityVerdict, run, suite
+from higgs_lab import HilbertPolynomial, StabilityClass, StabilityVerdict, load, run, suite
+from higgs_lab.modelfile import model_to_json
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
@@ -64,6 +65,14 @@ def _stable_on_split(classify):
         return StabilityVerdict(verdict.notion, StabilityClass.STABLE)
 
     return wrong
+
+
+def _declared_pair(tmp_path):
+    """The Hitchin pair written back as declared models, which direct_sum_model sums."""
+    objects = [model_to_json(obj) for obj in load(HITCHIN_PAIR).objects]
+    path = tmp_path / "hitchin_declared.json"
+    path.write_text(json.dumps({"ambient": HITCHIN["ambient"], "objects": objects}))
+    return path
 
 
 @pytest.fixture
@@ -293,6 +302,46 @@ class TestVerify:
             "pass direct_sum                 B (+) C  sum_semistable=True parts=True",
         ]
 
+    def test_only_declared_pairs_reach_the_product_family(self, monkeypatch, tmp_path, capsys):
+        """Chain pairs are summed by chain_sum; direct_sum_model serves declared pairs."""
+        calls = []
+        real = suite.direct_sum_model
+        monkeypatch.setattr(
+            suite, "direct_sum_model", lambda a, b: calls.append((a.id, b.id)) or real(a, b)
+        )
+        assert run(["fuzz", "--seed", "0", "--count", "100", "--max-rank", "5"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert any(line.startswith("pass direct_sum") for line in lines)
+        assert calls == []
+        assert run(["verify", str(_declared_pair(tmp_path))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert calls == [("hitchin", "split")]
+        assert (
+            "pass direct_sum                 hitchin (+) split  sum_semistable=False parts=False"
+            in lines
+        ), lines
+
+    def test_direct_sum_lines_on_one_slope(self, tmp_path, capsys):
+        # the shape of the deep-search workload: a Hitchin pair and an equal-degree m=5 chain,
+        # all of slope -1 on a genus-3 curve
+        doc = {
+            "ambient": {"n": 1, "genus": 3, "degH": 2},
+            "objects": [
+                {"type": "chain", "id": "hitchin", "degrees": [1, -3], "arrows": [[1, 2]]},
+                {"type": "chain", "id": "split", "degrees": [1, -3]},
+                {"type": "chain", "id": "chain", "degrees": [-1] * 5},
+            ],
+        }
+        path = tmp_path / "one_slope.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
+        assert lines == [
+            "pass direct_sum                 hitchin (+) split  sum_semistable=False parts=False",
+            "pass direct_sum                 hitchin (+) chain  sum_semistable=True parts=True",
+            "pass direct_sum                 split (+) chain  sum_semistable=False parts=False",
+        ]
+
     @pytest.mark.parametrize(
         "check, name, wrong",
         [
@@ -303,13 +352,19 @@ class TestVerify:
             ("dim1_coincidence", "slope_classify", _stable_on_split),
             ("jh_grading_invariance", "all_jordan_holder", lambda real: lambda model: []),
             ("hn_uniqueness", "all_harder_narasimhan", lambda real: lambda model: []),
-            ("direct_sum", "direct_sum_model", lambda real: lambda a, b: a),  # the sum is hitchin
+            ("direct_sum", "chain_sum", lambda real: lambda a, b: a),  # the sum is hitchin
+            ("direct_sum", "direct_sum_model", lambda real: lambda a, b: a),
         ],
     )
-    def test_every_check_can_fail(self, monkeypatch, capsys, check, name, wrong):
-        """A wrong answer from the one function a check judges makes the check fail."""
+    def test_every_check_can_fail(self, monkeypatch, capsys, tmp_path, check, name, wrong):
+        """A wrong answer from the one function a check judges makes the check fail.
+
+        Only a declared pair reaches direct_sum_model, so that plant runs on the
+        Hitchin pair written back as declared models.
+        """
+        path = _declared_pair(tmp_path) if name == "direct_sum_model" else HITCHIN_PAIR
         monkeypatch.setattr(suite, name, wrong(getattr(suite, name)))
-        assert run(["verify", str(HITCHIN_PAIR), "--format", "json"]) == 1
+        assert run(["verify", str(path), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
         assert any(c["check"] == check and c["status"] == "fail" for c in report["checks"])
 

@@ -1,6 +1,7 @@
 """Chain realization, subobject enumeration, validation, and direct sums."""
 
 import dataclasses
+import json
 import random
 from fractions import Fraction
 
@@ -17,8 +18,10 @@ from higgs_lab import (
     NumericalSheafData,
     SubobjectEntry,
     ZERO_SHEAF,
+    chain_sum,
     chi_curve,
     direct_sum_model,
+    gieseker_classify,
     rank_p_residual,
     realize,
     subset_id,
@@ -26,7 +29,7 @@ from higgs_lab import (
 )
 
 from higgs_lab.fuzz import random_chain_spec
-from higgs_lab.modelfile import LoadedObject, model_to_json
+from higgs_lab.modelfile import LoadedObject, loads, model_to_json
 
 from conftest import (
     curve_chain,
@@ -548,9 +551,17 @@ class TestDirectSum:
         b = curve_chain(2, 1, (0,))
         with pytest.raises(AmbientMismatchError):
             direct_sum_model(a, b)
+        with pytest.raises(AmbientMismatchError):
+            chain_sum(
+                HiggsChainSpec(KahlerData.curve(1, 1), (0,)),
+                HiggsChainSpec(KahlerData.curve(2, 1), (0,)),
+            )
 
     def test_matches_the_concatenated_chain(self):
-        """a + b of chains is the chain of a's summands, then b's: S maps to (S∩a)(+)(S∩b)."""
+        """a + b of chains is the chain of a's summands, then b's: S maps to (S∩a)(+)(S∩b).
+
+        chain_sum builds that chain, and both routes to the sum classify alike.
+        """
 
         def side(members, size, whole):
             if not members:
@@ -583,10 +594,51 @@ class TestDirectSum:
                 left = side([i for i in members if i <= m], m, "a")
                 return left + "(+)" + side([i - m for i in members if i > m], b.size, "b")
 
-            whole = realize(concat, object_id="a(+)b")
+            assert chain_sum(a, b) == concat, (a, b)
+            whole = realize(chain_sum(a, b), object_id="a(+)b")
             total = direct_sum_model(realize(a, object_id="a"), realize(b, object_id="b"))
             assert (total.id, total.data) == (whole.id, whole.data)
             assert table(total, str) == table(whole, mapped), (a, b)
+            verdicts = gieseker_classify(total), gieseker_classify(whole)
+            assert verdicts[0].classification is verdicts[1].classification, (a, b)
+
+    def test_a_declared_pair_shares_its_sums(self, monkeypatch):
+        """Sums of shared blocks are shared: one check per distinct triple, same violations."""
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                model_to_json(LoadedObject(curve_chain(1, 1, (0,) * size, object_id=oid)))
+                for oid, size in (("A", 3), ("B", 2))
+            ],
+        }
+        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
+        assert a.entry("{1}").data is a.entry("{2}").data  # the loader shares repeated blocks
+        kd = a.ambient
+        wrong = chi_curve(kd, 2, 1)  # one shared quotient whose chi does not add up
+        bad = HiggsObjectModel("A", kd, a.data, tuple(
+            dataclasses.replace(e, quotient=wrong) if e.data.rank == 1 else e for e in a.subobjects
+        ))
+        calls = []
+        original = higgs_lab.model._entry_violation
+        monkeypatch.setattr(
+            higgs_lab.model, "_entry_violation",
+            lambda model, e: calls.append(model) or original(model, e),
+        )
+        for factor, expected in ((a, 0), (bad, 12)):  # 3 entries of rank 1 in A, 4 parts of B
+            total = direct_sum_model(factor, b)
+            unshared = HiggsObjectModel(total.id, kd, total.data, tuple(
+                dataclasses.replace(
+                    e, data=dataclasses.replace(e.data), quotient=dataclasses.replace(e.quotient)
+                )
+                for e in total.subobjects
+            ))
+            found = validate(total)
+            assert found == validate(unshared)
+            assert len(found) == expected
+            assert {v.kind for v in found} <= {"ChiAdditivity"}
+            # one check per (rank in A, rank in B): 4 x 3 - 2 of them, for 8 x 4 - 2 entries
+            assert len(total.subobjects) == 30
+            assert calls.count(total) == 10 and calls.count(unshared) == 30
 
     def test_torsion_parts_add(self):
         """Each sum entry carries its factors' torsion parts: one of them, or both added."""
