@@ -35,7 +35,6 @@ from .model import (
     chain_sum,
     direct_sum_model,
     realize,
-    subset_id,
     validate,
 )
 from .stability import (

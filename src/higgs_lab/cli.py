@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from math import inf
 from typing import Sequence
 
 from .chern import normalized_p, slope
@@ -25,6 +26,7 @@ from .filtration import (
     jordan_holder,
 )
 from .hilbert import format_rational
+from .model import REALIZE_MASK_BOUND
 from .modelfile import LoadedObject, ModelFile, ParseError, load, sheaf_to_json
 from .stability import (
     IncompleteTorsionClosureError,
@@ -109,12 +111,7 @@ def _print_table(report: dict) -> None:
     if "objects" in report:
         for block in report["objects"]:
             print(f"object {block['id']}")
-            for key in (
-                "gieseker",
-                "gieseker_by_quotients",
-                "gieseker_torsion_free",
-                "slope",
-            ):
+            for key in ("gieseker", "gieseker_by_quotients", "gieseker_torsion_free", "slope"):
                 v = block[key]
                 if "skipped" in v:
                     line = f"skipped: {v['skipped']}"
@@ -215,13 +212,13 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_fuzz(args) -> int:
-    for flag, value, least in (
-        ("--count", args.count, 0),
-        ("--max-rank", args.max_rank, 1),
-        ("--genus", args.genus, 0),
-    ):
-        if value < least:
-            print(f"error: {flag} must be at least {least}, got {value}", file=sys.stderr)
+    summands = REALIZE_MASK_BOUND.bit_length() - 1  # the largest chain realize walks
+    limits = (("--count", args.count, 0, inf), ("--max-rank", args.max_rank, 1, summands),
+              ("--genus", args.genus, 0, inf))
+    for flag, value, least, most in limits:
+        if not least <= value <= most:
+            limit = f"at least {least}" if value < least else f"at most {most}"
+            print(f"error: {flag} must be {limit}, got {value}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     chain_bound()
     objects = list(
@@ -283,25 +280,14 @@ def run(argv: Sequence[str]) -> int:
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
     try:
-        if args.command == "analyze":
-            return _cmd_analyze(args)
-        if args.command == "jh":
-            return _cmd_filtration(args, "jh")
-        if args.command == "hn":
-            return _cmd_filtration(args, "hn")
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "fuzz":
-            return _cmd_fuzz(args)
-    except ParseError as exc:
+        if args.command in ("jh", "hn"):
+            return _cmd_filtration(args, args.command)
+        commands = {"analyze": _cmd_analyze, "verify": _cmd_verify, "fuzz": _cmd_fuzz}
+        return commands[args.command](args)
+    except (ParseError, ChainBoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     except InvalidModelError as exc:
         print(f"error: invalid model: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except ChainBoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
     return EXIT_INPUT_ERROR
 
 

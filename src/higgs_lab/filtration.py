@@ -105,13 +105,21 @@ def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
     return model.data if step == model.id else model.entry(step).data
 
 
+def _below(a: SubobjectEntry, b: SubobjectEntry) -> bool:
+    """Whether a lies strictly below b: a.key & ~b.key == 0, and a is not b."""
+    return a.key & b.key == a.key and a is not b
+
+
 def _between(model: HiggsObjectModel, upper: str, lower: Optional[str]) -> Sequence[SubobjectEntry]:
     """Entries strictly between two steps, in id order; upper may be the object, lower None."""
-    if upper == model.id:
-        entries = model.subobjects
-    else:
-        entries = [model.entry(i) for i in sorted(model.entry(upper).contains)]
-    return entries if lower is None else [e for e in entries if lower in e.contains]
+    entries = model.subobjects
+    if upper != model.id:  # _below, inline: this scan runs for every step
+        top = model.entry(upper)
+        entries = [e for e in entries if e.key & top.key == e.key and e is not top]
+    if lower is not None:
+        low = model.entry(lower)
+        entries = [e for e in entries if low.key & e.key == low.key and e is not low]
+    return entries
 
 
 def _orders(
@@ -429,11 +437,11 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
     if any(s == model.id for s in ordered[1:]):
         return [Violation(model.id, "Chain", "the object may only bound the chain")]
 
-    # strict descent through the declared containment order
+    # strict descent through the containment order of the keys
     out = [
         Violation(lower, "Chain", f"{lower} is not strictly below {upper}")
         for upper, lower in zip(ordered, ordered[1:])
-        if upper != model.id and lower not in model.entry(upper).contains
+        if upper != model.id and not _below(model.entry(lower), model.entry(upper))
     ]
     if out:
         return out

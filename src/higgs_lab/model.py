@@ -10,9 +10,11 @@ family_complete flag records whether that family is claimed exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import InitVar, dataclass, field, replace
 from functools import cache, cached_property, partial, reduce
-from operator import or_
+from itertools import repeat
+from math import inf
+from operator import attrgetter, or_
 from typing import FrozenSet, Iterable, Optional
 
 from .chern import (
@@ -34,46 +36,53 @@ class AmbientMismatchError(ValueError):
     """Two models over different ambient data cannot be combined."""
 
 
+class RealizeBoundError(ValueError):
+    """A chain has more index sets than realize walks."""
+
+
+REALIZE_MASK_BOUND = 1 << 16  # index sets realize walks: chains of up to 16 summands
+
+
 @dataclass(frozen=True)
 class SubobjectEntry:
     """One declared subobject F with the invariants of F and of E/F.
 
     quotient_torsion_part, when present, is the rank-zero torsion of the
-    quotient; contains lists the ids of declared subobjects strictly below
-    this one.  A realized chain entry also keeps its arrow-closed mask and the
-    chain's shared mask -> label table, and reads contains off them when first asked.
+    quotient.  a lies strictly below b exactly when a.key & ~b.key == 0 and a
+    is not b; names, shared by a lattice's entries, maps its keys to ids, and
+    contains (the ids below) is derived from the two.  An entry built by hand
+    passes contains ids, which its model turns into keys (see declared_entries).
     """
 
     id: str
     data: NumericalSheafData
     quotient: NumericalSheafData
     quotient_torsion_part: Optional[NumericalSheafData] = None
-    contains: FrozenSet[str] = field(default_factory=frozenset)
-    mask: Optional[int] = field(default=None, init=False, repr=False, compare=False)
-    labels: Optional[dict] = field(default=None, init=False, repr=False, compare=False)
+    contains: InitVar[Optional[Iterable[str]]] = None
+    key: Optional[int] = None
+    names: Optional[dict] = field(default=None, repr=False, compare=False)
+    claims: Optional[FrozenSet[str]] = field(default=None, init=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "contains", frozenset(self.contains))
+    def __post_init__(self, contains):
+        if contains is not None or self.key is None:
+            object.__setattr__(self, "claims", frozenset(contains or ()))
 
-    @classmethod
-    def realized(cls, mask: int, labels: dict, data, quotient) -> SubobjectEntry:
-        """The chain entry labels[mask]; unlike __init__, this leaves contains unset."""
-        e = cls.__new__(cls)
-        vars(e).update(id=labels[mask], data=data, quotient=quotient, quotient_torsion_part=None)
-        vars(e).update(mask=mask, labels=labels)
-        return e
 
-    def __getattr__(self, name):
-        """Reached only by the first read of a realized entry's contains."""
-        mask = vars(self).get("mask")
-        if name != "contains" or mask is None:
-            raise AttributeError(name)
-        below, sub = [], (mask - 1) & mask
-        while sub:  # every nonempty proper submask; the closed ones are below
-            below.append(self.labels.get(sub))
-            sub = (sub - 1) & mask
-        contains = vars(self)["contains"] = frozenset(below) - {None}
-        return contains
+def _contains(e: SubobjectEntry) -> FrozenSet[str]:
+    """The ids strictly below e: its own ids, else the names of the keys inside its key."""
+    if e.claims is not None:
+        return e.claims
+    key, names = e.key, e.names
+    if 1 << key.bit_count() >= len(names):  # no fewer submasks than keys: scan the keys
+        return frozenset(i for k, i in names.items() if k & key == k) - {e.id}
+    subs, sub = [], key
+    while sub:
+        sub = (sub - 1) & key
+        subs.append(sub)
+    return frozenset(map(names.get, subs)) - {None, e.id}
+
+
+SubobjectEntry.contains = property(_contains)  # after the class, past the InitVar's default
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,17 +101,29 @@ class HiggsObjectModel:
     subobjects: tuple[SubobjectEntry, ...]
     family_complete: bool = False
     _index: dict = field(init=False, repr=False, default=None)
+    _unsound: FrozenSet[str] = field(init=False, repr=False, default=frozenset())
 
     def __post_init__(self):
-        entries = tuple(sorted(self.subobjects, key=lambda e: e.id))
+        entries = tuple(sorted(self.subobjects, key=attrgetter("id")))
+        index = {e.id: e for e in entries}
+        if len(index) < len(entries) or self.id in index:  # name the first in id order
+            seen = set()
+            for e in entries:
+                if e.id in seen:
+                    raise ValueError(f"duplicate subobject id {e.id!r}")
+                if e.id == self.id:
+                    raise ValueError(f"a subobject may not reuse the model id {e.id!r}")
+                seen.add(e.id)
+        shared = entries[0].names if entries else {}
+        if shared is None or len(shared) != len(entries) or any(
+            e.names is not shared or e.claims is not None for e in entries
+        ):  # keys from one table of exactly these entries stand; any others are redone
+            entries, unsound = declared_entries(
+                [(e.id, e.data, e.quotient, e.quotient_torsion_part, e.contains) for e in entries]
+            )
+            object.__setattr__(self, "_unsound", unsound)
+            index = {e.id: e for e in entries}
         object.__setattr__(self, "subobjects", entries)
-        index = {}
-        for e in entries:
-            if e.id in index:
-                raise ValueError(f"duplicate subobject id {e.id!r}")
-            if e.id == self.id:
-                raise ValueError(f"a subobject may not reuse the model id {e.id!r}")
-            index[e.id] = e
         object.__setattr__(self, "_index", index)
 
     def entry(self, entry_id: str) -> SubobjectEntry:
@@ -162,8 +183,30 @@ class Violation:
         return f"{self.subject}: {self.kind} ({self.detail})"
 
 
-def subset_id(members: Iterable[int]) -> str:
-    return "{" + ",".join(str(i) for i in sorted(members)) + "}"
+def declared_entries(rows: list[tuple]) -> tuple[tuple[SubobjectEntry, ...], FrozenSet[str]]:
+    """Entries from (id, data, quotient, torsion part, contains ids) rows, and the unsound ids.
+
+    A key is the entry's bit, in id order, OR its members' bits.  Shorter lists go
+    first, so a sound entry's members' keys OR to its ids' bits (as many as its ids,
+    all distinct, not its own).  Any other entry is unsound; then all keep their ids.
+    """
+    bit = {eid: 1 << i for i, eid in enumerate(sorted(row[0] for row in rows))}
+    keys, unsound = {}, set()
+    for eid, *_, ids in sorted(rows, key=lambda row: len(row[-1])):
+        try:
+            below = reduce(or_, map(keys.__getitem__, ids), 0)
+            sound = below.bit_count() == len(ids) == len(set(ids))
+        except KeyError:
+            sound = False
+        if not sound:
+            below = reduce(or_, map(bit.get, ids, repeat(0)), 0)
+            unsound.add(eid)
+        keys[eid] = below | bit[eid]
+    names = None if unsound else {key: eid for eid, key in keys.items()}
+    return tuple(
+        SubobjectEntry(eid, data, quotient, torsion, ids if unsound else None, keys[eid], names)
+        for eid, data, quotient, torsion, ids in rows
+    ), frozenset(unsound)
 
 
 def _check_arrows(spec: HiggsChainSpec) -> None:
@@ -179,20 +222,25 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     """Build the model of a chain: one entry per proper nonempty arrow-closed index set.
 
-    Each such mask gets one label string, shared by every contains, and each
-    distinct (rank, degree) one sheaf, shared by every entry.
+    Each such mask is an entry's key, with one label string in a table shared
+    by the entries, and each distinct (rank, degree) gets one sheaf, shared by
+    every entry.  A chain with more than REALIZE_MASK_BOUND masks is refused.
     """
-    _check_arrows(spec)
     kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
+    if 1 << m > REALIZE_MASK_BOUND:
+        bound = f"realize walks at most {REALIZE_MASK_BOUND} masks"
+        raise RealizeBoundError(f"{bound}, and {m} summands need 2^{m}")
+    _check_arrows(spec)
     part, total = cache(partial(chi_curve, kd)), sum(degrees)  # one sheaf per (rank, degree)
     arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]  # bit i-1 for summand i
     labels, entries = {}, []
     closed = (s for s in range(1, (1 << m) - 1) if all(s & j for i, j in arrows if s & i))
     for mask in closed:
         members = [i + 1 for i in range(m) if mask >> i & 1]
-        labels[mask] = "{" + ",".join(map(str, members)) + "}"
+        labels[mask] = label = "{" + ",".join(map(str, members)) + "}"
         r, d = len(members), sum([degrees[i - 1] for i in members])
-        entries.append(SubobjectEntry.realized(mask, labels, part(r, d), part(m - r, total - d)))
+        quotient = part(m - r, total - d)
+        entries.append(SubobjectEntry(label, part(r, d), quotient, key=mask, names=labels))
     return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
 
 
@@ -212,11 +260,8 @@ def _entry_violation(
     if not (0 <= e.data.rank <= total.rank):
         return Violation(e.id, "RankRange", f"rank {e.data.rank} outside 0..{total.rank}")
     if e.data.rank + e.quotient.rank != total.rank:
-        return Violation(
-            e.id,
-            "RankAdditivity",
-            f"{e.data.rank} + {e.quotient.rank} != {total.rank}",
-        )
+        detail = f"{e.data.rank} + {e.quotient.rank} != {total.rank}"
+        return Violation(e.id, "RankAdditivity", detail)
     if e.data.chi + e.quotient.chi != total.chi:
         return Violation(e.id, "ChiAdditivity", "chi_F + chi_Q differs from chi_E")
     for label, part in (("subobject", e.data), ("quotient", e.quotient)):
@@ -257,11 +302,8 @@ def validate(model: HiggsObjectModel) -> list[Violation]:
 
 
 def _scan(model: HiggsObjectModel) -> list[Violation]:
-    violations = []
-    if not model.data.torsion_free:
-        violations.append(
-            Violation(model.id, "ModelTorsionFree", "stability needs a torsion-free object")
-        )
+    flaw = Violation(model.id, "ModelTorsionFree", "stability needs a torsion-free object")
+    violations = [] if model.data.torsion_free else [flaw]
     for problem in leading_term_violations(model.data, model.ambient):
         violations.append(Violation(model.id, "LeadingCoefficient", problem))
     first = {}  # (data, quotient, torsion part) by identity -> its check, run once
@@ -275,42 +317,25 @@ def _scan(model: HiggsObjectModel) -> list[Violation]:
 
 
 def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
-    """Unknown and self ids, else the order checks of each entry failing the bit screen.
+    """Unknown and self ids, else the order checks of each entry failing the key screen.
 
-    One chain's realized entries, each of its mask's rank, pass outright: strict
-    inclusion of closed masks is transitive, acyclic and raises the rank.
+    A sound entry passes when no entry of its rank or more has a key of fewer bits:
+    its members' keys lie strictly inside its own, so have fewer bits and lower rank.
     """
-    entries = model.subobjects
-    table = entries[0].labels if entries else None
-    if table and len(table) == len(entries) and all(
-        e.labels is table and e.data.rank == e.mask.bit_count() for e in entries
-    ):
-        return []
-    bit = {e.id: 1 << i for i, e in enumerate(entries)}
-    try:
-        below = {e.id: sum(map(bit.__getitem__, e.contains)) for e in entries}
-    except KeyError:  # an unknown id
-        below = None
-    out = []
-    if below is None or any(below[e.id] & bit[e.id] for e in entries):
-        for e in entries:
-            unknown = e.contains - bit.keys()
-            if unknown:
-                out.append(
-                    Violation(e.id, "Containment", f"contains unknown ids {sorted(unknown)}")
-                )
-                continue
-            if e.id in e.contains:
-                out.append(Violation(e.id, "Containment", "entry contains itself"))
+    entries, out = model.subobjects, []
+    for e in map(model.entry, sorted(model._unsound)):
+        unknown = e.contains - model._index.keys()
+        if unknown:
+            out.append(Violation(e.id, "Containment", f"contains unknown ids {sorted(unknown)}"))
+        elif e.id in e.contains:
+            out.append(Violation(e.id, "Containment", "entry contains itself"))
+    if out:
         return out
-    at_least, acc = {}, 0  # rank r -> mask of the entries of rank r or more
+    fewest, least = inf, {}  # rank r -> fewest key bits of an entry of rank r or more
     for e in sorted(entries, key=lambda e: -e.data.rank):
-        at_least[e.data.rank] = acc = acc | bit[e.id]
-    # A passing entry's members' members are its members, all of lower rank: it fails no
-    # order check, and lies on no cycle, which would put it in its own contains.
+        least[e.data.rank] = fewest = min(fewest, e.key.bit_count())
     for e in entries:
-        mask = below[e.id]
-        if reduce(or_, map(below.__getitem__, e.contains), mask) == mask & ~at_least[e.data.rank]:
+        if e.key.bit_count() <= least[e.data.rank] and e.id not in model._unsound:
             continue
         for mid in sorted(e.contains):
             inner = model.entry(mid)
@@ -331,10 +356,6 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
     return out
 
 
-def _is_zero_model(m: HiggsObjectModel) -> bool:
-    return m.data.rank == 0 and m.data.chi.is_zero
-
-
 def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectModel:
     """Model of a + b whose family is the product of the two families.
 
@@ -346,9 +367,9 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("direct sum needs a common ambient")
-    if _is_zero_model(b):
+    if b.data.rank == 0 and b.data.chi.is_zero:
         return a
-    if _is_zero_model(a):
+    if a.data.rank == 0 and a.data.chi.is_zero:
         return b
     for m in (a, b):
         if m.id == "0" or m.has_entry("0"):
@@ -371,13 +392,8 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
             inside = {label.get((l2, r2)) for l2 in lbelow for r2 in rbelow} - {None, eid}
             tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
             entries.append(SubobjectEntry(eid, add(ldata, rdata), add(lquot, rquot), tors, inside))
-    return HiggsObjectModel(
-        id=f"{a.id}(+){b.id}",
-        ambient=a.ambient,
-        data=sum_data(a.data, b.data),
-        subobjects=tuple(entries),
-        family_complete=a.family_complete and b.family_complete,
-    )
+    return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, sum_data(a.data, b.data),
+                            tuple(entries), a.family_complete and b.family_complete)
 
 
 def _parts(m: HiggsObjectModel) -> list[tuple]:

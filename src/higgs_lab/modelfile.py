@@ -23,6 +23,7 @@ from .model import (
     HiggsChainSpec,
     HiggsObjectModel,
     SubobjectEntry,
+    declared_entries,
     realize,
     validate,
 )
@@ -81,13 +82,13 @@ def _ints(value, where: str) -> tuple[int, ...]:
     return tuple(_typed(v, int, where) for v in _typed(value, list, where))
 
 
-def _ids(value, where: str) -> frozenset[str]:
-    """A JSON array of string ids, as a set."""
+def _ids(value, where: str) -> list[str]:
+    """A JSON array of string ids, as it stands."""
     items = _typed(value, list, where)
     if not set(map(type, items)) <= {str}:  # screened in C: lattices hold 10^4-10^5 ids
         for item in items:  # the first bad id names the error
             _typed(item, str, where)
-    return frozenset(items)
+    return items
 
 
 def _id(value, where: str) -> str:
@@ -154,19 +155,15 @@ def _shared_sheaf(memo: dict, block, where: str) -> NumericalSheafData:
     return memo[key]
 
 
-def _entry_from_json(block: dict, memo: dict) -> SubobjectEntry:
+def _entry_row(block: dict, memo: dict) -> tuple:
+    """(id, data, quotient, torsion part, contains ids) of one entry, for declared_entries."""
     with _reading("subobject"):
         eid = _id(block["id"], "subobject id")
         torsion = block.get("quotient_torsion_part")
-        return SubobjectEntry(
-            id=eid,
-            data=_shared_sheaf(memo, block["data"], f"{eid}.data"),
-            quotient=_shared_sheaf(memo, block["quotient"], f"{eid}.quotient"),
-            quotient_torsion_part=(
-                None if torsion is None else _shared_sheaf(memo, torsion, f"{eid}.torsion")
-            ),
-            contains=_ids(block.get("contains", []), f"{eid}.contains"),
-        )
+        return (eid, _shared_sheaf(memo, block["data"], f"{eid}.data"),
+                _shared_sheaf(memo, block["quotient"], f"{eid}.quotient"),
+                None if torsion is None else _shared_sheaf(memo, torsion, f"{eid}.torsion"),
+                _ids(block.get("contains", []), f"{eid}.contains"))
 
 
 def entry_to_json(e: SubobjectEntry) -> dict:
@@ -219,18 +216,11 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
     if kind == "model":
         memo: dict[str, NumericalSheafData] = {}  # repeated blocks share one frozen sheaf
         with _reading(f"object {oid}"):
-            model = HiggsObjectModel(
-                id=oid,
-                ambient=ambient,
-                data=_shared_sheaf(memo, block["data"], f"{oid}.data"),
-                subobjects=tuple(
-                    _entry_from_json(b, memo)
-                    for b in _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
-                ),
-                family_complete=_typed(
-                    block.get("family_complete", False), bool, f"{oid}.family_complete"
-                ),
-            )
+            data = _shared_sheaf(memo, block["data"], f"{oid}.data")
+            blocks = _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
+            rows = [_entry_row(b, memo) for b in blocks]
+            complete = _typed(block.get("family_complete", False), bool, f"{oid}.family_complete")
+            model = HiggsObjectModel(oid, ambient, data, declared_entries(rows)[0], complete)
         return LoadedObject(model, locally_free=locally_free, surface_chern=surface_chern)
     raise ParseError(f"object {oid}: unknown type {kind!r}")
 

@@ -24,10 +24,11 @@ from .filtration import (
     harder_narasimhan,
 )
 from .hilbert import EventualOrder, format_rational
-from .model import chain_sum, direct_sum_model, realize
+from .model import RealizeBoundError, chain_sum, direct_sum_model, realize
 from .modelfile import LoadedObject
 from .stability import (
     IncompleteTorsionClosureError,
+    InvalidModelError,
     StabilityClass,
     gieseker_classify,
     gieseker_classify_by_quotients,
@@ -183,9 +184,7 @@ def check_hn_uniqueness(obj: LoadedObject) -> CheckResult:
     except TooLargeError as exc:
         return _skip("hn_uniqueness", obj.model.id, str(exc))
     ok = len(every) == 1 and every[0] == constructed
-    return _result(
-        "hn_uniqueness", obj.model.id, ok, f"{len(every)} valid chain(s) by search"
-    )
+    return _result("hn_uniqueness", obj.model.id, ok, f"{len(every)} valid chain(s) by search")
 
 
 def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
@@ -195,20 +194,21 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
         return _skip("direct_sum", subject, "different ambient data")
     if (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
         return _skip("direct_sum", subject, "product family too large")
+    chains = bool(a.chain and b.chain)
     try:  # a chain pair is summed as one chain, a declared pair as a product family
-        if a.chain and b.chain:
-            total = realize(chain_sum(a.chain, b.chain))
-        else:
-            total = direct_sum_model(a.model, b.model)
-    except ValueError as exc:  # two pairs, or a pair and the sum, share one label
+        total = (realize(chain_sum(a.chain, b.chain)) if chains
+                 else direct_sum_model(a.model, b.model))
+        lhs = gieseker_classify(total).semistable
+    except RealizeBoundError as exc:
         return _skip("direct_sum", subject, str(exc))
-    lhs = gieseker_classify(total).semistable
-    va, vb = gieseker_classify(a.model), gieseker_classify(b.model)
-    rhs = (
-        va.semistable
-        and vb.semistable
-        and compare_p(a.model.data, b.model.data) is EventualOrder.EQUAL
-    )
+    except InvalidModelError as exc:
+        return _result("direct_sum", subject, False, f"the sum fails validation: {exc}")
+    except ValueError as exc:  # declared: two pairs, or a pair and the sum, share one label
+        if chains:
+            return _result("direct_sum", subject, False, f"the sum chain is rejected: {exc}")
+        return _skip("direct_sum", subject, str(exc))
+    parts = gieseker_classify(a.model).semistable, gieseker_classify(b.model).semistable
+    rhs = all(parts) and compare_p(a.model.data, b.model.data) is EventualOrder.EQUAL
     return _result("direct_sum", subject, lhs == rhs, f"sum_semistable={lhs} parts={rhs}")
 
 

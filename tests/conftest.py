@@ -85,6 +85,11 @@ def slope_from_p(p, kd, rank):
     return factorial(kd.n - 1) * p.coefficient(kd.n - 1) - kd.c1x_h / 2
 
 
+def subset_id(members):
+    """The label of an index set: its members ascending, as "{1,3}"."""
+    return "{" + ",".join(str(i) for i in sorted(members)) + "}"
+
+
 def _members(mask):
     """The indices of a mask, ascending; bit i-1 stands for summand i."""
     return [i + 1 for i in range(mask.bit_length()) if mask >> i & 1]
@@ -155,26 +160,29 @@ def oracle_realization(spec):
     }
 
 
-def oracle_containment(model):
+def oracle_containment(model, contains=None):
     """Oracle: the Containment violations of a model, by frozenset tests, members in id order.
 
-    Unknown and self ids are reported alone; otherwise every member of every
-    entry is tested for a cycle, its rank and chi, and transitivity.
+    contains maps each id to the ids declared below it; by default each
+    entry's contains.  Unknown and self ids are reported alone; otherwise
+    every member of every entry is tested for a cycle, its rank and chi, and
+    transitivity.
     """
+    below = {e.id: set(e.contains) for e in model.subobjects} if contains is None else contains
     out = []
     ids = {e.id for e in model.subobjects}
     for e in model.subobjects:
-        unknown = sorted(e.contains - ids)
+        unknown = sorted(below[e.id] - ids)
         if unknown:
             out.append(Violation(e.id, "Containment", f"contains unknown ids {unknown}"))
-        elif e.id in e.contains:
+        elif e.id in below[e.id]:
             out.append(Violation(e.id, "Containment", "entry contains itself"))
     if out:
         return out
     for e in model.subobjects:
-        for mid in sorted(e.contains):
+        for mid in sorted(below[e.id]):
             inner = model.entry(mid)
-            if e.id in inner.contains:
+            if e.id in below[mid]:
                 out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))
             if inner.data.rank > e.data.rank:
                 out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
@@ -184,7 +192,7 @@ def oracle_containment(model):
                 out.append(
                     Violation(e.id, "Containment", f"contains {mid} of equal rank, larger chi")
                 )
-            missing = sorted(inner.contains - e.contains)
+            missing = sorted(below[mid] - below[e.id])
             if missing:
                 out.append(
                     Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")

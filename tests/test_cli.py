@@ -11,12 +11,22 @@ import sys
 import tempfile
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from higgs_lab import HilbertPolynomial, StabilityClass, StabilityVerdict, load, run, suite
+import higgs_lab.model
+from higgs_lab import (
+    HiggsChainSpec,
+    HilbertPolynomial,
+    StabilityClass,
+    StabilityVerdict,
+    load,
+    run,
+    suite,
+)
 from higgs_lab.modelfile import model_to_json
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
@@ -73,6 +83,34 @@ def _declared_pair(tmp_path):
     path = tmp_path / "hitchin_declared.json"
     path.write_text(json.dumps({"ambient": HITCHIN["ambient"], "objects": objects}))
     return path
+
+
+def _arrowed_second(tmp_path):
+    """A split pair of degrees 3, -3, then the Hitchin pair: its arrow fits only the latter."""
+    objects = [{"type": "chain", "id": "wide", "degrees": [3, -3]}, HITCHIN["objects"][0]]
+    path = tmp_path / "arrowed_second.json"
+    path.write_text(json.dumps({"ambient": HITCHIN["ambient"], "objects": objects}))
+    return path
+
+
+def _unshifted_arrows(chain_sum):
+    """chain_sum, except that b's arrows keep b's own indices."""
+    return lambda a, b: HiggsChainSpec(
+        a.ambient, a.summand_degrees + b.summand_degrees, a.arrows | b.arrows
+    )
+
+
+def _quotient_plus_data(direct_sum_model):
+    """direct_sum_model, except that each sum's quotient is F's quotient plus G's data."""
+
+    def wrong(a, b):
+        parts = higgs_lab.model._parts
+        with mock.patch.object(higgs_lab.model, "_parts", lambda m: parts(m) if m is a else [
+            (pid, data, data, torsion, below) for pid, data, _, torsion, below in parts(m)
+        ]):
+            return direct_sum_model(a, b)
+
+    return wrong
 
 
 @pytest.fixture
@@ -302,6 +340,25 @@ class TestVerify:
             "pass direct_sum                 B (+) C  sum_semistable=True parts=True",
         ]
 
+    def test_a_chain_pair_past_the_realize_bound_skips(self, tmp_path, capsys):
+        # a cycle of arrows closes every summand set but the empty and the full one
+        cycle = [[i, i % 10 + 1] for i in range(1, 11)]
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                {"type": "chain", "id": oid, "degrees": [0] * 10, "arrows": cycle}
+                for oid in ("A", "B")
+            ],
+        }
+        path = tmp_path / "cycles.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
+        assert lines == [
+            "skip direct_sum                 A (+) B"
+            "  realize walks at most 65536 masks, and 20 summands need 2^20"
+        ]
+
     def test_only_declared_pairs_reach_the_product_family(self, monkeypatch, tmp_path, capsys):
         """Chain pairs are summed by chain_sum; direct_sum_model serves declared pairs."""
         calls = []
@@ -353,16 +410,21 @@ class TestVerify:
             ("jh_grading_invariance", "all_jordan_holder", lambda real: lambda model: []),
             ("hn_uniqueness", "all_harder_narasimhan", lambda real: lambda model: []),
             ("direct_sum", "chain_sum", lambda real: lambda a, b: a),  # the sum is hitchin
+            ("direct_sum", "chain_sum", _unshifted_arrows),
             ("direct_sum", "direct_sum_model", lambda real: lambda a, b: a),
+            ("direct_sum", "direct_sum_model", _quotient_plus_data),
         ],
     )
     def test_every_check_can_fail(self, monkeypatch, capsys, tmp_path, check, name, wrong):
         """A wrong answer from the one function a check judges makes the check fail.
 
         Only a declared pair reaches direct_sum_model, so that plant runs on the
-        Hitchin pair written back as declared models.
+        Hitchin pair written back as declared models.  Unshifted arrows show
+        only when the second chain of a pair has arrows.
         """
         path = _declared_pair(tmp_path) if name == "direct_sum_model" else HITCHIN_PAIR
+        if wrong is _unshifted_arrows:
+            path = _arrowed_second(tmp_path)
         monkeypatch.setattr(suite, name, wrong(getattr(suite, name)))
         assert run(["verify", str(path), "--format", "json"]) == 1
         report = json.loads(capsys.readouterr().out)
@@ -742,6 +804,11 @@ class TestBadInput:
     def test_fuzz_flag_out_of_range(self, capsys, flag, value):
         line = self.input_error(capsys, ["fuzz", flag, value])
         assert flag in line
+
+    def test_fuzz_max_rank_is_held_to_the_realize_bound(self, capsys):
+        line = self.input_error(capsys, ["fuzz", "--max-rank", "17"])
+        assert line == "error: --max-rank must be at most 16, got 17"
+        assert run(["fuzz", "--max-rank", "16", "--count", "0"]) == 0
 
     @pytest.mark.parametrize("value", ["abc", "0", "-5"])
     def test_chain_bound_must_be_positive(self, hitchin_file, monkeypatch, capsys, value):

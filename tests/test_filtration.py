@@ -1,6 +1,7 @@
 """Jordan-Holder and Harder-Narasimhan construction, gradings, verification."""
 
 import gc
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -41,7 +42,8 @@ from higgs_lab import (
     verify_filtration,
 )
 from higgs_lab.fuzz import random_chain_spec
-from higgs_lab.model import realize
+from higgs_lab.model import Violation, realize
+from higgs_lab.modelfile import LoadedObject, kahler_to_json, loads, model_to_json
 
 from conftest import (
     UnknownIdError,
@@ -549,6 +551,18 @@ class TestVerifyFiltration:
         )
         kinds = [v.kind for v in verify_filtration(m, bad)]
         assert "Chain" in kinds
+
+    def test_a_repeated_step_is_not_strictly_below_itself(self):
+        realized = curve_chain(1, 1, (0, 0, 0))
+        doc = {"ambient": kahler_to_json(realized.ambient),
+               "objects": [model_to_json(LoadedObject(realized))]}
+        for m in (realized, loads(json.dumps(doc)).objects[0].model):
+            for steps in (("E", "{1,2}", "{1,2}"), ("E", "{1,2}", "{1}", "{1}")):
+                bad = Filtration(FiltrationKind.JH, steps, (m.data,) * len(steps))
+                last = steps[-1]
+                assert verify_filtration(m, bad) == [
+                    Violation(last, "Chain", f"{last} is not strictly below {last}")
+                ]
 
     def test_wrong_quotient_data(self):
         m = curve_chain(1, 1, (0, 0))

@@ -24,12 +24,11 @@ from higgs_lab import (
     gieseker_classify,
     rank_p_residual,
     realize,
-    subset_id,
     validate,
 )
 
 from higgs_lab.fuzz import random_chain_spec
-from higgs_lab.modelfile import LoadedObject, loads, model_to_json
+from higgs_lab.modelfile import LoadedObject, ParseError, kahler_to_json, loads, model_to_json
 
 from conftest import (
     curve_chain,
@@ -40,6 +39,7 @@ from conftest import (
     oracle_rank_p_residual,
     oracle_realization,
     poly,
+    subset_id,
     torsion_closure_model,
 )
 
@@ -222,7 +222,7 @@ class TestRealize:
 
 
 class TestLazyContains:
-    """A realized entry derives contains from its mask on first read, and the mask screen holds."""
+    """A realized entry derives contains from its key when read, and the key screen holds."""
 
     @staticmethod
     def chains(count):
@@ -234,9 +234,9 @@ class TestLazyContains:
     def test_contains_matches_the_oracle(self):
         for spec in self.chains(300):
             model = realize(spec)
-            assert not any("contains" in vars(e) for e in model.subobjects)  # nothing derived yet
+            assert not any("contains" in vars(e) for e in model.subobjects)  # nothing stored
             assert validate(model) == []
-            assert not any("contains" in vars(e) for e in model.subobjects)  # the screen reads none
+            assert not any("contains" in vars(e) for e in model.subobjects)
             expected = oracle_realization(spec)
             assert {e.id: e.contains for e in model.subobjects} == {
                 eid: below for eid, (_, _, below) in expected.items()
@@ -248,7 +248,7 @@ class TestLazyContains:
             }
 
     def test_entry_of_the_wrong_rank_is_reported(self):
-        """An entry whose rank is not its mask's bit count drops the model to the per-id screen."""
+        """An entry whose rank is not its mask's bit count sends its container to the per-id checks."""
         planted = 0
         for spec in self.chains(300):
             model = realize(spec)
@@ -258,9 +258,10 @@ class TestLazyContains:
             e, x = pairs[planted % len(pairs)]
             # e takes x's rank and one degree more: a consistent entry, but x contains it
             kd, rank, degree = model.ambient, x.data.rank, x.data.deg_h + 1
-            wrong = SubobjectEntry.realized(
-                e.mask, e.labels, chi_curve(kd, rank, degree),
+            wrong = SubobjectEntry(
+                e.id, chi_curve(kd, rank, degree),
                 chi_curve(kd, model.data.rank - rank, model.data.deg_h - degree),
+                key=e.key, names=e.names,
             )
             bad = HiggsObjectModel(
                 model.id, kd, model.data,
@@ -748,7 +749,8 @@ class TestContainmentScreen:
             contains[e.id] -= {t}
         return True
 
-    def test_validate_matches_oracle(self):
+    def planted(self):
+        """The 360 planted models, each with its defects and its declared contains lists."""
         rng = random.Random(2024)
         seen = dict.fromkeys(("clean", *self.DEFECTS), 0)
         for n in range(360):
@@ -767,11 +769,36 @@ class TestContainmentScreen:
                     for e in model.subobjects
                 ),
             )
-            expected = oracle_containment(planted_model)
+            yield planted, planted_model, contains
+        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_validate_matches_oracle(self):
+        for planted, planted_model, contains in self.planted():
+            expected = oracle_containment(planted_model, contains)
             assert validate(planted_model) == expected, (planted, expected)
             if len(planted) < 2:  # one defect alone is reported, except a smaller chi
                 assert bool(expected) == (planted not in ([], ["equal_rank_smaller_chi"]))
-        assert all(count >= 20 for count in seen.values()), seen
+
+    def test_loader_matches_oracle(self):
+        """The same lattices as JSON files: loads builds the keys from the lists, in file order."""
+        rng = random.Random(16)
+        for planted, planted_model, contains in self.planted():
+            block = model_to_json(LoadedObject(planted_model))
+            rng.shuffle(block["subobjects"])
+            for entry in block["subobjects"]:
+                entry["contains"] = rng.sample(sorted(contains[entry["id"]]), len(contains[entry["id"]]))
+            text = json.dumps({"ambient": kahler_to_json(planted_model.ambient), "objects": [block]})
+            expected = oracle_containment(planted_model, contains)
+            if expected:
+                with pytest.raises(ParseError) as caught:
+                    loads(text)
+                assert str(caught.value) == "object E fails validation: " + "; ".join(
+                    map(str, expected)
+                ), planted
+            else:  # sound lists in any file order: keyed, with no ids stored
+                loaded = loads(text).objects[0].model
+                assert not loaded._unsound and all(e.claims is None for e in loaded.subobjects)
+                assert {e.id: e.contains for e in loaded.subobjects} == contains, planted
 
 
 class TestContainmentMessages:

@@ -266,3 +266,83 @@ class TestSharedChainSheaves:
         assert len({id(s) for s in self.sheaves(model)}) == 2 * 14 + 1
         assert [(run(argv), capsys.readouterr()) for argv in commands] == shared
         assert [code for code, _ in shared] == [0, 0, 0, 0]
+
+
+class TestContainsLists:
+    """The loader keys each entry from its contains list as written."""
+
+    @staticmethod
+    def declared(size=3, **lists):
+        """An equal-degree chain of size line bundles on an elliptic curve, written as a model.
+
+        lists maps an entry id to the contains list to write in its place.
+        """
+        model = curve_chain(1, 1, (0,) * size)
+        block = model_to_json(modelfile.LoadedObject(model))
+        for entry in block["subobjects"]:
+            entry["contains"] = lists.get(entry["id"], entry["contains"])
+        return {"ambient": kahler_to_json(model.ambient), "objects": [block]}
+
+    def test_duplicate_ids_in_one_list_change_nothing(self, tmp_path, capsys):
+        doubled = self.declared(**{"{1,2}": ["{1}", "{2}", "{1}", "{2}"], "{2,3}": ["{3}"] * 2})
+        reports = []
+        for doc in (self.declared(), doubled):
+            path = tmp_path / "lists.json"
+            path.write_text(json.dumps(doc))
+            assert run(["analyze", str(path)]) == 0
+            reports.append(capsys.readouterr().out)
+            loaded = loads(json.dumps(doc)).objects[0].model
+            assert loaded.entry("{1,2}").contains == {"{1}", "{2}"}
+        assert reports[0] == reports[1]
+        # and a bad list gives the messages of its deduplicated form, even when its repeats
+        # are as many as the ids it misses ({3}, below {1,3})
+        messages = []
+        for bad in (["{1}", "{2}", "{1,3}"], ["{1,3}", "{1}", "{1,3}", "{2}", "{1}"],
+                    ["{1,3}", "{1}", "{2}", "{2}"]):
+            with pytest.raises(ParseError) as caught:
+                loads(json.dumps(self.declared(**{"{1,2}": bad})))
+            messages.append(str(caught.value))
+        assert messages == 3 * [
+            "object E fails validation:"
+            " {1,2}: Containment (not transitive: missing ['{3}'] below {1,3})"
+        ]
+
+    def test_an_entry_listing_itself(self):
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(self.declared(**{"{1,2}": ["{1}", "{1,2}", "{2}"]})))
+        assert str(caught.value) == (
+            "object E fails validation: {1,2}: Containment (entry contains itself)"
+        )
+
+    def test_the_first_error_in_file_order_is_reported(self):
+        doc = self.declared()
+        entries = doc["objects"][0]["subobjects"]
+        entries[1]["contains"] = [entries[0]["id"], 7]
+        entries[2]["quotient"]["degH"] = "1/0"
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(doc))
+        assert str(caught.value) == f"{entries[1]['id']}.contains: expected str, got int"
+        entries[1]["contains"] = [entries[0]["id"]]
+        with pytest.raises(ParseError, match=r"\.quotient\.degH"):
+            loads(json.dumps(doc))
+
+
+class TestRealizeBound:
+    def test_a_chain_past_the_bound_is_one_input_error(self, tmp_path, capsys):
+        doc = {"ambient": {"n": 1, "genus": 1, "degH": 1},
+               "objects": [{"type": "chain", "id": "E", "degrees": [0] * 17}]}
+        path = tmp_path / "m17.json"
+        path.write_text(json.dumps(doc))
+        for command in (["analyze"], ["jh", "--object", "E"], ["hn", "--object", "E"], ["verify"]):
+            assert run([command[0], str(path), *command[1:]]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == (
+                "error: chain E: realize walks at most 65536 masks, and 17 summands need 2^17\n"
+            )
+
+    def test_the_bound_is_the_one_constant(self, monkeypatch):
+        monkeypatch.setattr(higgs_lab.model, "REALIZE_MASK_BOUND", 1 << 3)
+        assert len(curve_chain(1, 1, (0,) * 3).subobjects) == 6
+        with pytest.raises(higgs_lab.model.RealizeBoundError, match="at most 8 masks, and 4"):
+            curve_chain(1, 1, (0,) * 4)
