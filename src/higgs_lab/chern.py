@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import factorial
 from typing import Optional, Sequence
 
@@ -78,6 +79,11 @@ class KahlerData:
     @classmethod
     def surface(cls, hn: Rational, c1x_h: Rational) -> "KahlerData":
         return cls(n=2, hn=Fraction(hn), c1x_h=Fraction(c1x_h))
+
+    @cached_property
+    def sheaves(self) -> dict:
+        """(rank, degree) -> the one curve sheaf model.realize builds on this ambient."""
+        return {}
 
     @property
     def volume(self) -> Fraction:

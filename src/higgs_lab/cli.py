@@ -11,6 +11,7 @@ import argparse
 import functools
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 from math import inf
 from typing import Sequence
 
@@ -100,9 +101,24 @@ def _scope_note(objects: Sequence[LoadedObject]) -> dict:
     }
 
 
+def _json(value, pad: str = "\n") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for string keys, built by joins (the
+    standard encoder takes a pure-Python path whenever it indents)."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if not isinstance(value, (dict, list, tuple)):  # numbers, booleans and None
+        return json.dumps(value)
+    inner, ends = pad + "  ", "{}" if isinstance(value, dict) else "[]"
+    if isinstance(value, dict):
+        items = [f"{encode_basestring_ascii(k)}: {_json(v, inner)}" for k, v in sorted(value.items())]
+    else:
+        items = [_json(v, inner) for v in value]
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{pad}{ends[1]}" if items else ends
+
+
 def _print_report(report: dict, fmt: str) -> None:
     if fmt == "json":
-        print(json.dumps(report, indent=2, sort_keys=True))
+        print(_json(report))
         return
     _print_table(report)
 

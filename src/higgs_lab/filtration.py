@@ -171,10 +171,13 @@ def _step_quotient(
 ) -> NumericalSheafData:
     """Quotient of upper over lower (None for zero).
 
-    The one place filtration quotients are derived from step ids.
+    The one place filtration quotients are derived from step ids, once per model.
     """
-    data = _data(model, upper)
-    return data if lower is None else _sheaf_delta(data, _data(model, lower))
+    memo = model._memo
+    if (upper, lower) not in memo:
+        data = _data(model, upper)
+        memo[upper, lower] = data if lower is None else _sheaf_delta(data, _data(model, lower))
+    return memo[upper, lower]
 
 
 def _filtration(
@@ -311,7 +314,7 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     require_classifiable(model)
     bound = chain_bound()
     found: list[Filtration] = []
-    known: dict[tuple[str, Optional[str]], list] = {}  # step -> [quotient, passes or None]
+    passes: dict[tuple[str, Optional[str]], bool] = {}  # (upper, lower) -> _step_passes
     lowers: dict[str, list[Optional[str]]] = {}  # upper -> [None, *ids of the entries below]
     nodes = 0
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
@@ -325,20 +328,16 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
         if upper not in lowers:
             lowers[upper] = [None, *(e.id for e in _between(model, upper, None))]
         for lower in lowers[upper]:
-            step = known.get((upper, lower))
-            if step is None:
-                step = known[upper, lower] = [_step_quotient(model, upper, lower), None]
-            quotient = step[0]
+            quotient = _step_quotient(model, upper, lower)
             if above is not None and quotient.rank > 0:  # rank zero fails _step_passes
                 if compare_p(above, quotient) is not EventualOrder.PRECEDES:
                     continue  # StrictDecrease
-            if step[1] is None:
-                step[1] = _step_passes(model, kind, upper, lower, quotient)
-            if not step[1]:
+            if (upper, lower) not in passes:
+                passes[upper, lower] = _step_passes(model, kind, upper, lower, quotient)
+            if not passes[upper, lower]:
                 continue
             if lower is None:  # every step of the chain is known
-                quotients = [known[pair][0] for pair in _pairs(steps)]
-                found.append(Filtration(kind, _downward(kind, steps), _downward(kind, quotients)))
+                found.append(_filtration(model, kind, _downward(kind, steps)))
             else:
                 deeper.append((steps + [lower], quotient if kind is FiltrationKind.HN else None))
         stack.extend(reversed(deeper))

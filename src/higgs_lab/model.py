@@ -11,8 +11,8 @@ family_complete flag records whether that family is claimed exhaustive.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, replace
-from functools import cache, cached_property, partial, reduce
-from itertools import repeat
+from functools import cached_property, reduce
+from itertools import compress, repeat
 from math import inf
 from operator import attrgetter, or_
 from typing import FrozenSet, Iterable, Optional
@@ -41,6 +41,7 @@ class RealizeBoundError(ValueError):
 
 
 REALIZE_MASK_BOUND = 1 << 16  # index sets realize walks: chains of up to 16 summands
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(frozen=True)
@@ -49,9 +50,10 @@ class SubobjectEntry:
 
     quotient_torsion_part, when present, is the rank-zero torsion of the
     quotient.  a lies strictly below b exactly when a.key & ~b.key == 0 and a
-    is not b; names, shared by a lattice's entries, maps its keys to ids, and
-    contains (the ids below) is derived from the two.  An entry built by hand
-    passes contains ids, which its model turns into keys (see declared_entries).
+    is not b.  names, shared by a lattice's entries, reads ids off keys (a realized
+    lattice's dict from key to id, a declared one's ids in bit order), and contains
+    (the ids below) is derived from the two.  An entry built by hand passes
+    contains ids, which its model turns into keys (see declared_entries).
     """
 
     id: str
@@ -60,7 +62,7 @@ class SubobjectEntry:
     quotient_torsion_part: Optional[NumericalSheafData] = None
     contains: InitVar[Optional[Iterable[str]]] = None
     key: Optional[int] = None
-    names: Optional[dict] = field(default=None, repr=False, compare=False)
+    names: Optional[dict | tuple] = field(default=None, repr=False, compare=False)
     claims: Optional[FrozenSet[str]] = field(default=None, init=False, repr=False)
 
     def __post_init__(self, contains):
@@ -73,6 +75,8 @@ def _contains(e: SubobjectEntry) -> FrozenSet[str]:
     if e.claims is not None:
         return e.claims
     key, names = e.key, e.names
+    if type(names) is tuple:  # declared: the ids at the key's set bits, lowest bit first
+        return frozenset(compress(names, f"{key:b}"[::-1].encode().translate(_BITS))) - {e.id}
     if 1 << key.bit_count() >= len(names):  # no fewer submasks than keys: scan the keys
         return frozenset(i for k, i in names.items() if k & key == k) - {e.id}
     subs, sub = [], key
@@ -91,8 +95,8 @@ class HiggsObjectModel:
 
     The trivial subobjects (zero and the object itself) are implicit and
     never listed.  Entries are kept sorted by id so every downstream scan is
-    deterministic.  The model is frozen, so its invariant failures are
-    computed once, on first use of `violations`.
+    deterministic.  The model is frozen, so `violations` and each result kept
+    in `_memo` are computed once, on first use.
     """
 
     id: str
@@ -102,6 +106,8 @@ class HiggsObjectModel:
     family_complete: bool = False
     _index: dict = field(init=False, repr=False, default=None)
     _unsound: FrozenSet[str] = field(init=False, repr=False, default=frozenset())
+    # verdicts by formulation (stability.py), step quotients by (upper, lower) (filtration.py)
+    _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
         entries = tuple(sorted(self.subobjects, key=attrgetter("id")))
@@ -190,7 +196,8 @@ def declared_entries(rows: list[tuple]) -> tuple[tuple[SubobjectEntry, ...], Fro
     first, so a sound entry's members' keys OR to its ids' bits (as many as its ids,
     all distinct, not its own).  Any other entry is unsound; then all keep their ids.
     """
-    bit = {eid: 1 << i for i, eid in enumerate(sorted(row[0] for row in rows))}
+    order = tuple(sorted(row[0] for row in rows))
+    bit = {eid: 1 << i for i, eid in enumerate(order)}
     keys, unsound = {}, set()
     for eid, *_, ids in sorted(rows, key=lambda row: len(row[-1])):
         try:
@@ -202,7 +209,7 @@ def declared_entries(rows: list[tuple]) -> tuple[tuple[SubobjectEntry, ...], Fro
             below = reduce(or_, map(bit.get, ids, repeat(0)), 0)
             unsound.add(eid)
         keys[eid] = below | bit[eid]
-    names = None if unsound else {key: eid for eid, key in keys.items()}
+    names = None if unsound else order
     return tuple(
         SubobjectEntry(eid, data, quotient, torsion, ids if unsound else None, keys[eid], names)
         for eid, data, quotient, torsion, ids in rows
@@ -222,16 +229,21 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     """Build the model of a chain: one entry per proper nonempty arrow-closed index set.
 
-    Each such mask is an entry's key, with one label string in a table shared
-    by the entries, and each distinct (rank, degree) gets one sheaf, shared by
-    every entry.  A chain with more than REALIZE_MASK_BOUND masks is refused.
+    Each such mask is an entry's key, with one label string in a table shared by the
+    entries; each distinct (rank, degree) gets one sheaf, kept in the ambient's table
+    for all its chains.  A chain with more than REALIZE_MASK_BOUND masks is refused.
     """
     kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
     if 1 << m > REALIZE_MASK_BOUND:
         bound = f"realize walks at most {REALIZE_MASK_BOUND} masks"
         raise RealizeBoundError(f"{bound}, and {m} summands need 2^{m}")
     _check_arrows(spec)
-    part, total = cache(partial(chi_curve, kd)), sum(degrees)  # one sheaf per (rank, degree)
+    sheaves, total = kd.sheaves, sum(degrees)
+
+    def part(rank, degree):  # build a sheaf the ambient's table lacks
+        sheaves[rank, degree] = sheaf = chi_curve(kd, rank, degree)
+        return sheaf
+
     arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]  # bit i-1 for summand i
     labels, entries = {}, []
     closed = (s for s in range(1, (1 << m) - 1) if all(s & j for i, j in arrows if s & i))
@@ -239,9 +251,11 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
         members = [i + 1 for i in range(m) if mask >> i & 1]
         labels[mask] = label = "{" + ",".join(map(str, members)) + "}"
         r, d = len(members), sum([degrees[i - 1] for i in members])
-        quotient = part(m - r, total - d)
-        entries.append(SubobjectEntry(label, part(r, d), quotient, key=mask, names=labels))
-    return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
+        data = sheaves.get((r, d)) or part(r, d)
+        quotient = sheaves.get((m - r, total - d)) or part(m - r, total - d)
+        entries.append(SubobjectEntry(label, data, quotient, key=mask, names=labels))
+    whole = sheaves.get((m, total)) or part(m, total)
+    return HiggsObjectModel(object_id, kd, whole, tuple(entries), family_complete=True)
 
 
 def chain_sum(a: HiggsChainSpec, b: HiggsChainSpec) -> HiggsChainSpec:

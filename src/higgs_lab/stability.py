@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import wraps
 from typing import Iterable, Optional
 
 from .chern import compare_p, compare_slope
@@ -100,26 +101,43 @@ def _classify(
     return StabilityVerdict(notion, StabilityClass.STABLE)
 
 
+def _classifier(formulation: str):
+    """Gate a classifier and run it once per model, keeping its verdict in the model's
+    memo by formulation: checks that compare two formulations compare two runs."""
+
+    def wrap(classify):
+        @wraps(classify)
+        def once(model: HiggsObjectModel) -> StabilityVerdict:
+            memo = model._memo
+            if formulation not in memo:
+                require_classifiable(model)
+                memo[formulation] = classify(model)
+            return memo[formulation]
+        return once
+    return wrap
+
+
+@_classifier("gieseker")
 def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """Compare each proper subobject's normalized polynomial against the object's.
 
     Stable when all precede, strictly semistable when none succeed but some
     tie, unstable otherwise; rank-one objects are stable vacuously.
     """
-    require_classifiable(model)
     return _classify(
         Notion.GIESEKER, ((e.id, compare_p(e.data, model.data)) for e in _proper(model))
     )
 
 
+@_classifier("slope")
 def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
     """Same quantifier with rational slope comparison."""
-    require_classifiable(model)
     return _classify(
         Notion.SLOPE, ((e.id, compare_slope(e.data, model.data)) for e in _proper(model))
     )
 
 
+@_classifier("by_quotients")
 def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     """Equivalent formulation from the quotient side.
 
@@ -127,7 +145,6 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     quotient's; on consistent models this matches gieseker_classify entry by
     entry, witness included.
     """
-    require_classifiable(model)
     total = model.data
     entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
     return _classify(Notion.GIESEKER, ((e.id, compare_p(total, e.quotient)) for e in entries))
@@ -138,19 +155,12 @@ def _matches_enlargement(model: HiggsObjectModel, e: SubobjectEntry) -> bool:
     part = e.quotient_torsion_part
     if part is None:
         return False
-    enlarged_chi = e.data.chi + part.chi
-    for g in model.subobjects:
-        if g.id == e.id:
-            continue
-        if (
-            g.data.rank == e.data.rank
-            and g.data.chi == enlarged_chi
-            and g.quotient.torsion_free
-        ):
-            return True
-    return False
+    chi = e.data.chi + part.chi  # of the enlargement
+    return any(g.data.rank == e.data.rank and g.data.chi == chi and g.quotient.torsion_free
+               and g.id != e.id for g in model.subobjects)
 
 
+@_classifier("tf_quotients")
 def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     """Quantify only over entries whose quotient is torsion-free.
 
@@ -158,7 +168,6 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     otherwise the restricted family could miss a destabilizer, so the missing
     closure is an error rather than a silent gap.
     """
-    require_classifiable(model)
     kept = []
     for e in _proper(model):
         if e.quotient.torsion_free:

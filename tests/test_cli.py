@@ -17,7 +17,9 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import higgs_lab.filtration
 import higgs_lab.model
+import higgs_lab.stability
 from higgs_lab import (
     HiggsChainSpec,
     HilbertPolynomial,
@@ -27,6 +29,7 @@ from higgs_lab import (
     run,
     suite,
 )
+from higgs_lab.cli import _json
 from higgs_lab.modelfile import model_to_json
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
@@ -883,6 +886,65 @@ def test_commands_leave_no_reference_cycles(capsys):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def _recorded(monkeypatch, module, name, calls):
+    """Bind module.name to the same function, appending each call's arguments to calls."""
+    real = getattr(module, name)
+
+    def recording(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, name, recording)
+
+
+def test_no_memo_outlives_its_command(monkeypatch, capsys):
+    """A command run twice in one process does the same work twice: nothing it keeps is global."""
+    sheaves, verdicts = [], []
+    _recorded(monkeypatch, higgs_lab.model, "chi_curve", sheaves)
+    for module in (higgs_lab.stability, higgs_lab.filtration):
+        _recorded(monkeypatch, module, "_classify", verdicts)
+    counts = []
+    for _ in range(2):
+        assert run(["verify", str(HITCHIN_PAIR)]) == 0
+        counts.append((len(sheaves), len(verdicts)))
+        sheaves.clear()
+        verdicts.clear()
+    assert counts[0] == counts[1] and min(counts[0]) > 0, counts
+
+
+def test_fuzz_builds_each_sheaf_once(monkeypatch, capsys):
+    """Every chain of a fuzz stream, sums included, shares its genus's table of sheaves."""
+    calls = []
+    _recorded(monkeypatch, higgs_lab.model, "chi_curve", calls)
+    assert run(["fuzz", "--seed", "1", "--count", "100", "--max-rank", "3", "--genus", "2"]) == 0
+    built = [(kd.genus, rank, degree) for kd, rank, degree in calls]
+    assert len(built) == len(set(built))
+    assert {genus for genus, _, _ in built} == {0, 1, 2}
+    assert max(rank for _, rank, _ in built) == 6  # a sum of two rank-3 chains
+
+
+# quotes, backslashes, control characters and non-ASCII text, among any characters
+JSON_TEXT = st.text(st.sampled_from('"\\/\x00\x1f\x7f\n\t é€\u2028\U0001f600a') | st.characters())
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**60), 10**60) | JSON_TEXT,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(JSON_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(value=JSON_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    """--format json reports are byte for byte what json.dumps prints."""
+    assert _json(value) == json.dumps(value, indent=2, sort_keys=True)
+
+
+def test_json_writer_edge_cases():
+    for value in ({}, [], [[]], {"": {}}, [{}, [None, True, False, 0, -1]], "\x00\"\\\u00e9",
+                  {"b": 1, "a": [2**100, -(2**100)], "\u00e9": "\ud800"}):
+        assert _json(value) == json.dumps(value, indent=2, sort_keys=True), value
 
 
 FORMAT = st.tuples(st.just("--format"), st.sampled_from(["table", "json", "xml"]))

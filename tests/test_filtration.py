@@ -249,6 +249,29 @@ class TestStepQuery:
             assert len(search(m)) == chains
             assert len(queries) == len(set(queries)) == steps
 
+    def test_each_step_quotient_is_derived_once_per_model(self, monkeypatch):
+        # construction, verification and both searches share every step's quotient
+        delta, step_quotient = filtration._sheaf_delta, filtration._step_quotient
+
+        def derive(a, b):
+            deltas.append((a, b))
+            return delta(a, b)
+
+        def step(model, upper, lower):
+            steps.add((upper, lower))
+            return step_quotient(model, upper, lower)
+
+        monkeypatch.setattr(filtration, "_sheaf_delta", derive)
+        monkeypatch.setattr(filtration, "_step_quotient", step)
+        for degrees, builds in (((0, 0, 1, 2), (harder_narasimhan, all_harder_narasimhan)),
+                                ((0, 0, 0), (jordan_holder, all_jordan_holder))):
+            m, deltas, steps = curve_chain(1, 1, degrees), [], set()
+            for build in builds * 2:
+                found = build(m)
+                for filt in found if isinstance(found, list) else [found]:
+                    assert verify_filtration(m, filt) == []
+            assert len(deltas) == len({(u, l) for u, l in steps if l is not None}) > 1
+
     @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
     def test_lowers_listed_once_per_upper(self, monkeypatch, size, jh_chains):
         # every nested index set is an upper: 2^m - 1 of them, each listed once

@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 import higgs_lab.model
-from higgs_lab import ParseError, loads, modelfile, realize
+from higgs_lab import KahlerData, ParseError, loads, modelfile, realize
 from higgs_lab.cli import run
 from higgs_lab.modelfile import kahler_to_json, model_to_json, sheaf_to_json
 
@@ -237,6 +237,13 @@ class TestRepeatedBlocks:
         assert [code for code, _ in shared] == [0, 0, 0]
 
 
+class Unshared(dict):
+    """A sheaf table that never finds a sheaf, so realize builds a fresh one per call."""
+
+    def get(self, key, default=None):
+        return default
+
+
 class TestSharedChainSheaves:
     """realize builds one sheaf per (rank, degree); reports match a fresh sheaf per entry."""
 
@@ -261,7 +268,7 @@ class TestSharedChainSheaves:
         model = loads(json.dumps(self.DOC)).objects[0].model
         assert len({id(s) for s in self.sheaves(model)}) == 4  # ranks 1, 2, 3 and the object
         shared = [(run(argv), capsys.readouterr()) for argv in commands]
-        monkeypatch.setattr(higgs_lab.model, "cache", lambda build: build)  # a fresh sheaf per call
+        monkeypatch.setattr(KahlerData, "sheaves", property(lambda kd: Unshared()))
         model = loads(json.dumps(self.DOC)).objects[0].model
         assert len({id(s) for s in self.sheaves(model)}) == 2 * 14 + 1
         assert [(run(argv), capsys.readouterr()) for argv in commands] == shared

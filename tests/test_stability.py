@@ -27,6 +27,7 @@ from higgs_lab import (
     slope_classify,
 )
 import higgs_lab.model
+import higgs_lab.stability
 from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
@@ -119,6 +120,25 @@ class TestGate:
         for model, e in scans:
             per_model.setdefault(id(model), []).append(triple(e))
         assert all(len(keys) == len(set(keys)) for keys in per_model.values())
+
+    def test_each_formulation_is_classified_once_per_model(self, monkeypatch):
+        """Repeat calls return the kept verdict; each formulation and each model runs its own."""
+        notions = []
+        original = higgs_lab.stability._classify
+
+        def counting(notion, orders):
+            notions.append(notion)
+            return original(notion, orders)
+
+        monkeypatch.setattr(higgs_lab.stability, "_classify", counting)
+        classifiers = (gieseker_classify, gieseker_classify_by_quotients,
+                       gieseker_classify_tf_quotients, slope_classify)
+        m = curve_chain(1, 1, (0, 0, 1))
+        first = [classify(m) for classify in classifiers]
+        assert [classify(m) for classify in classifiers] == first
+        assert [v.notion for v in first] == notions == [Notion.GIESEKER] * 3 + [Notion.SLOPE]
+        assert [classify(curve_chain(1, 1, (0, 0, 1))) for classify in classifiers] == first
+        assert len(notions) == 8
 
 
 class TestSlopeClassify:
