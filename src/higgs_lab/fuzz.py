@@ -8,7 +8,8 @@ in [-5, 5], and arrows are drawn uniformly from the degree-feasible pairs.
 from __future__ import annotations
 
 import random
-from typing import Iterator, Optional
+from dataclasses import replace
+from typing import Iterator
 
 from .chern import KahlerData
 from .model import HiggsChainSpec, realize
@@ -17,12 +18,8 @@ from .modelfile import LoadedObject
 DEGREE_LOW, DEGREE_HIGH = -5, 5
 
 
-def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int,
-                      ambients: Optional[dict] = None) -> HiggsChainSpec:
-    """One random chain; ambients, when given, keeps one ambient per genus across calls."""
+def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int) -> HiggsChainSpec:
     genus = rng.randint(0, max_genus)
-    ambients = {} if ambients is None else ambients
-    ambient = ambients[genus] = ambients.get(genus) or KahlerData.curve(genus, 1)
     size = rng.randint(1, max_rank)
     degrees = tuple(rng.randint(DEGREE_LOW, DEGREE_HIGH) for _ in range(size))
     canonical = 2 * genus - 2
@@ -33,16 +30,18 @@ def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int,
         if degrees[i - 1] <= degrees[j - 1] + canonical
     ]
     arrows = frozenset(pair for pair in feasible if rng.random() < 0.5)
-    return HiggsChainSpec(ambient=ambient, summand_degrees=degrees, arrows=arrows)
+    return HiggsChainSpec(
+        ambient=KahlerData.curve(genus, 1), summand_degrees=degrees, arrows=arrows
+    )
 
 
 def fuzz_objects(
     seed: int, count: int, max_rank: int, max_genus: int
 ) -> Iterator[LoadedObject]:
-    """Deterministic stream of realized chain models, named in seed order; the chains
-    of one genus share one ambient, and so its table of sheaves."""
-    rng, ambients = random.Random(seed), {}
+    """Deterministic stream of realized chain models, named in seed order."""
+    rng, ambients = random.Random(seed), {}  # one ambient, so one sheaf table, per genus
     for index in range(count):
-        spec = random_chain_spec(rng, max_rank, max_genus, ambients)
+        spec = random_chain_spec(rng, max_rank, max_genus)
+        spec = replace(spec, ambient=ambients.setdefault(spec.ambient.genus, spec.ambient))
         model = realize(spec, object_id=f"fuzz{index:04d}")
         yield LoadedObject(model, chain=spec, locally_free=True)

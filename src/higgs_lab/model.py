@@ -48,12 +48,11 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 class SubobjectEntry:
     """One declared subobject F with the invariants of F and of E/F.
 
-    quotient_torsion_part, when present, is the rank-zero torsion of the
-    quotient.  a lies strictly below b exactly when a.key & ~b.key == 0 and a
-    is not b.  names, shared by a lattice's entries, reads ids off keys (a realized
-    lattice's dict from key to id, a declared one's ids in bit order), and contains
-    (the ids below) is derived from the two.  An entry built by hand passes
-    contains ids, which its model turns into keys (see declared_entries).
+    quotient_torsion_part, when present, is the rank-zero torsion of the quotient.  a lies
+    strictly below b exactly when a.key & ~b.key == 0 and a is not b.  names, shared by a
+    lattice's entries, reads ids off keys (a realized lattice's dict from key to id, a declared
+    one's ids in bit order), and contains (the ids below) is derived from the two.  An entry
+    built by hand passes contains ids, which its model turns into keys (see declared_entries).
     """
 
     id: str
@@ -95,8 +94,8 @@ class HiggsObjectModel:
 
     The trivial subobjects (zero and the object itself) are implicit and
     never listed.  Entries are kept sorted by id so every downstream scan is
-    deterministic.  The model is frozen, so `violations` and each result kept
-    in `_memo` are computed once, on first use.
+    deterministic.  The model is frozen, so `violations` and what `_memo` keeps (verdicts by
+    formulation, step quotients by (upper, lower)) are computed once, on first use.
     """
 
     id: str
@@ -106,7 +105,6 @@ class HiggsObjectModel:
     family_complete: bool = False
     _index: dict = field(init=False, repr=False, default=None)
     _unsound: FrozenSet[str] = field(init=False, repr=False, default=frozenset())
-    # verdicts by formulation (stability.py), step quotients by (upper, lower) (filtration.py)
     _memo: dict = field(init=False, repr=False, default_factory=dict)
 
     def __post_init__(self):
@@ -240,9 +238,9 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     _check_arrows(spec)
     sheaves, total = kd.sheaves, sum(degrees)
 
-    def part(rank, degree):  # build a sheaf the ambient's table lacks
-        sheaves[rank, degree] = sheaf = chi_curve(kd, rank, degree)
-        return sheaf
+    def part(rank, degree):  # the ambient's sheaf of this (rank, degree), built on first use
+        key = rank, degree
+        return sheaves.get(key) or sheaves.setdefault(key, chi_curve(kd, rank, degree))
 
     arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]  # bit i-1 for summand i
     labels, entries = {}, []
@@ -251,11 +249,9 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
         members = [i + 1 for i in range(m) if mask >> i & 1]
         labels[mask] = label = "{" + ",".join(map(str, members)) + "}"
         r, d = len(members), sum([degrees[i - 1] for i in members])
-        data = sheaves.get((r, d)) or part(r, d)
-        quotient = sheaves.get((m - r, total - d)) or part(m - r, total - d)
-        entries.append(SubobjectEntry(label, data, quotient, key=mask, names=labels))
-    whole = sheaves.get((m, total)) or part(m, total)
-    return HiggsObjectModel(object_id, kd, whole, tuple(entries), family_complete=True)
+        quotient = part(m - r, total - d)
+        entries.append(SubobjectEntry(label, part(r, d), quotient, key=mask, names=labels))
+    return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
 
 
 def chain_sum(a: HiggsChainSpec, b: HiggsChainSpec) -> HiggsChainSpec:

@@ -155,9 +155,17 @@ def _matches_enlargement(model: HiggsObjectModel, e: SubobjectEntry) -> bool:
     part = e.quotient_torsion_part
     if part is None:
         return False
-    chi = e.data.chi + part.chi  # of the enlargement
-    return any(g.data.rank == e.data.rank and g.data.chi == chi and g.quotient.torsion_free
-               and g.id != e.id for g in model.subobjects)
+    enlarged_chi = e.data.chi + part.chi
+    for g in model.subobjects:
+        if g.id == e.id:
+            continue
+        if (
+            g.data.rank == e.data.rank
+            and g.data.chi == enlarged_chi
+            and g.quotient.torsion_free
+        ):
+            return True
+    return False
 
 
 @_classifier("tf_quotients")

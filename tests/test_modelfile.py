@@ -238,9 +238,12 @@ class TestRepeatedBlocks:
 
 
 class Unshared(dict):
-    """A sheaf table that never finds a sheaf, so realize builds a fresh one per call."""
+    """A sheaf table that never finds or keeps a sheaf, so realize builds a fresh one per call."""
 
     def get(self, key, default=None):
+        return default
+
+    def setdefault(self, key, default=None):
         return default
 
 
