@@ -31,9 +31,9 @@ class KahlerData:
 
     n is the dimension, hn the self-intersection of the ample class, and
     c1x_h the pairing of the anticanonical class against the (n-1)-st power
-    of the ample class.  Curves additionally carry their genus; the optional
-    todd vector holds t[j] = (ample)^j . td_{n-j} for the raw high-dimension
-    constructor.
+    of the ample class.  Curves additionally carry their genus.  The optional
+    todd vector, t[j] = (ample)^j . td_{n-j}, is file data that is validated
+    here and written back out; chi_from_pairings does not read it.
     """
 
     n: int
@@ -68,17 +68,11 @@ class KahlerData:
 
     @classmethod
     def curve(cls, genus: int, deg_h: int) -> "KahlerData":
-        return cls(
-            n=1,
-            hn=Fraction(deg_h),
-            c1x_h=Fraction(2 - 2 * genus),
-            genus=genus,
-            todd=(Fraction(1 - genus), Fraction(deg_h)),
-        )
+        return cls(n=1, hn=deg_h, c1x_h=2 - 2 * genus, genus=genus, todd=(1 - genus, deg_h))
 
     @classmethod
     def surface(cls, hn: Rational, c1x_h: Rational) -> "KahlerData":
-        return cls(n=2, hn=Fraction(hn), c1x_h=Fraction(c1x_h))
+        return cls(n=2, hn=hn, c1x_h=c1x_h)
 
     @cached_property
     def sheaves(self) -> dict:
@@ -133,12 +127,7 @@ def chi_curve(kd: KahlerData, rank: int, deg: Rational) -> NumericalSheafData:
     """Riemann-Roch on a curve: chi(k) = deg + rank*k*degH + rank*(1 - g)."""
     if kd.n != 1:
         raise ValueError("chi_curve needs one-dimensional ambient data")
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    d = Fraction(deg)
-    constant = d.numerator if d.denominator == 1 else d  # integer coefficients when integral
-    chi = HilbertPolynomial([constant + rank * (1 - kd.genus), rank * kd.hn.numerator])
-    return NumericalSheafData(rank, d, chi, torsion_free=rank > 0)
+    return chi_from_pairings(kd, rank, (deg + rank * (1 - kd.genus), rank * kd.hn.numerator))
 
 
 def chi_surface(
@@ -147,34 +136,27 @@ def chi_surface(
     """Riemann-Roch on a surface, with td2 the degree-two Todd number of the ambient."""
     if kd.n != 2:
         raise ValueError("chi_surface needs two-dimensional ambient data")
-    if rank < 0:
-        raise ValueError("rank must be nonnegative")
-    t2 = Fraction(td2)
-    chi = HilbertPolynomial(
-        [
-            sc.ch2 + sc.c1c1x / 2 + rank * t2,
-            sc.c1h + Fraction(rank, 2) * kd.c1x_h,
-            Fraction(rank, 2) * kd.hn,
-        ]
-    )
-    return NumericalSheafData(rank, sc.c1h, chi, torsion_free=rank > 0)
+    a0 = sc.ch2 + sc.c1c1x / 2 + rank * td2
+    a1 = sc.c1h + Fraction(rank, 2) * kd.c1x_h
+    return chi_from_pairings(kd, rank, (a0, a1, rank * kd.hn))
 
 
 def chi_from_pairings(
     kd: KahlerData, rank: int, pairings: Sequence[Rational]
 ) -> NumericalSheafData:
-    """Raw constructor for any dimension: chi(k) = sum_j a_j k^j / j!.
+    """The one Riemann-Roch constructor, for any dimension: chi(k) = sum_j a_j k^j / j!.
 
     pairings[j] is the degree-j intersection number a_j for j = 0..n; the top
-    pairing must equal rank * hn, and the H-degree is read off a_{n-1}.
+    pairing must equal rank * hn, and the H-degree is a_{n-1} - rank/2 * c1x_h.
+    Integer pairings stay integers: only a_j with j >= 2 is divided by j!.
     """
-    a = [Fraction(x) for x in pairings]
-    if len(a) != kd.n + 1:
+    a, n, hn, c = list(pairings), kd.n, kd.hn, kd.c1x_h
+    if len(a) != n + 1:
         raise MalformedPolynomialError("pairing vector must have length n + 1")
-    if a[kd.n] != rank * kd.hn:
+    if a[n] * hn.denominator != rank * hn.numerator:
         raise MalformedPolynomialError("top pairing must equal rank times hn")
-    chi = HilbertPolynomial(a[j] / factorial(j) for j in range(kd.n + 1))
-    deg_h = a[kd.n - 1] - Fraction(rank, 2) * kd.c1x_h
+    chi = HilbertPolynomial([x if j < 2 else Fraction(x, factorial(j)) for j, x in enumerate(a)])
+    deg_h = Fraction(2 * a[n - 1] * c.denominator - rank * c.numerator, 2 * c.denominator)
     return NumericalSheafData(rank, deg_h, chi, torsion_free=rank > 0)
 
 

@@ -90,7 +90,7 @@ class Grading:
     pieces: tuple[tuple[int, Fraction, HilbertPolynomial], ...]
 
     def __post_init__(self):
-        ordered = sorted(self.pieces, key=lambda t: (t[0], t[1], t[2].coeffs))
+        ordered = sorted(self.pieces, key=lambda t: (t[0], t[1], t[2].den, t[2].nums))
         object.__setattr__(self, "pieces", tuple(ordered))
 
 

@@ -8,7 +8,6 @@ in [-5, 5], and arrows are drawn uniformly from the degree-feasible pairs.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from typing import Iterator
 
 from .chern import KahlerData
@@ -18,7 +17,8 @@ from .modelfile import LoadedObject
 DEGREE_LOW, DEGREE_HIGH = -5, 5
 
 
-def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int) -> HiggsChainSpec:
+def _draw(rng: random.Random, max_rank: int, max_genus: int) -> tuple:
+    """The RNG draws of one chain: genus, summand degrees, then the arrows."""
     genus = rng.randint(0, max_genus)
     size = rng.randint(1, max_rank)
     degrees = tuple(rng.randint(DEGREE_LOW, DEGREE_HIGH) for _ in range(size))
@@ -29,10 +29,12 @@ def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int) -> Higg
         for j in range(1, size + 1)
         if degrees[i - 1] <= degrees[j - 1] + canonical
     ]
-    arrows = frozenset(pair for pair in feasible if rng.random() < 0.5)
-    return HiggsChainSpec(
-        ambient=KahlerData.curve(genus, 1), summand_degrees=degrees, arrows=arrows
-    )
+    return genus, degrees, frozenset(pair for pair in feasible if rng.random() < 0.5)
+
+
+def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int) -> HiggsChainSpec:
+    genus, degrees, arrows = _draw(rng, max_rank, max_genus)
+    return HiggsChainSpec(KahlerData.curve(genus, 1), degrees, arrows)
 
 
 def fuzz_objects(
@@ -41,7 +43,8 @@ def fuzz_objects(
     """Deterministic stream of realized chain models, named in seed order."""
     rng, ambients = random.Random(seed), {}  # one ambient, so one sheaf table, per genus
     for index in range(count):
-        spec = random_chain_spec(rng, max_rank, max_genus)
-        spec = replace(spec, ambient=ambients.setdefault(spec.ambient.genus, spec.ambient))
+        genus, degrees, arrows = _draw(rng, max_rank, max_genus)
+        ambient = ambients.get(genus) or ambients.setdefault(genus, KahlerData.curve(genus, 1))
+        spec = HiggsChainSpec(ambient, degrees, arrows)
         model = realize(spec, object_id=f"fuzz{index:04d}")
         yield LoadedObject(model, chain=spec, locally_free=True)

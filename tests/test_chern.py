@@ -100,6 +100,13 @@ class TestChiCurve:
             assert s.chi == HilbertPolynomial([d + rank * (1 - genus), rank * deg_h])
             assert type(s.deg_h) is Fraction and s.deg_h == d
 
+    def test_integral_degree_stays_integer(self):
+        for deg in (5, -3, Fraction(4)):
+            s = chi_curve(KahlerData.curve(2, 3), 2, deg)
+            assert s.chi.den == 1 and s.chi.nums == (deg - 2, 6)
+            assert all(type(x) is int for x in s.chi.nums)
+            assert type(s.deg_h) is Fraction and s.deg_h == deg
+
 
 class TestDegreeType:
     """deg_h is a Fraction however a sheaf is built, and an existing one is kept as is."""
@@ -139,6 +146,24 @@ class TestChiSurface:
         sc = SurfaceChernInput(0, -1, 0, 0, 1)
         s = chi_surface(kd, 2, sc, 1)
         assert s.chi == poly(1, 0, 2)
+
+    def test_matches_riemann_roch_of_the_twists(self):
+        """chi(E(k)) = ch2(E(k)) + c1(E(k)).c1(X)/2 + rank*td2, with ch(E(k)) = ch(E) e^(kH)."""
+        rng = random.Random(17)
+        q = TestLeadingTerms.q
+        surfaces = [kd for kd in TestLeadingTerms.AMBIENTS if kd.n == 2]
+        assert len(surfaces) == 2
+        for _ in range(300):
+            kd, rank = rng.choice(surfaces), rng.randint(0, 3)
+            c1sq, c2 = rng.randint(-6, 6), rng.randint(-6, 6)
+            sc = SurfaceChernInput(q(rng, 9), Fraction(c1sq - 2 * c2, 2), q(rng, 4), c1sq, c2)
+            td2 = q(rng, 3)
+            s = chi_surface(kd, rank, sc, td2)
+            for k in range(-3, 4):
+                ch2 = sc.ch2 + k * sc.c1h + rank * k * k * kd.hn / 2
+                c1_c1x = sc.c1c1x + rank * k * kd.c1x_h
+                assert s.chi.evaluate(k) == ch2 + c1_c1x / 2 + rank * td2
+            assert (s.rank, s.deg_h, s.torsion_free) == (rank, sc.c1h, rank > 0)
 
 
 class TestNormalizedAndSlope:
@@ -280,6 +305,46 @@ class TestRawPairings:
         kd = KahlerData(n=3, hn=6, c1x_h=0)
         with pytest.raises(MalformedPolynomialError):
             chi_from_pairings(kd, 2, [0, 0, 0, 7])
+
+
+class TestConstructorErrors:
+    """Each constructor raises the same type and message, in the same order of checks."""
+
+    CURVE = KahlerData.curve(1, 2)
+    SURFACE = KahlerData.surface(2, -3)
+    THREEFOLD = KahlerData(n=3, hn=6, c1x_h=0)
+    CHERN = SurfaceChernInput(1, 0, 0, 0, 0)
+
+    @staticmethod
+    def raised(build) -> tuple:
+        with pytest.raises(ValueError) as info:
+            build()
+        return type(info.value), str(info.value)
+
+    def test_wrong_dimension(self):
+        assert self.raised(lambda: chi_curve(self.SURFACE, 1, 0)) == (
+            ValueError, "chi_curve needs one-dimensional ambient data")
+        assert self.raised(lambda: chi_surface(self.CURVE, 1, self.CHERN, 1)) == (
+            ValueError, "chi_surface needs two-dimensional ambient data")
+        assert self.raised(lambda: chi_curve(self.SURFACE, -1, 0))[1].startswith("chi_curve")
+
+    def test_negative_rank(self):
+        for build in (
+            lambda: chi_curve(self.CURVE, -1, 3),
+            lambda: chi_surface(self.SURFACE, -2, self.CHERN, Fraction(1, 2)),
+            lambda: chi_from_pairings(self.THREEFOLD, -1, [0, 0, 0, -6]),
+        ):
+            assert self.raised(build) == (ValueError, "rank must be nonnegative")
+
+    def test_malformed_pairings(self):
+        length = (MalformedPolynomialError, "pairing vector must have length n + 1")
+        top = (MalformedPolynomialError, "top pairing must equal rank times hn")
+        assert self.raised(lambda: chi_from_pairings(self.THREEFOLD, 1, [0, 0, 6])) == length
+        assert self.raised(lambda: chi_from_pairings(self.THREEFOLD, 1, [0, 0, 0, 0, 6])) == length
+        assert self.raised(lambda: chi_from_pairings(self.THREEFOLD, 1, [0, 0, 7])) == length
+        assert self.raised(lambda: chi_from_pairings(self.THREEFOLD, 1, [0, 0, 0, 7])) == top
+        assert self.raised(lambda: chi_from_pairings(self.THREEFOLD, -1, [0, 0, 0, 6])) == top
+        assert self.raised(lambda: chi_from_pairings(self.SURFACE, 1, [0, 0, Fraction(5, 2)])) == top
 
 
 class TestBogomolov:

@@ -2,6 +2,7 @@
 
 import contextlib
 import copy
+import dataclasses
 import gc
 import io
 import json
@@ -17,17 +18,21 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import higgs_lab.chern
 import higgs_lab.filtration
 import higgs_lab.model
 import higgs_lab.stability
 from higgs_lab import (
     HiggsChainSpec,
     HilbertPolynomial,
+    KahlerData,
     StabilityClass,
     StabilityVerdict,
     load,
+    realize,
     run,
     suite,
+    validate,
 )
 from higgs_lab.cli import _json
 from higgs_lab.modelfile import model_to_json
@@ -923,6 +928,24 @@ def test_fuzz_builds_each_sheaf_once(monkeypatch, capsys):
     assert len(built) == len(set(built))
     assert {genus for genus, _, _ in built} == {0, 1, 2}
     assert max(rank for _, rank, _ in built) == 6  # a sum of two rank-3 chains
+
+
+def test_validation_judges_the_constructor(monkeypatch, capsys):
+    """A Riemann-Roch constructor that shifts the H-degree by one is caught by validate."""
+    real = higgs_lab.chern.chi_from_pairings
+
+    def shifted(kd, rank, pairings):
+        s = real(kd, rank, pairings)
+        return dataclasses.replace(s, deg_h=s.deg_h + 1)
+
+    monkeypatch.setattr(higgs_lab.chern, "chi_from_pairings", shifted)
+    model = realize(HiggsChainSpec(KahlerData.curve(1, 1), (0, 1), frozenset({(1, 2)})))
+    assert "LeadingCoefficient" in {v.kind for v in validate(model)}
+    assert run(["fuzz", "--count", "5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: invalid model"), captured.err
 
 
 # quotes, backslashes, control characters and non-ASCII text, among any characters
