@@ -76,13 +76,7 @@ def _contains(e: SubobjectEntry) -> FrozenSet[str]:
     key, names = e.key, e.names
     if type(names) is tuple:  # declared: the ids at the key's set bits, lowest bit first
         return frozenset(compress(names, f"{key:b}"[::-1].encode().translate(_BITS))) - {e.id}
-    if 1 << key.bit_count() >= len(names):  # no fewer submasks than keys: scan the keys
-        return frozenset(i for k, i in names.items() if k & key == k) - {e.id}
-    subs, sub = [], key
-    while sub:
-        sub = (sub - 1) & key
-        subs.append(sub)
-    return frozenset(map(names.get, subs)) - {None, e.id}
+    return frozenset(i for k, i in names.items() if k & key == k) - {e.id}  # realized: a scan
 
 
 SubobjectEntry.contains = property(_contains)  # after the class, past the InitVar's default
@@ -384,9 +378,12 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
     for m in (a, b):
         if m.id == "0" or m.has_entry("0"):
             raise ValueError('the id "0" is reserved for the zero subobject')
+        if m._unsound:  # its keys encode no order
+            raise ValueError(f"factor {m.id!r} has unsound containment at {sorted(m._unsound)}")
     left, right = _parts(a), _parts(b)
-    label = {(lid, rid): f"{lid}(+){rid}" for lid, *_ in left for rid, *_ in right}
-    del label["0", "0"], label[a.id, b.id]  # the zero and total combinations
+    w = len(left)  # a's i-th part plus b's j-th has bit i + j*w - 1, so zero drops out
+    names = tuple(f"{lid}(+){rid}" for rid, *_ in right for lid, *_ in left)[1:-1]
+    spread = [int(("0" * (w - 1)).join(f"{key:b}"), 2) for *_, key in right]  # bit y to y*w
     sums, entries = {}, []  # sums by operand identity: shared sheaves give shared sums
 
     def add(x, y):  # so that _scan checks each distinct sum triple once
@@ -394,24 +391,25 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
             sums[key] = sum_data(x, y)
         return sums[key]
 
-    for lid, ldata, lquot, ltors, lbelow in left:
-        for rid, rdata, rquot, rtors, rbelow in right:
-            eid = label.get((lid, rid))
-            if eid is None:
-                continue
-            inside = {label.get((l2, r2)) for l2 in lbelow for r2 in rbelow} - {None, eid}
-            tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
-            entries.append(SubobjectEntry(eid, add(ldata, rdata), add(lquot, rquot), tors, inside))
+    for i, (_, ldata, lquot, ltors, lkey) in enumerate(left):
+        for j, (_, rdata, rquot, rtors, _) in enumerate(right):
+            if 0 < (pair := i + j * w) <= len(names):  # not the zero or total combination
+                tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
+                key = lkey * spread[j] >> 1  # one copy of F's key per w-bit field: no carries
+                entries.append(SubobjectEntry(names[pair - 1], add(ldata, rdata),
+                                              add(lquot, rquot), tors, key=key, names=names))
     return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, sum_data(a.data, b.data),
                             tuple(entries), a.family_complete and b.family_complete)
 
 
 def _parts(m: HiggsObjectModel) -> list[tuple]:
-    """(id, data, quotient, torsion part, ids weakly below) for zero, each entry and m."""
+    """(id, data, quotient, torsion part, key) for zero, each entry and m, as bits 0, 1, ...;
+    a part's key holds the bits of the parts weakly below it."""
     entries = m.subobjects
+    bit = {e.id: 2 << i for i, e in enumerate(entries)}
     return [
-        ("0", ZERO_SHEAF, m.data, None, ("0",)),
-        *((e.id, e.data, e.quotient, e.quotient_torsion_part, ("0", e.id, *e.contains))
-          for e in entries),
-        (m.id, m.data, ZERO_SHEAF, None, ("0", *(e.id for e in entries), m.id)),
+        ("0", ZERO_SHEAF, m.data, None, 1),
+        *((e.id, e.data, e.quotient, e.quotient_torsion_part,
+           1 | bit[e.id] | sum(map(bit.get, e.contains))) for e in entries),
+        (m.id, m.data, ZERO_SHEAF, None, (4 << len(entries)) - 1),
     ]

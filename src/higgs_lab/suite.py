@@ -23,7 +23,7 @@ from .filtration import (
     grading,
     harder_narasimhan,
 )
-from .hilbert import EventualOrder, format_rational
+from .hilbert import EventualOrder, compare_scaled, format_rational
 from .model import RealizeBoundError, chain_sum, direct_sum_model, realize
 from .modelfile import LoadedObject
 from .stability import (
@@ -108,10 +108,11 @@ def check_residuals(obj: LoadedObject) -> CheckResult:
     """The rank-weighted polynomial residual vanishes on every declared extension."""
     total = obj.model.data
     for e in obj.model.subobjects:
-        if e.data.rank == 0 or e.quotient.rank == 0:
-            continue
-        residual = rank_p_residual(total, e.data, e.quotient)
-        if not residual.is_zero:
+        f, q = e.data, e.quotient  # zero residual: chi_E / rk E = (chi_F + chi_Q) / (rk F + rk Q)
+        if f.rank and q.rank and compare_scaled(
+            total.chi, total.rank, f.chi + q.chi, f.rank + q.rank
+        ) is not EventualOrder.EQUAL:
+            residual = rank_p_residual(total, f, q)
             return _result(
                 "rank_p_residual", obj.model.id, False, f"entry {e.id}: residual {residual}"
             )

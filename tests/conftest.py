@@ -18,6 +18,7 @@ from higgs_lab import (
     NumericalSheafData,
     SubobjectEntry,
     Violation,
+    ZERO_SHEAF,
     ZeroRankError,
     chi_curve,
     normalized_p,
@@ -26,6 +27,7 @@ from higgs_lab import (
     verify_filtration,
 )
 from higgs_lab.hilbert import HilbertPolynomial
+from higgs_lab.model import declared_entries
 
 
 def curve_chain(genus, deg_h, degrees, arrows=(), object_id="E"):
@@ -433,3 +435,34 @@ def surface_entry(entry_id, total, rank, deg_h, constant):
         torsion_free=True,
     )
     return SubobjectEntry(id=entry_id, data=data, quotient=quotient)
+
+
+def oracle_direct_sum(a, b):
+    """a + b with the product family written out by label and keyed by declared_entries.
+
+    F(+)G contains l(+)r for every l weakly below F and r weakly below G, less 0(+)0 and
+    F(+)G itself; the pairs 0(+)0 and a(+)b are no entries.
+    """
+
+    def parts(m):  # (id, data, quotient, torsion part, ids weakly below)
+        entries = m.subobjects
+        return [
+            ("0", ZERO_SHEAF, m.data, None, {"0"}),
+            *((e.id, e.data, e.quotient, e.quotient_torsion_part, {"0", e.id, *e.contains})
+              for e in entries),
+            (m.id, m.data, ZERO_SHEAF, None, {"0", m.id, *(e.id for e in entries)}),
+        ]
+
+    rows = []
+    for lid, ldata, lquot, ltors, lbelow in parts(a):
+        for rid, rdata, rquot, rtors, rbelow in parts(b):
+            if (lid, rid) in (("0", "0"), (a.id, b.id)):
+                continue
+            eid = f"{lid}(+){rid}"
+            inside = {f"{l}(+){r}" for l in lbelow for r in rbelow} - {"0(+)0", eid}
+            tors = sum_data(ltors, rtors) if ltors and rtors else ltors or rtors
+            rows.append((eid, sum_data(ldata, rdata), sum_data(lquot, rquot), tors, inside))
+    entries, _ = declared_entries(rows)
+    total = sum_data(a.data, b.data)
+    complete = a.family_complete and b.family_complete
+    return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, total, entries, complete)

@@ -14,6 +14,7 @@ from higgs_lab import (
     HiggsChainSpec,
     HiggsObjectModel,
     InvalidArrowError,
+    InvalidModelError,
     KahlerData,
     NumericalSheafData,
     SubobjectEntry,
@@ -35,12 +36,14 @@ from conftest import (
     enumerate_invariant_subobjects,
     fraction_order,
     oracle_containment,
+    oracle_direct_sum,
     oracle_family,
     oracle_rank_p_residual,
     oracle_realization,
     poly,
     subset_id,
     torsion_closure_model,
+    torsion_step_model,
 )
 
 
@@ -662,6 +665,106 @@ class TestDirectSum:
                 assert entry.quotient_torsion_part == want, entry.id
         assert direct_sum_model(e, line).entry("F(+)L").quotient_torsion_part is not None
         assert direct_sum_model(e, twin).entry("F(+)F").quotient_torsion_part == both
+
+    def test_matches_the_label_family(self):
+        """Declared sums against oracle_direct_sum: every contains, the violations, the verdict.
+
+        Factors are fuzzed chains written by model_to_json and reloaded (one in three pairs
+        keeps a realized left factor), hand-built factors with torsion parts, and a factor
+        whose quotients do not add up.
+        """
+        rng = random.Random(19)
+
+        def declared(model):
+            doc = {"ambient": kahler_to_json(model.ambient),
+                   "objects": [model_to_json(LoadedObject(model))]}
+            return loads(json.dumps(doc)).objects[0].model
+
+        def chain(genus, oid):
+            while (spec := random_chain_spec(rng, 4, 2)).ambient.genus != genus:
+                pass
+            return realize(spec, object_id=oid)
+
+        def bad_chi(genus):  # each rank-1 entry's quotient is one degree too high
+            while not (model := declared(chain(genus, "bad"))).subobjects:
+                pass
+            kd, rank = model.ambient, model.data.rank
+            return HiggsObjectModel("bad", kd, model.data, tuple(
+                dataclasses.replace(
+                    e, quotient=chi_curve(kd, rank - 1, int(e.quotient.deg_h) + 1)
+                ) if e.data.rank == 1 else e for e in model.subobjects
+            ))
+
+        def verdict(model):
+            try:
+                return gieseker_classify(model)
+            except InvalidModelError as exc:
+                return str(exc)
+
+        torsion = [torsion_closure_model(), torsion_closure_model(strict=True), torsion_step_model()]
+        pairs = []
+        for n in range(240):
+            genus = rng.randint(0, 2)
+            a, b = chain(genus, "a"), chain(genus, "b")
+            pairs.append((a if n % 3 == 0 else declared(a), declared(b)))
+        for n in range(45):
+            left = torsion[n % 3]
+            right = (declared(chain(0, "b")) if n % 5 else
+                     dataclasses.replace(torsion[(n // 5) % 3], id="T"))
+            pairs.append((left, right) if n % 2 else (right, left))
+        for n in range(20):
+            bad = bad_chi(n % 3)
+            other = declared(chain(n % 3, "b"))
+            pairs.append((bad, other) if n % 2 else (other, bad))
+        invalid = 0
+        for a, b in pairs:
+            total, want = direct_sum_model(a, b), oracle_direct_sum(a, b)
+            assert (total.id, total.data, total.family_complete) == (
+                want.id, want.data, want.family_complete)
+            assert {e.id: e.contains for e in total.subobjects} == {
+                e.id: e.contains for e in want.subobjects}, (a.id, b.id)
+            assert validate(total) == validate(want), (a.id, b.id)
+            assert verdict(total) == verdict(want), (a.id, b.id)
+            invalid += bool(validate(total))
+        assert len(pairs) >= 300 and invalid >= 10
+
+    def test_a_declared_pair_is_keyed_without_ids(self, monkeypatch):
+        """Every sum entry arrives keyed, so the model turns no ids into keys."""
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                model_to_json(LoadedObject(curve_chain(1, 1, degrees, object_id=oid)))
+                for oid, degrees in (("A", (0, 1, -1)), ("B", (2, 0)))
+            ],
+        }
+        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
+        calls = []
+        original = higgs_lab.model.declared_entries
+        monkeypatch.setattr(
+            higgs_lab.model, "declared_entries", lambda rows: calls.append(rows) or original(rows)
+        )
+        total = direct_sum_model(a, b)
+        assert calls == []
+        assert len(total.subobjects) == 8 * 4 - 2 and validate(total) == []
+        assert len({id(e.names) for e in total.subobjects}) == 1
+
+    @pytest.mark.parametrize(
+        "contains, unsound",
+        [({"F": {"G"}, "G": {"F"}}, ["F", "G"]), ({"F": {"X"}, "G": set()}, ["F"])],
+        ids=["cycle", "unknown_id"],
+    )
+    def test_an_unsound_factor_is_refused(self, contains, unsound):
+        kd = KahlerData.curve(0, 1)
+        line = chi_curve(kd, 1, 0)
+        factor = HiggsObjectModel("A", kd, chi_curve(kd, 2, 0), tuple(
+            SubobjectEntry(eid, line, line, contains=ids) for eid, ids in contains.items()
+        ))
+        other = HiggsObjectModel("B", kd, line, ())
+        for pair in ((factor, other), (other, factor)):
+            with pytest.raises(ValueError) as info:
+                direct_sum_model(*pair)
+            assert str(info.value) == f"factor 'A' has unsound containment at {unsound}"
+
 
 def test_subset_id_sorted():
     assert subset_id([3, 1]) == "{1,3}"
