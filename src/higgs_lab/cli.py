@@ -196,18 +196,10 @@ def _find_object(mf: ModelFile, object_id: str) -> LoadedObject:
     raise ParseError(f"no object with id {object_id!r} in the file")
 
 
-def _cmd_filtration(args, kind: str) -> int:
+def _cmd_filtration(args) -> int:
     mf = load(args.file)
     obj = _find_object(mf, args.object)
-    build = jordan_holder if kind == "jh" else harder_narasimhan
-    try:
-        filt = build(obj.model)
-    except (NotSemistableError, AmbiguousMaximizerError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except BrokenInvariantError as exc:
-        print(f"error: under-declared family: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED
+    filt = (jordan_holder if args.command == "jh" else harder_narasimhan)(obj.model)
     report = {
         "object": obj.model.id,
         "filtration": _filtration_json(filt),
@@ -217,14 +209,17 @@ def _cmd_filtration(args, kind: str) -> int:
     return EXIT_OK
 
 
+def _suite_report(args, objects: Sequence[LoadedObject], all_pairs: bool, **extra) -> int:
+    """Run the theorem suite and print its report with the command's extra keys."""
+    results = run_suite(objects, all_pairs=all_pairs)
+    _print_report({**_checks_report(results), **extra}, args.format)
+    return EXIT_CHECK_FAILED if any(r.failed for r in results) else EXIT_OK
+
+
 def _cmd_verify(args) -> int:
     chain_bound()  # a bad bound is an input error whether or not a search runs
     mf = load(args.file)
-    results = run_suite(mf.objects, all_pairs=True)
-    report = _checks_report(results)
-    report["scope"] = _scope_note(mf.objects)
-    _print_report(report, args.format)
-    return EXIT_CHECK_FAILED if any(r.failed for r in results) else EXIT_OK
+    return _suite_report(args, mf.objects, True, scope=_scope_note(mf.objects))
 
 
 def _cmd_fuzz(args) -> int:
@@ -237,15 +232,8 @@ def _cmd_fuzz(args) -> int:
             print(f"error: {flag} must be {limit}, got {value}", file=sys.stderr)
             return EXIT_INPUT_ERROR
     chain_bound()
-    objects = list(
-        fuzz_objects(args.seed, args.count, args.max_rank, args.genus)
-    )
-    results = run_suite(objects, all_pairs=False)
-    report = _checks_report(results)
-    report["seed"] = args.seed
-    report["count"] = args.count
-    _print_report(report, args.format)
-    return EXIT_CHECK_FAILED if any(r.failed for r in results) else EXIT_OK
+    objects = list(fuzz_objects(args.seed, args.count, args.max_rank, args.genus))
+    return _suite_report(args, objects, False, seed=args.seed, count=args.count)
 
 
 @functools.cache  # one parser per process: each build leaves cycles for the collector
@@ -290,17 +278,19 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def run(argv: Sequence[str]) -> int:
-    """Parse arguments, run one command, print the report, return the exit code."""
+    """Run one command; the only place an error becomes an `error:` line and exit code."""
     try:
         args = _parser().parse_args(list(argv))
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
+    commands = {"analyze": _cmd_analyze, "jh": _cmd_filtration, "hn": _cmd_filtration,
+                "verify": _cmd_verify, "fuzz": _cmd_fuzz}
     try:
-        if args.command in ("jh", "hn"):
-            return _cmd_filtration(args, args.command)
-        commands = {"analyze": _cmd_analyze, "verify": _cmd_verify, "fuzz": _cmd_fuzz}
         return commands[args.command](args)
-    except (ParseError, ChainBoundError) as exc:
+    except BrokenInvariantError as exc:
+        print(f"error: under-declared family: {exc}", file=sys.stderr)
+        return EXIT_CHECK_FAILED
+    except (ParseError, ChainBoundError, NotSemistableError, AmbiguousMaximizerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
     except InvalidModelError as exc:
         print(f"error: invalid model: {exc}", file=sys.stderr)

@@ -15,7 +15,7 @@ from typing import Iterable, Optional
 
 from .chern import compare_p, compare_slope
 from .hilbert import EventualOrder, HilbertPolynomial
-from .model import HiggsObjectModel, SubobjectEntry
+from .model import HiggsObjectModel
 
 
 class InvalidModelError(ValueError):
@@ -150,37 +150,25 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     return _classify(Notion.GIESEKER, ((e.id, compare_p(total, e.quotient)) for e in entries))
 
 
-def _matches_enlargement(model: HiggsObjectModel, e: SubobjectEntry) -> bool:
-    """Does the family declare the kernel of E -> Q/torsion for this entry?"""
-    part = e.quotient_torsion_part
-    if part is None:
-        return False
-    enlarged_chi = e.data.chi + part.chi
-    for g in model.subobjects:
-        if g.id == e.id:
-            continue
-        if (
-            g.data.rank == e.data.rank
-            and g.data.chi == enlarged_chi
-            and g.quotient.torsion_free
-        ):
-            return True
-    return False
-
-
 @_classifier("tf_quotients")
 def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
     """Quantify only over entries whose quotient is torsion-free.
 
-    Sound once every torsion-quotient entry has its enlargement declared;
-    otherwise the restricted family could miss a destabilizer, so the missing
-    closure is an error rather than a silent gap.
+    Sound once every torsion-quotient entry F has its saturation F' declared: F' has F's
+    rank and chi_F + chi_T (T the quotient's torsion part), so it destabilizes at least as
+    much as F.  Each such F takes one (rank, chi) lookup among the entries with a
+    torsion-free quotient; a missing saturation is an error rather than a silent gap.
     """
-    kept = []
+    kept, saturations = [], None
     for e in _proper(model):
         if e.quotient.torsion_free:
             kept.append(e)
-        elif not _matches_enlargement(model, e):
+            continue
+        if saturations is None:  # built on the first torsion quotient: a chain has none
+            saturations = {(g.data.rank, g.data.chi) for g in model.subobjects
+                           if g.quotient.torsion_free}
+        # an entry with the saturation's rank and chi has its p, so it stands in for it
+        if (e.data.rank, e.data.chi + e.quotient_torsion_part.chi) not in saturations:
             raise IncompleteTorsionClosureError(
                 f"entry {e.id} has a torsion quotient and no declared enlargement"
             )

@@ -26,6 +26,7 @@ from higgs_lab import (
     sum_data,
     verify_filtration,
 )
+from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.hilbert import HilbertPolynomial
 from higgs_lab.model import declared_entries
 
@@ -298,6 +299,69 @@ def torsion_step_model():
         SubobjectEntry(id="Fp", data=first, quotient=second, contains=frozenset({"F"})),
     )
     return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=entries)
+
+
+def twisted_chain(rng):
+    """A realized chain with one or two entries S of rank r joined by S(-t), t in {1, 2}.
+
+    S(-t) has degree deg S - t*r, a quotient with a torsion part of length t*r, and
+    contains nothing; S and every entry containing S list it, so S is its saturation.
+    Returns the model and its copy with the first S removed and struck from every
+    contains list, both keyed through declared_entries.
+    """
+    while not (chain := realize(random_chain_spec(rng, 4, 3))).subobjects:
+        pass
+    kd, total = chain.ambient, chain.data
+    rows = [(e.id, e.data, e.quotient, None, set(e.contains)) for e in chain.subobjects]
+    picked = rng.sample(rows, min(len(rows), rng.choice((1, 2))))
+    for sid, sub, *_ in picked:
+        t, r = rng.choice((1, 2)), sub.rank
+        twisted = chi_curve(kd, r, sub.deg_h - t * r)
+        quotient = NumericalSheafData(
+            total.rank - r, total.deg_h - twisted.deg_h, total.chi - twisted.chi, False
+        )
+        torsion = NumericalSheafData(0, Fraction(t * r), poly(t * r), torsion_free=False)
+        tid = f"{sid}(-{t})"
+        for eid, *_, ids in rows:
+            if eid == sid or sid in ids:
+                ids.add(tid)
+        rows.append((tid, twisted, quotient, torsion, set()))
+    first = picked[0][0]
+    struck = [(*row[:4], row[4] - {first}) for row in rows if row[0] != first]
+    return tuple(
+        HiggsObjectModel(chain.id, kd, total, declared_entries(r)[0]) for r in (rows, struck)
+    )
+
+
+def oracle_matches_enlargement(model, e):
+    """Reference gate: does the family declare the kernel of E -> Q/torsion for entry e?
+
+    A scan of the whole family per torsion-quotient entry, kept as the classifier had it.
+    """
+    part = e.quotient_torsion_part
+    if part is None:
+        return False
+    enlarged_chi = e.data.chi + part.chi
+    for g in model.subobjects:
+        if g.id == e.id:
+            continue
+        if (
+            g.data.rank == e.data.rank
+            and g.data.chi == enlarged_chi
+            and g.quotient.torsion_free
+        ):
+            return True
+    return False
+
+
+def oracle_tf_gate_passes(model):
+    """Reference: every proper entry with a torsion quotient has a declared enlargement."""
+    total = model.data.rank
+    return all(
+        oracle_matches_enlargement(model, e)
+        for e in model.subobjects
+        if 0 < e.data.rank < total and not e.quotient.torsion_free
+    )
 
 
 def ambiguous_model():

@@ -28,6 +28,7 @@ from higgs_lab import (
     KahlerData,
     StabilityClass,
     StabilityVerdict,
+    Violation,
     load,
     realize,
     run,
@@ -35,7 +36,9 @@ from higgs_lab import (
     validate,
 )
 from higgs_lab.cli import _json
-from higgs_lab.modelfile import LoadedObject, model_to_json
+from higgs_lab.modelfile import LoadedObject, kahler_to_json, model_to_json
+
+from conftest import ambiguous_model
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
@@ -226,6 +229,42 @@ class TestFiltrationCommands:
 
     def test_unknown_object(self, hitchin_file):
         assert run(["jh", hitchin_file, "--object", "missing"]) == 2
+
+    @staticmethod
+    def error_line(capsys, argv, code) -> str:
+        """Run argv, expect code with one stderr line and no report; return the line."""
+        assert run(argv) == code, argv
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1, captured.err
+        return lines[0]
+
+    def test_incomparable_maximizers_are_an_input_error(self, tmp_path, capsys):
+        model = ambiguous_model()
+        doc = {"ambient": kahler_to_json(model.ambient),
+               "objects": [model_to_json(LoadedObject(model))]}
+        path = tmp_path / "ambiguous.json"
+        path.write_text(json.dumps(doc))
+        line = self.error_line(capsys, ["hn", str(path), "--object", "E"], 2)
+        assert line == "error: incomparable maximizers ['A', 'B'] above 0"
+
+    def test_jh_of_unstable_object_names_the_witness(self, tmp_path, capsys):
+        doc = {"ambient": HITCHIN["ambient"],
+               "objects": [{"type": "chain", "id": "E", "degrees": [3, -1]}]}
+        path = tmp_path / "unstable_genus2.json"
+        path.write_text(json.dumps(doc))
+        line = self.error_line(capsys, ["jh", str(path), "--object", "E"], 2)
+        assert line == "error: E is unstable (witness {1})"
+
+    @pytest.mark.parametrize("command, object_id",
+                             [("jh", "hitchin"), ("hn", "hitchin"), ("hn", "split")])
+    def test_broken_filtration_is_a_failed_check(self, monkeypatch, capsys, command, object_id):
+        planted = Violation(object_id, "Planted", "one violation")
+        monkeypatch.setattr(higgs_lab.filtration, "verify_filtration", lambda m, f: [planted])
+        argv = [command, str(HITCHIN_PAIR), "--object", object_id]
+        line = self.error_line(capsys, argv, 1)
+        assert line == f"error: under-declared family: {object_id}: Planted (one violation)"
 
 
 class TestVerify:

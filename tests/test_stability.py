@@ -1,6 +1,8 @@
 """Classifiers in all three formulations, the morphism table, and extensions."""
 
 import random
+from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -11,6 +13,7 @@ from higgs_lab import (
     KahlerData,
     MorphismVerdict,
     Notion,
+    NumericalSheafData,
     PreconditionUnmetError,
     StabilityClass,
     StabilityVerdict,
@@ -25,6 +28,8 @@ from higgs_lab import (
     morphism_verdict,
     normalized_p,
     slope_classify,
+    sum_data,
+    validate,
 )
 import higgs_lab.model
 import higgs_lab.stability
@@ -35,11 +40,30 @@ from conftest import (
     ambiguous_model,
     curve_chain,
     interval_quotient_model,
+    oracle_tf_gate_passes,
     poly,
     surface_entry,
     surface_model,
     torsion_closure_model,
+    twisted_chain,
 )
+
+
+def line_model(summands, entries):
+    """E = the sum of O(d), d in summands, on the projective line, with entries (id, rank,
+    degree, torsion length, contains); a positive length gives a torsion quotient."""
+    kd = KahlerData.curve(0, 1)
+    total = reduce(sum_data, (chi_curve(kd, 1, d) for d in summands))
+    rows = []
+    for eid, rank, degree, length, contains in entries:
+        sub = chi_curve(kd, rank, degree)
+        quotient = NumericalSheafData(total.rank - rank, total.deg_h - sub.deg_h,
+                                      total.chi - sub.chi, torsion_free=not length)
+        part = NumericalSheafData(0, Fraction(length), poly(length), False) if length else None
+        rows.append(SubobjectEntry(eid, sub, quotient, part, contains))
+    model = HiggsObjectModel("E", kd, total, tuple(rows))
+    assert validate(model) == []
+    return model
 
 
 class TestGiesekerClassify:
@@ -212,6 +236,50 @@ class TestTorsionFreeFormulation:
         )
         with pytest.raises(IncompleteTorsionClosureError):
             gieseker_classify_tf_quotients(only_f)
+
+    def test_twisted_chains_keep_the_class(self):
+        """The first theorem on chains with non-saturated entries S(-t).
+
+        Every saturation declared: both formulations give one class.  One S struck:
+        the gate raises exactly where the reference scan finds no enlargement.
+        """
+        rng, raised = random.Random(20), 0
+        for _ in range(230):
+            model, struck = twisted_chain(rng)
+            assert validate(model) == [] and validate(struck) == []
+            assert (gieseker_classify_tf_quotients(model).classification
+                    is gieseker_classify(model).classification)
+            if oracle_tf_gate_passes(struck):
+                assert (gieseker_classify_tf_quotients(struck).classification
+                        is gieseker_classify(struck).classification)
+            else:
+                raised += 1
+                with pytest.raises(IncompleteTorsionClosureError):
+                    gieseker_classify_tf_quotients(struck)
+        assert 0 < raised < 230
+
+    @pytest.mark.parametrize(
+        "summands, entries, passes",
+        [
+            # G has the rank and chi of F's saturation O but does not contain F
+            ((0, -2), [("F", 1, -1, 1, ()), ("G", 1, 0, 0, ())], True),
+            # O(-1) and O(-2) both saturate to Fp = O
+            ((0, -2), [("F1", 1, -1, 1, ("F2",)), ("F2", 1, -2, 2, ()),
+                       ("Fp", 1, 0, 0, ("F1", "F2"))], True),
+            # G's chi 1 + 2k takes the saturation's value at k = 0, but G has rank 2
+            ((0, -2, -2), [("F", 1, -1, 1, ()), ("G", 2, -1, 0, ())], False),
+        ],
+        ids=["unrelated-stand-in", "shared-saturation", "other-rank"],
+    )
+    def test_hand_built_gate_cases(self, summands, entries, passes):
+        model = line_model(summands, entries)
+        assert oracle_tf_gate_passes(model) is passes
+        if passes:
+            assert (gieseker_classify_tf_quotients(model).classification
+                    is gieseker_classify(model).classification)
+        else:
+            with pytest.raises(IncompleteTorsionClosureError):
+                gieseker_classify_tf_quotients(model)
 
 
 class TestLadder:
