@@ -71,7 +71,7 @@ from .filtration import (
 )
 from .modelfile import LoadedObject, ModelFile, ParseError, load, loads
 from .suite import CheckResult, run_suite
-from .fuzz import fuzz_objects, random_chain_spec
+from .fuzz import fuzz_objects
 from .cli import run
 
 __all__ = [name for name in dir() if not name.startswith("_")]

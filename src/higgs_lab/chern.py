@@ -79,10 +79,6 @@ class KahlerData:
         """(rank, degree) -> the one curve sheaf model.realize builds on this ambient."""
         return {}
 
-    @property
-    def volume(self) -> Fraction:
-        return self.hn / factorial(self.n)
-
 
 @dataclass(frozen=True)
 class NumericalSheafData:

@@ -32,11 +32,6 @@ def _draw(rng: random.Random, max_rank: int, max_genus: int) -> tuple:
     return genus, degrees, frozenset(pair for pair in feasible if rng.random() < 0.5)
 
 
-def random_chain_spec(rng: random.Random, max_rank: int, max_genus: int) -> HiggsChainSpec:
-    genus, degrees, arrows = _draw(rng, max_rank, max_genus)
-    return HiggsChainSpec(KahlerData.curve(genus, 1), degrees, arrows)
-
-
 def fuzz_objects(
     seed: int, count: int, max_rank: int, max_genus: int
 ) -> Iterator[LoadedObject]:

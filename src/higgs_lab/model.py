@@ -221,30 +221,40 @@ def _check_arrows(spec: HiggsChainSpec) -> None:
 def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     """Build the model of a chain: one entry per proper nonempty arrow-closed index set.
 
-    Each such mask is an entry's key, with one label string in a table shared by the
-    entries; each distinct (rank, degree) gets one sheaf, kept in the ambient's table
-    for all its chains.  A chain with more than REALIZE_MASK_BOUND masks is refused.
+    Each mask (bit i-1 for summand i) extends the mask without its lowest bit: its degree,
+    the OR of its arrow targets (it is closed when that lies inside it) and, when both are
+    closed, its label.  A closed mask is an entry's key, its label kept in a table the entries
+    share; each distinct (rank, degree) gets one sheaf, in the ambient's table for all its
+    chains, so scans decide once per sheaf.  More than REALIZE_MASK_BOUND masks are refused.
     """
     kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
     if 1 << m > REALIZE_MASK_BOUND:
         bound = f"realize walks at most {REALIZE_MASK_BOUND} masks"
         raise RealizeBoundError(f"{bound}, and {m} summands need 2^{m}")
     _check_arrows(spec)
-    sheaves, total = kd.sheaves, sum(degrees)
+    sheaves, total, full = kd.sheaves, sum(degrees), (1 << m) - 1
 
-    def part(rank, degree):  # the ambient's sheaf of this (rank, degree), built on first use
-        key = rank, degree
-        return sheaves.get(key) or sheaves.setdefault(key, chi_curve(kd, rank, degree))
+    def part(*key):  # the ambient's sheaf of this (rank, degree), built on first use
+        return sheaves.get(key) or sheaves.setdefault(key, chi_curve(kd, *key))
 
-    arrows = [(1 << (i - 1), 1 << (j - 1)) for i, j in spec.arrows]  # bit i-1 for summand i
+    targets = [0] * m  # summand i's arrow targets, as a mask
+    for i, j in spec.arrows:
+        targets[i - 1] |= 1 << (j - 1)
+    need, degree = [0] * full, [0] * full  # by mask
     labels, entries = {}, []
-    closed = (s for s in range(1, (1 << m) - 1) if all(s & j for i, j in arrows if s & i))
-    for mask in closed:
-        members = [i + 1 for i in range(m) if mask >> i & 1]
-        labels[mask] = label = "{" + ",".join(map(str, members)) + "}"
-        r, d = len(members), sum([degrees[i - 1] for i in members])
-        quotient = part(m - r, total - d)
-        entries.append(SubobjectEntry(label, part(r, d), quotient, key=mask, names=labels))
+    for mask in range(1, full):
+        rest = mask & (mask - 1)
+        i = (mask ^ rest).bit_length() - 1
+        need[mask] = closure = need[rest] | targets[i]
+        degree[mask] = d = degree[rest] + degrees[i]
+        if closure & ~mask:
+            continue
+        below = labels.get(rest)  # set when rest is closed: then its label ends this one's
+        labels[mask] = label = (f"{{{i + 1},{below[1:]}" if below else "{" + ",".join(
+            str(k + 1) for k in range(i, m) if mask >> k & 1) + "}")
+        r = mask.bit_count()
+        entries.append(SubobjectEntry(label, part(r, d), part(m - r, total - d),
+                                      key=mask, names=labels))
     return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
 
 

@@ -3,7 +3,8 @@
 Both notions (normalized-polynomial and slope) come in the subobject,
 quotient, and torsion-free-quotient formulations; all quantify over the
 declared family only, skipping entries of rank zero or full rank.  Witnesses
-are reported in lexicographic id order so verdicts are reproducible.
+are reported in lexicographic id order so verdicts are reproducible; each
+distinct sheaf is compared once per scan, though every entry is walked.
 """
 
 from __future__ import annotations
@@ -11,11 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
-from typing import Iterable, Optional
+from operator import attrgetter
+from typing import Callable, Iterable, Optional
 
 from .chern import compare_p, compare_slope
 from .hilbert import EventualOrder, HilbertPolynomial
-from .model import HiggsObjectModel
+from .model import HiggsObjectModel, SubobjectEntry
 
 
 class InvalidModelError(ValueError):
@@ -83,6 +85,16 @@ def _proper(model: HiggsObjectModel):
     return [e for e in model.subobjects if 0 < e.data.rank < total]
 
 
+def _per_sheaf(decide: Callable, entries: Iterable[SubobjectEntry], part=attrgetter("data")):
+    """(id, decide(part(e))) for each entry e in order, with decide run once per distinct sheaf
+    object (entries share them, one per (rank, degree) on a chain); the table lives one scan."""
+    decided = {}
+    for e in entries:
+        if (key := id(sheaf := part(e))) not in decided:
+            decided[key] = decide(sheaf)
+        yield e.id, decided[key]
+
+
 def _classify(
     notion: Notion, orders: Iterable[tuple[str, EventualOrder]]
 ) -> StabilityVerdict:
@@ -119,22 +131,20 @@ def _classifier(formulation: str):
 
 @_classifier("gieseker")
 def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
-    """Compare each proper subobject's normalized polynomial against the object's.
+    """Compare each proper subobject's p against the object's, once per distinct sheaf.
 
     Stable when all precede, strictly semistable when none succeed but some
     tie, unstable otherwise; rank-one objects are stable vacuously.
     """
-    return _classify(
-        Notion.GIESEKER, ((e.id, compare_p(e.data, model.data)) for e in _proper(model))
-    )
+    total = model.data
+    return _classify(Notion.GIESEKER, _per_sheaf(lambda s: compare_p(s, total), _proper(model)))
 
 
 @_classifier("slope")
 def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
-    """Same quantifier with rational slope comparison."""
-    return _classify(
-        Notion.SLOPE, ((e.id, compare_slope(e.data, model.data)) for e in _proper(model))
-    )
+    """Same quantifier with rational slope comparison, once per distinct sheaf."""
+    total = model.data
+    return _classify(Notion.SLOPE, _per_sheaf(lambda s: compare_slope(s, total), _proper(model)))
 
 
 @_classifier("by_quotients")
@@ -143,16 +153,17 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
 
     An entry offends when the object's polynomial fails to precede the
     quotient's; on consistent models this matches gieseker_classify entry by
-    entry, witness included.
+    entry, witness included; each distinct quotient sheaf is compared once.
     """
     total = model.data
     entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
-    return _classify(Notion.GIESEKER, ((e.id, compare_p(total, e.quotient)) for e in entries))
+    orders = _per_sheaf(lambda q: compare_p(total, q), entries, attrgetter("quotient"))
+    return _classify(Notion.GIESEKER, orders)
 
 
 @_classifier("tf_quotients")
 def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
-    """Quantify only over entries whose quotient is torsion-free.
+    """Quantify only over entries whose quotient is torsion-free, once per distinct sheaf.
 
     Sound once every torsion-quotient entry F has its saturation F' declared: F' has F's
     rank and chi_F + chi_T (T the quotient's torsion part), so it destabilizes at least as
@@ -172,7 +183,8 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             raise IncompleteTorsionClosureError(
                 f"entry {e.id} has a torsion quotient and no declared enlargement"
             )
-    return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, model.data)) for e in kept))
+    total = model.data
+    return _classify(Notion.GIESEKER, _per_sheaf(lambda s: compare_p(s, total), kept))
 
 
 def morphism_verdict(

@@ -26,9 +26,20 @@ from higgs_lab import (
     sum_data,
     verify_filtration,
 )
-from higgs_lab.fuzz import random_chain_spec
+from higgs_lab.fuzz import _draw
 from higgs_lab.hilbert import HilbertPolynomial
 from higgs_lab.model import declared_entries
+
+
+def random_chain_spec(rng, max_rank, max_genus):
+    """A seeded random chain on its own curve ambient, drawn as fuzz draws one."""
+    genus, degrees, arrows = _draw(rng, max_rank, max_genus)
+    return HiggsChainSpec(KahlerData.curve(genus, 1), degrees, arrows)
+
+
+def volume(kd):
+    """hn / n!, the leading coefficient of the structure sheaf's chi."""
+    return kd.hn / factorial(kd.n)
 
 
 def curve_chain(genus, deg_h, degrees, arrows=(), object_id="E"):
@@ -62,7 +73,7 @@ def fraction_leading_terms(s, kd):
     problems = []
     if s.chi.degree > kd.n:
         problems.append(f"chi has degree {s.chi.degree} above the ambient dimension")
-    expected_top = s.rank * kd.hn / factorial(kd.n)
+    expected_top = s.rank * volume(kd)
     if s.chi.coefficient(kd.n) != expected_top:
         problems.append("k^n coefficient of chi does not match rank * hn / n!")
     expected_next = (s.deg_h + Fraction(s.rank, 2) * kd.c1x_h) / factorial(kd.n - 1)
@@ -83,7 +94,7 @@ def slope_from_p(p, kd, rank):
     """Oracle for slope: recover it from the k^(n-1) coefficient of a normalized polynomial."""
     if rank <= 0:
         raise ZeroRankError("slope recovery needs positive rank")
-    if p.coefficient(kd.n) != kd.hn / factorial(kd.n):
+    if p.coefficient(kd.n) != volume(kd):
         raise MalformedPolynomialError("top coefficient must equal hn / n!")
     return factorial(kd.n - 1) * p.coefficient(kd.n - 1) - kd.c1x_h / 2
 

@@ -35,7 +35,6 @@ from higgs_lab import (
     slope_classify,
     sum_data,
 )
-from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.hilbert import EventualOrder, HilbertPolynomial
 from higgs_lab.model import HiggsObjectModel, realize
 
@@ -44,6 +43,7 @@ from conftest import (
     curve_chain,
     oracle_jh_chains,
     poly,
+    random_chain_spec,
     surface_entry,
     surface_model,
     torsion_closure_model,

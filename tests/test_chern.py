@@ -28,7 +28,6 @@ from higgs_lab.chern import NumericalSheafData, leading_term_violations
 from higgs_lab.filtration import _sheaf_delta
 from higgs_lab.hilbert import HilbertPolynomial, parse_rational
 
-from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
 from conftest import (
@@ -36,9 +35,11 @@ from conftest import (
     fraction_order,
     oracle_rank_p_residual,
     poly,
+    random_chain_spec,
     slope_from_p,
     surface_entry,
     surface_model,
+    volume,
 )
 
 
@@ -52,7 +53,7 @@ class TestKahlerData:
         kd = KahlerData.curve(2, 1)
         assert kd.c1x_h == -2
         assert kd.todd == (Fraction(-1), Fraction(1))
-        assert kd.volume == 1
+        assert volume(kd) == 1
 
     def test_rejects_nonample(self):
         with pytest.raises(ValueError):

@@ -22,6 +22,7 @@ import higgs_lab.chern
 import higgs_lab.filtration
 import higgs_lab.model
 import higgs_lab.stability
+import higgs_lab.suite
 from higgs_lab import (
     EventualOrder,
     HiggsChainSpec,
@@ -944,17 +945,23 @@ def _recorded(monkeypatch, module, name, calls):
 
 
 def test_no_memo_outlives_its_command(monkeypatch, capsys):
-    """A command run twice in one process does the same work twice: nothing it keeps is global."""
-    sheaves, verdicts = [], []
+    """A command run twice in one process does the same work twice: nothing it keeps is global.
+
+    Sheaves, verdicts and polynomial comparisons are counted, so a per-scan table of
+    comparisons that outlived its scan would show as fewer comparisons the second time.
+    """
+    sheaves, verdicts, compares = [], [], []
     _recorded(monkeypatch, higgs_lab.model, "chi_curve", sheaves)
     for module in (higgs_lab.stability, higgs_lab.filtration):
         _recorded(monkeypatch, module, "_classify", verdicts)
+    for module in (higgs_lab.chern, higgs_lab.filtration, higgs_lab.suite):
+        _recorded(monkeypatch, module, "compare_scaled", compares)
     counts = []
     for _ in range(2):
         assert run(["verify", str(HITCHIN_PAIR)]) == 0
-        counts.append((len(sheaves), len(verdicts)))
-        sheaves.clear()
-        verdicts.clear()
+        counts.append((len(sheaves), len(verdicts), len(compares)))
+        for calls in (sheaves, verdicts, compares):
+            calls.clear()
     assert counts[0] == counts[1] and min(counts[0]) > 0, counts
 
 

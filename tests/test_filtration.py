@@ -41,7 +41,6 @@ from higgs_lab import (
     validate,
     verify_filtration,
 )
-from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import Violation, realize
 from higgs_lab.modelfile import LoadedObject, kahler_to_json, loads, model_to_json
 
@@ -54,6 +53,7 @@ from conftest import (
     oracle_hn_chains,
     oracle_jh_chains,
     poly,
+    random_chain_spec,
     surface_entry,
     surface_model,
     torsion_closure_model,

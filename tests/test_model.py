@@ -28,10 +28,12 @@ from higgs_lab import (
     validate,
 )
 
-from higgs_lab.fuzz import random_chain_spec
+from higgs_lab.model import RealizeBoundError
 from higgs_lab.modelfile import LoadedObject, ParseError, kahler_to_json, loads, model_to_json
 
 from conftest import (
+    _closed_masks,
+    _members,
     curve_chain,
     enumerate_invariant_subobjects,
     fraction_order,
@@ -41,6 +43,7 @@ from conftest import (
     oracle_rank_p_residual,
     oracle_realization,
     poly,
+    random_chain_spec,
     subset_id,
     torsion_closure_model,
     torsion_step_model,
@@ -222,6 +225,40 @@ class TestRealize:
 
     def test_family_complete_flag(self):
         assert curve_chain(1, 1, (0,)).family_complete
+
+    def test_matches_the_mask_oracle(self):
+        """Each closed mask is one entry, with the oracle's label, key, rank and degree, and
+        its sheaves are the ambient table's: no arrows, a path, a cycle and seeded arrow sets."""
+        rng, kd = random.Random(2110), KahlerData.curve(2, 1)
+        path = {(i, i + 1) for i in range(1, 7)}
+        specs = [HiggsChainSpec(kd, (0,) * 7), HiggsChainSpec(kd, (0,) * 7, path),
+                 HiggsChainSpec(kd, (0,) * 7, path | {(7, 1)})]
+        for _ in range(150):
+            m, density = rng.randint(1, 10), rng.choice((0.05, 0.15, 0.4))
+            degrees = tuple(rng.randint(-3, 3) for _ in range(m))
+            arrows = {(i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+                      if degrees[i - 1] <= degrees[j - 1] + 2 and rng.random() < density}
+            specs.append(HiggsChainSpec(kd, degrees, arrows))
+        for spec in specs:
+            model, m, degrees = realize(spec), spec.size, spec.summand_degrees
+            masks = {subset_id(_members(mask)): mask for mask in _closed_masks(spec)}
+            assert [e.id for e in model.subobjects] == sorted(masks), spec
+            for e in model.subobjects:
+                rank, degree = e.key.bit_count(), sum(degrees[i - 1] for i in _members(e.key))
+                assert e.key == masks[e.id]
+                assert (e.data.rank, e.data.deg_h) == (rank, degree)
+                assert e.data is kd.sheaves[rank, degree]
+                assert e.quotient is kd.sheaves[m - rank, sum(degrees) - degree]
+            assert model.data is kd.sheaves[m, sum(degrees)]
+        assert [len(realize(s).subobjects) for s in specs[:3]] == [126, 6, 0]
+
+    def test_refusal_text(self):
+        for arrows in ((), {(i, i % 17 + 1) for i in range(1, 18)}):
+            with pytest.raises(RealizeBoundError) as refused:
+                realize(HiggsChainSpec(KahlerData.curve(2, 1), (0,) * 17, arrows))
+            assert str(refused.value) == (
+                "realize walks at most 65536 masks, and 17 summands need 2^17"
+            )
 
 
 class TestLazyContains:

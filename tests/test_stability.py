@@ -7,6 +7,7 @@ from functools import reduce
 import pytest
 
 from higgs_lab import (
+    AmbiguousMaximizerError,
     HiggsObjectModel,
     IncompleteTorsionClosureError,
     InvalidModelError,
@@ -25,15 +26,16 @@ from higgs_lab import (
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     harder_narasimhan,
+    jordan_holder,
     morphism_verdict,
     normalized_p,
     slope_classify,
     sum_data,
     validate,
 )
+import higgs_lab.filtration
 import higgs_lab.model
 import higgs_lab.stability
-from higgs_lab.fuzz import random_chain_spec
 from higgs_lab.model import realize
 
 from conftest import (
@@ -42,6 +44,7 @@ from conftest import (
     interval_quotient_model,
     oracle_tf_gate_passes,
     poly,
+    random_chain_spec,
     surface_entry,
     surface_model,
     torsion_closure_model,
@@ -163,6 +166,68 @@ class TestGate:
         assert [v.notion for v in first] == notions == [Notion.GIESEKER] * 3 + [Notion.SLOPE]
         assert [classify(curve_chain(1, 1, (0, 0, 1))) for classify in classifiers] == first
         assert len(notions) == 8
+
+
+class TestPerSheafScans:
+    """Every entry is walked in id order, but each distinct sheaf is compared once per scan."""
+
+    @staticmethod
+    def counted(monkeypatch, module, names):
+        calls = []
+        for name in names:
+            real = getattr(module, name)
+            monkeypatch.setattr(module, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        return calls
+
+    def test_each_classifier_compares_once_per_sheaf(self, monkeypatch):
+        m = curve_chain(2, 1, (0,) * 8)
+        assert len(m.subobjects) == 254
+        assert len({id(e.data) for e in m.subobjects}) == 7
+        calls = self.counted(monkeypatch, higgs_lab.stability, ("compare_p", "compare_slope"))
+        for classify in (gieseker_classify, gieseker_classify_by_quotients,
+                         gieseker_classify_tf_quotients, slope_classify):
+            calls.clear()
+            verdict = classify(m)
+            assert verdict.classification is StabilityClass.STRICTLY_SEMISTABLE
+            assert verdict.witness == m.subobjects[0].id
+            assert len(calls) == len({id(s) for pair in calls for s in pair if s is not m.data})
+            assert len(calls) <= 7, classify
+
+    def test_each_jordan_holder_step_compares_once_per_sheaf(self, monkeypatch):
+        m = curve_chain(2, 1, (0,) * 8)
+        calls = self.counted(monkeypatch, higgs_lab.filtration, ("compare_scaled",))
+        per_scan, scan = [], higgs_lab.filtration._orders
+
+        def counting(model, upper, lower, quotient):
+            start, orders = len(calls), list(scan(model, upper, lower, quotient))
+            sheaves = {id(model.entry(eid).data) for eid, _ in orders}
+            per_scan.append((len(calls) - start, len(sheaves)))
+            return iter(orders)
+
+        monkeypatch.setattr(higgs_lab.filtration, "_orders", counting)
+        assert len(jordan_holder(m).steps) == 8
+        assert per_scan[0] == (7, 7)  # the object: 254 entries, 7 sheaves
+        assert len(per_scan) == 16 and all(n <= sheaves for n, sheaves in per_scan)
+
+    def test_entries_sharing_a_sheaf_keep_the_first_witness(self):
+        """E = O(1) + O(1) + O(-1) + O(-1) on the line: c and b are the two O(1)s, one
+        sheaf object, and a is O(1) + O(-1), an earlier equalizer."""
+        kd = KahlerData.curve(0, 1)
+        total = reduce(sum_data, (chi_curve(kd, 1, d) for d in (1, 1, -1, -1)))
+        line, rest = chi_curve(kd, 1, 1), chi_curve(kd, 3, -1)
+        half = chi_curve(kd, 2, 0)
+        entries = (SubobjectEntry("c", line, rest, None, ()),
+                   SubobjectEntry("b", line, rest, None, ()),
+                   SubobjectEntry("a", half, half, None, ()))
+        m = HiggsObjectModel("E", kd, total, entries)
+        assert validate(m) == [] and m.entry("b").data is m.entry("c").data
+        for classify in (gieseker_classify, gieseker_classify_by_quotients,
+                         gieseker_classify_tf_quotients, slope_classify):
+            verdict = classify(m)
+            assert (verdict.classification, verdict.witness) == (StabilityClass.UNSTABLE, "b")
+        with pytest.raises(AmbiguousMaximizerError, match=r"\['b', 'c'\] above 0"):
+            harder_narasimhan(m)
 
 
 class TestSlopeClassify:
