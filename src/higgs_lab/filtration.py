@@ -127,25 +127,19 @@ def _orders(
 ) -> Iterator[tuple[str, Optional[EventualOrder]]]:
     """The one step rule's scan: each entry strictly between two steps, in id order.
 
-    An entry of the lower step's rank and another chi is torsion over it and yields
-    (id, None).  An entry of relative rank strictly between 0 and the quotient's yields (id,
-    its p over lower against the quotient's p).  Other entries yield nothing.  With the steps
-    fixed, that reads the entry's sheaf alone, so each distinct sheaf is decided once per scan.
+    An entry of the lower step's rank and another chi is torsion over it and
+    yields (id, None).  An entry of relative rank strictly between 0 and the
+    quotient's yields (id, its p over lower against the quotient's p).  Other
+    entries yield nothing.
     """
     base = ZERO_SHEAF if lower is None else model.entry(lower).data
-    decided = {}  # id(sheaf) -> what its entries yield, False for nothing
     for e in _between(model, upper, lower):
-        if (key := id(data := e.data)) not in decided:
-            rank = data.rank - base.rank
-            if rank == 0 and data.chi != base.chi:
-                decided[key] = None
-            elif 0 < rank < quotient.rank:
-                chi = data.chi if lower is None else data.chi - base.chi
-                decided[key] = compare_scaled(chi, rank, quotient.chi, quotient.rank)
-            else:
-                decided[key] = False
-        if (order := decided[key]) is not False:
-            yield e.id, order
+        rank = e.data.rank - base.rank
+        if rank == 0 and e.data.chi != base.chi:
+            yield e.id, None
+        elif 0 < rank < quotient.rank:
+            chi = e.data.chi if lower is None else e.data.chi - base.chi
+            yield e.id, compare_scaled(chi, rank, quotient.chi, quotient.rank)
 
 
 def chain_bound() -> int:
@@ -378,22 +372,19 @@ def _destabilizer_step(
     """Pick the maximal destabilizing entry strictly above bottom, or None for the top.
 
     Maximize the relative normalized polynomial, then rank; a tie between
-    distinct entries is ambiguous and aborts.  Each distinct sheaf is compared
-    once with each running best: its p over bottom alone decides the order.
+    distinct entries is ambiguous and aborts.
     """
     top = _step_quotient(model, model.id, bottom_id)
     base = ZERO_SHEAF if bottom_id is None else model.entry(bottom_id).data
     best_p, best = (top.chi, top.rank), [(top.rank, None)]
-    orders = {}  # id(sheaf) -> its order against best_p
     for e in _between(model, model.id, bottom_id):
         rank = e.data.rank - base.rank
         if 0 < rank < top.rank:
-            if (key := id(e.data)) not in orders:
-                chi = e.data.chi if bottom_id is None else e.data.chi - base.chi
-                orders[key] = compare_scaled(chi, rank, *best_p)
-                if orders[key] is EventualOrder.SUCCEEDS:  # a new best: the orders lapse
-                    best_p, best, orders = (chi, rank), [], {key: EventualOrder.EQUAL}
-            if orders[key] is not EventualOrder.PRECEDES:
+            chi = e.data.chi if bottom_id is None else e.data.chi - base.chi
+            order = compare_scaled(chi, rank, *best_p)
+            if order is EventualOrder.SUCCEEDS:
+                best_p, best = (chi, rank), []
+            if order is not EventualOrder.PRECEDES:
                 best.append((rank, e.id))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]

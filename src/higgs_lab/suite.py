@@ -106,12 +106,9 @@ def check_torsion_free_formulation(obj: LoadedObject) -> CheckResult:
 
 def check_residuals(obj: LoadedObject) -> CheckResult:
     """The rank-weighted polynomial residual vanishes on every declared extension."""
-    total, checked = obj.model.data, set()  # (data, quotient) by identity: the pair decides
+    total = obj.model.data
     for e in obj.model.subobjects:
         f, q = e.data, e.quotient  # zero residual: chi_E / rk E = (chi_F + chi_Q) / (rk F + rk Q)
-        if (pair := (id(f), id(q))) in checked:
-            continue
-        checked.add(pair)
         if f.rank and q.rank and compare_scaled(
             total.chi, total.rank, f.chi + q.chi, f.rank + q.rank
         ) is not EventualOrder.EQUAL:

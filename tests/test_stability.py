@@ -26,14 +26,12 @@ from higgs_lab import (
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     harder_narasimhan,
-    jordan_holder,
     morphism_verdict,
     normalized_p,
     slope_classify,
     sum_data,
     validate,
 )
-import higgs_lab.filtration
 import higgs_lab.model
 import higgs_lab.stability
 from higgs_lab.model import realize
@@ -169,22 +167,17 @@ class TestGate:
 
 
 class TestPerSheafScans:
-    """Every entry is walked in id order, but each distinct sheaf is compared once per scan."""
-
-    @staticmethod
-    def counted(monkeypatch, module, names):
-        calls = []
-        for name in names:
-            real = getattr(module, name)
-            monkeypatch.setattr(module, name,
-                                lambda *args, real=real: calls.append(args) or real(*args))
-        return calls
+    """A classifier walks every entry in id order but compares each distinct sheaf once."""
 
     def test_each_classifier_compares_once_per_sheaf(self, monkeypatch):
         m = curve_chain(2, 1, (0,) * 8)
         assert len(m.subobjects) == 254
         assert len({id(e.data) for e in m.subobjects}) == 7
-        calls = self.counted(monkeypatch, higgs_lab.stability, ("compare_p", "compare_slope"))
+        calls = []
+        for name in ("compare_p", "compare_slope"):
+            real = getattr(higgs_lab.stability, name)
+            monkeypatch.setattr(higgs_lab.stability, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
         for classify in (gieseker_classify, gieseker_classify_by_quotients,
                          gieseker_classify_tf_quotients, slope_classify):
             calls.clear()
@@ -193,22 +186,6 @@ class TestPerSheafScans:
             assert verdict.witness == m.subobjects[0].id
             assert len(calls) == len({id(s) for pair in calls for s in pair if s is not m.data})
             assert len(calls) <= 7, classify
-
-    def test_each_jordan_holder_step_compares_once_per_sheaf(self, monkeypatch):
-        m = curve_chain(2, 1, (0,) * 8)
-        calls = self.counted(monkeypatch, higgs_lab.filtration, ("compare_scaled",))
-        per_scan, scan = [], higgs_lab.filtration._orders
-
-        def counting(model, upper, lower, quotient):
-            start, orders = len(calls), list(scan(model, upper, lower, quotient))
-            sheaves = {id(model.entry(eid).data) for eid, _ in orders}
-            per_scan.append((len(calls) - start, len(sheaves)))
-            return iter(orders)
-
-        monkeypatch.setattr(higgs_lab.filtration, "_orders", counting)
-        assert len(jordan_holder(m).steps) == 8
-        assert per_scan[0] == (7, 7)  # the object: 254 entries, 7 sheaves
-        assert len(per_scan) == 16 and all(n <= sheaves for n, sheaves in per_scan)
 
     def test_entries_sharing_a_sheaf_keep_the_first_witness(self):
         """E = O(1) + O(1) + O(-1) + O(-1) on the line: c and b are the two O(1)s, one
