@@ -66,6 +66,7 @@ from .filtration import (
     grading,
     harder_narasimhan,
     jordan_holder,
+    jordan_holder_census,
     s_equivalent,
     verify_filtration,
 )

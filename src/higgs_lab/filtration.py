@@ -9,9 +9,12 @@ Both filtrations are defined by a rule on each
 step alone, kept in _step_violations: verify_filtration applies it to every
 step of a chain, and _search, the one exhaustive search behind
 all_jordan_holder and all_harder_narasimhan, extends chains only through steps
-that pass it, deciding each step once.  Every construction passes the
-stability gate first and verifies its chain before returning, so an
-under-declared family surfaces as an explicit error, not a wrong answer.
+that pass it, deciding each step once.  jordan_holder_census, behind the
+theorem suite's JH check, applies the same rule once per step to count the
+JH chains and their gradings node by node, listing no chain.  Every
+construction passes the stability gate first and verifies its chain before
+returning, so an under-declared family surfaces as an explicit error, not a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -36,6 +39,7 @@ from .stability import (
 
 CHAIN_BOUND_ENV = "HIGGS_LAB_MAX_CHAINS"
 DEFAULT_CHAIN_BOUND = 4096
+CENSUS_BOUND = 500_000  # lattice entries jordan_holder_census may scan: m <= 8 equal-degree chains
 
 
 class NotSemistableError(ValueError):
@@ -110,12 +114,25 @@ def _below(a: SubobjectEntry, b: SubobjectEntry) -> bool:
     return a.key & b.key == a.key and a is not b
 
 
+def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]:
+    """Entries strictly below upper, in id order, listed once per model.
+
+    The lists sit in one table under the memo's "below" key: a memo key
+    ("below", upper) would be the step quotient of an entry named "below".
+    """
+    table = model._memo.setdefault("below", {})
+    if upper not in table:
+        entries = model.subobjects
+        if upper != model.id:  # _below, inline: this scan runs for every upper
+            top = model.entry(upper)
+            entries = [e for e in entries if e.key & top.key == e.key and e is not top]
+        table[upper] = entries
+    return table[upper]
+
+
 def _between(model: HiggsObjectModel, upper: str, lower: Optional[str]) -> Sequence[SubobjectEntry]:
     """Entries strictly between two steps, in id order; upper may be the object, lower None."""
-    entries = model.subobjects
-    if upper != model.id:  # _below, inline: this scan runs for every step
-        top = model.entry(upper)
-        entries = [e for e in entries if e.key & top.key == e.key and e is not top]
+    entries = _below_list(model, upper)
     if lower is not None:
         low = model.entry(lower)
         entries = [e for e in entries if low.key & e.key == low.key and e is not low]
@@ -305,7 +322,8 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     prefix is extended only through steps with no _step_violations, so every
     chain found is valid and every valid chain is found.  HN's StrictDecrease,
     the one check that reads the prefix, runs first; _step_passes decides the
-    rest once per (upper, lower) step, and each upper's lowers are listed once.
+    rest once per (upper, lower) step, and each upper's lowers are listed once
+    per model by _below_list.
     A prefix whose lowest step passes over zero is a chain, listed before its
     extensions.  Each prefix visited is one search node, bounded by
     chain_bound().  Pending prefixes sit on a stack: a recursive closure would
@@ -315,7 +333,6 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     bound = chain_bound()
     found: list[Filtration] = []
     passes: dict[tuple[str, Optional[str]], bool] = {}  # (upper, lower) -> _step_passes
-    lowers: dict[str, list[Optional[str]]] = {}  # upper -> [None, *ids of the entries below]
     nodes = 0
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
@@ -325,9 +342,7 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
             raise TooLargeError(f"more than {bound} search nodes; raise {CHAIN_BOUND_ENV}")
         upper = steps[-1]
         deeper = []
-        if upper not in lowers:
-            lowers[upper] = [None, *(e.id for e in _between(model, upper, None))]
-        for lower in lowers[upper]:
+        for lower in (None, *(e.id for e in _below_list(model, upper))):
             quotient = _step_quotient(model, upper, lower)
             if above is not None and quotient.rank > 0:  # rank zero fails _step_passes
                 if compare_p(above, quotient) is not EventualOrder.PRECEDES:
@@ -344,12 +359,60 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     return found
 
 
-def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
-    """Every chain satisfying the Jordan-Holder conditions, in deterministic order."""
+def _require_semistable(model: HiggsObjectModel) -> None:
     verdict = gieseker_classify(model)
     if verdict.classification is StabilityClass.UNSTABLE:
         raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
+
+
+def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
+    """Every chain satisfying the Jordan-Holder conditions, in deterministic order."""
+    _require_semistable(model)
     return _search(model, FiltrationKind.JH)
+
+
+def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
+    """The number of Jordan-Holder chains and the set of their gradings, listing no chain.
+
+    JH steps read no prefix, so the chains from a node (the object or an
+    entry) down to zero depend on that node alone: each node keeps their
+    count and gradings, summed over the steps from it that _step_passes
+    admits.  Nodes wait on a stack until every step below them is known.
+    The scans are counted as lattice entries touched, one list of a node's
+    entries below plus one filter of it per entry below; work past
+    CENSUS_BOUND raises TooLargeError before it starts.
+    """
+    _require_semistable(model)
+    size, scanned = len(model.subobjects), 0
+    passing: dict[str, list[tuple[Optional[str], NumericalSheafData]]] = {}
+    found: dict[Optional[str], tuple[int, set[Grading]]] = {None: (1, {Grading(())})}
+    stack = [model.id]
+    while stack:
+        upper = stack[-1]
+        if upper not in passing:  # first visit: decide every step down from upper
+            scanned += size  # listing the entries below upper
+            if scanned <= CENSUS_BOUND:
+                below = _below_list(model, upper)
+                scanned += len(below) ** 2  # one filter of that list per lower below
+            if scanned > CENSUS_BOUND:
+                raise TooLargeError(f"census scans more than {CENSUS_BOUND} lattice entries")
+            steps = passing[upper] = []
+            for lower in (None, *(e.id for e in below)):
+                quotient = _step_quotient(model, upper, lower)
+                if _step_passes(model, FiltrationKind.JH, upper, lower, quotient):
+                    steps.append((lower, quotient))
+            stack.extend(low for low, _ in steps if low not in found)
+            continue
+        stack.pop()
+        if upper in found:
+            continue
+        count, gradings = 0, set()
+        for lower, q in passing[upper]:  # zero, the lower None, ends one chain
+            below_count, below_gradings = found[lower]
+            count += below_count
+            gradings.update(Grading((*g.pieces, (q.rank, q.deg_h, q.chi))) for g in below_gradings)
+        found[upper] = count, gradings
+    return found[model.id]
 
 
 def grading(filt: Filtration) -> Grading:

@@ -19,9 +19,8 @@ from .filtration import (
     BrokenInvariantError,
     TooLargeError,
     all_harder_narasimhan,
-    all_jordan_holder,
-    grading,
     harder_narasimhan,
+    jordan_holder_census,
 )
 from .hilbert import EventualOrder, compare_scaled, format_rational
 from .model import RealizeBoundError, chain_sum, direct_sum_model, realize
@@ -153,22 +152,25 @@ def check_bogomolov(obj: LoadedObject) -> Optional[CheckResult]:
 
 
 def check_jh_invariance(obj: LoadedObject) -> CheckResult:
-    """All Jordan-Holder chains of a semistable object share one grading."""
+    """All Jordan-Holder chains of a semistable object share one grading.
+
+    The chains are counted, with their gradings, by jordan_holder_census, not
+    listed; a census past its work bound is a skip.
+    """
     verdict = gieseker_classify(obj.model)
     if not verdict.semistable:
         return _skip("jh_grading_invariance", obj.model.id, "object is unstable")
     try:
-        chains = all_jordan_holder(obj.model)
+        count, gradings = jordan_holder_census(obj.model)
     except TooLargeError as exc:
         return _skip("jh_grading_invariance", obj.model.id, str(exc))
-    if not chains:
+    if not count:
         return _result("jh_grading_invariance", obj.model.id, False, "no chain found")
-    gradings = {grading(f) for f in chains}
     return _result(
         "jh_grading_invariance",
         obj.model.id,
         len(gradings) == 1,
-        f"{len(chains)} chain(s), {len(gradings)} grading(s)",
+        f"{count} chain(s), {len(gradings)} grading(s)",
     )
 
 

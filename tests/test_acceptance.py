@@ -279,6 +279,22 @@ def test_criterion_7_jh_grading_invariance():
             assert len({grading(f) for f in chains}) == 1
 
 
+def test_jh_grading_invariance_on_an_equal_degree_chain_of_eight(tmp_path, capsys):
+    with criterion(7, "verify counts the 40,320 JH chains of an equal-degree m=8 chain in < 1 s"):
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [{"type": "chain", "id": "E", "degrees": [0] * 8}],
+        }
+        path = tmp_path / "chain.json"
+        path.write_text(json.dumps(doc))
+        started = time.perf_counter()
+        assert run(["verify", str(path)]) == 0
+        elapsed = time.perf_counter() - started
+        lines = capsys.readouterr().out.splitlines()
+        assert "pass jh_grading_invariance      E  40320 chain(s), 1 grading(s)" in lines, lines
+        assert elapsed < 1.0, f"took {elapsed:.2f} s"
+
+
 def test_criterion_8_hn_uniqueness():
     with criterion(8, "constructed HN chain is the unique one found by exhaustive search"):
         fixtures = _direct_sum_fixtures()

@@ -25,6 +25,7 @@ import higgs_lab.stability
 import higgs_lab.suite
 from higgs_lab import (
     EventualOrder,
+    Grading,
     HiggsChainSpec,
     KahlerData,
     StabilityClass,
@@ -85,6 +86,16 @@ def _stable_on_split(classify):
         if model.id != "split":
             return verdict
         return StabilityVerdict(verdict.notion, StabilityClass.STABLE)
+
+    return wrong
+
+
+def _second_grading(census):
+    """census, except that it reports one grading more than it finds."""
+
+    def wrong(model):
+        count, gradings = census(model)
+        return count, gradings | {Grading(())}
 
     return wrong
 
@@ -455,7 +466,7 @@ class TestVerify:
             ("torsion_free_formulation", "gieseker_classify_tf_quotients", _stable_on_split),
             ("rank_p_residual", "compare_scaled", lambda real: lambda *_: EventualOrder.SUCCEEDS),
             ("dim1_coincidence", "slope_classify", _stable_on_split),
-            ("jh_grading_invariance", "all_jordan_holder", lambda real: lambda model: []),
+            ("jh_grading_invariance", "jordan_holder_census", _second_grading),
             ("hn_uniqueness", "all_harder_narasimhan", lambda real: lambda model: []),
             ("direct_sum", "chain_sum", lambda real: lambda a, b: a),  # the sum is hitchin
             ("direct_sum", "chain_sum", _unshifted_arrows),
@@ -482,13 +493,16 @@ class TestVerify:
         "size, jh_line",
         [
             (6, "pass jh_grading_invariance      E  720 chain(s), 1 grading(s)"),
-            (7, "skip jh_grading_invariance      E  more than 4096 search nodes;"
-                " raise HIGGS_LAB_MAX_CHAINS"),
+            (7, "pass jh_grading_invariance      E  5040 chain(s), 1 grading(s)"),
+            (8, "pass jh_grading_invariance      E  40320 chain(s), 1 grading(s)"),
+            (10, "skip jh_grading_invariance      E  census scans more than 500000"
+                 " lattice entries"),
         ],
-        ids=["m6", "m7"],
+        ids=["m6", "m7", "m8", "m10"],
     )
     def test_equal_degree_chain_search_lines(self, tmp_path, capsys, size, jh_line):
-        # m=6: both searches complete; m=7: JH meets the default node bound, HN does not
+        # the JH census counts m! chains up to m=8 and meets its work bound past it;
+        # the HN search stays within its node bound throughout
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
             "objects": [{"type": "chain", "id": "E", "degrees": [0] * size}],

@@ -6,6 +6,7 @@ import random
 from collections import Counter
 from fractions import Fraction
 from itertools import permutations
+from pathlib import Path
 
 import pytest
 
@@ -35,6 +36,8 @@ from higgs_lab import (
     grading,
     harder_narasimhan,
     jordan_holder,
+    jordan_holder_census,
+    load,
     normalized_p,
     s_equivalent,
     stability,
@@ -59,6 +62,8 @@ from conftest import (
     torsion_closure_model,
     torsion_step_model,
 )
+
+HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
 
 
 class TestInducedSubmodel:
@@ -243,6 +248,7 @@ class TestStepQuery:
         m = curve_chain(1, 1, (0,) * size)
         for search, chains, steps in (
             (all_jordan_holder, jh_chains, 3**size - 2**size),
+            (lambda m: [None] * jordan_holder_census(m)[0], jh_chains, 3**size - 2**size),
             (all_harder_narasimhan, 1, 2**size - 1),
         ):
             queries.clear()
@@ -430,7 +436,9 @@ class TestAllJordanHolder:
         with pytest.raises(NotSemistableError):
             all_jordan_holder(curve_chain(0, 1, (2, 0)))
 
-    @pytest.mark.parametrize("search", [all_jordan_holder, all_harder_narasimhan])
+    @pytest.mark.parametrize(
+        "search", [all_jordan_holder, all_harder_narasimhan, jordan_holder_census]
+    )
     def test_search_leaves_no_reference_cycles(self, search):
         """A dropped result is freed at once, not left for the cycle collector."""
         m = curve_chain(1, 1, (0,) * 5)
@@ -441,6 +449,65 @@ class TestAllJordanHolder:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def census_and_enumeration(model):
+    """jordan_holder_census and all_jordan_holder's (chain count, gradings), or the
+    type of error each raised."""
+    out = []
+    for count in (jordan_holder_census,
+                  lambda m: (len(chains := all_jordan_holder(m)), {grading(f) for f in chains})):
+        try:
+            out.append(count(model))
+        except NotSemistableError as exc:
+            out.append(type(exc))
+    return out
+
+
+class TestJordanHolderCensus:
+    """The census counts what all_jordan_holder lists: chains and their gradings."""
+
+    def test_matches_the_enumeration_on_fuzzed_chains(self):
+        rng = random.Random(34)
+        several = 0
+        for _ in range(600):
+            m = realize(random_chain_spec(rng, 5, 2))
+            if not gieseker_classify(m).semistable:
+                continue
+            census, enumerated = census_and_enumeration(m)
+            assert census == enumerated, m.id
+            several += census[0] > 1
+        assert several >= 10  # 150 semistable chains, 10 of them with several JH chains
+
+    def test_matches_the_enumeration_on_declared_models(self):
+        pair = load(HITCHIN_PAIR)
+        doc = {"ambient": kahler_to_json(pair.objects[0].model.ambient),
+               "objects": [model_to_json(obj) for obj in pair.objects]}
+        declared = [obj.model for obj in loads(json.dumps(doc)).objects]
+        outcomes = [census_and_enumeration(m) for m in [*declared, torsion_step_model()]]
+        assert [census for census, _ in outcomes] == [
+            (1, {grading(jordan_holder(declared[0]))}), NotSemistableError, NotSemistableError
+        ]
+        assert all(census == enumerated for census, enumerated in outcomes)
+
+    def test_equal_degree_chain_of_six(self):
+        m = curve_chain(1, 1, (0,) * 6)
+        census, enumerated = census_and_enumeration(m)
+        assert census == enumerated
+        assert census[0] == 720 and len(census[1]) == 1
+
+    def test_unstable_rejected(self):
+        with pytest.raises(NotSemistableError):
+            jordan_holder_census(curve_chain(0, 1, (2, 0)))
+
+    def test_work_bound(self, monkeypatch):
+        # m=3 lists 7 uppers' entries below (6 each) and filters them 6^2 + 3 * 2^2 times
+        m = curve_chain(1, 1, (0, 0, 0))
+        monkeypatch.setattr(filtration, "CENSUS_BOUND", 7 * 6 + 6**2 + 3 * 2**2)
+        assert jordan_holder_census(m)[0] == 6
+        monkeypatch.setattr(filtration, "CENSUS_BOUND", 7 * 6 + 6**2 + 3 * 2**2 - 1)
+        with pytest.raises(TooLargeError, match="census scans more than 89 lattice entries"):
+            jordan_holder_census(m)
 
 
 class TestGradingAndSEquivalence:
