@@ -55,7 +55,6 @@ from .stability import (
 from .filtration import (
     AmbiguousMaximizerError,
     BrokenInvariantError,
-    ChainBoundError,
     Filtration,
     FiltrationKind,
     Grading,

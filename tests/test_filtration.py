@@ -12,7 +12,6 @@ import pytest
 
 from higgs_lab import (
     AmbiguousMaximizerError,
-    ChainBoundError,
     EventualOrder,
     Filtration,
     FiltrationKind,
@@ -415,22 +414,18 @@ class TestAllJordanHolder:
             oracle = oracle_jh_chains(m)
             assert {f.steps for f in oracle} == {f.steps for f in chains}
 
-    def test_chain_bound(self, monkeypatch):
-        monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", "2")
+    def test_search_bound(self, monkeypatch):
         m = curve_chain(1, 1, (0, 0, 0))
-        with pytest.raises(TooLargeError, match="more than 2 search nodes"):
-            all_jordan_holder(m)
-        with pytest.raises(TooLargeError, match="more than 2 search nodes"):
-            all_harder_narasimhan(m)
-
-    @pytest.mark.parametrize("value", ["abc", "0", "-5", "2.5"])
-    def test_chain_bound_must_be_a_positive_integer(self, monkeypatch, value):
-        monkeypatch.setenv("HIGGS_LAB_MAX_CHAINS", value)
-        m = curve_chain(1, 1, (0, 0))
-        with pytest.raises(ChainBoundError, match="HIGGS_LAB_MAX_CHAINS"):
-            all_jordan_holder(m)
-        with pytest.raises(ChainBoundError, match="HIGGS_LAB_MAX_CHAINS"):
-            all_harder_narasimhan(m)
+        # JH visits the object, the 3 planes under it (stable line quotients) and
+        # 2 lines under each plane; HN visits the object and the 3 planes and 3
+        # lines under it (semistable quotients), and StrictDecrease stops the rest
+        for search, nodes, chains in ((all_jordan_holder, 1 + 3 + 3 * 2, 6),
+                                      (all_harder_narasimhan, 1 + 3 + 3, 1)):
+            monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes)
+            assert len(search(m)) == chains
+            monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes - 1)
+            with pytest.raises(TooLargeError, match=f"^more than {nodes - 1} search nodes$"):
+                search(m)
 
     def test_unstable_rejected(self):
         with pytest.raises(NotSemistableError):
