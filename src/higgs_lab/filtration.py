@@ -5,14 +5,13 @@ it orders each entry strictly between two steps, relative to the lower one,
 against the step's quotient, or marks it as torsion over the lower step.
 Validation of the parent makes the interval of every step without torsion a
 valid model, so no step builds one: the scan is that model's classification.
-Both filtrations are defined by a rule on each step alone, kept in
-_step_violations: verify_filtration applies it to every step of a chain, and
-_search, the one exhaustive search behind all_jordan_holder and
-all_harder_narasimhan, extends chains only through steps that pass it,
-deciding each step once.  jordan_holder_census, behind the theorem suite's JH
-check, applies the same rule once per step to count the JH chains and their
-gradings node by node, listing no chain.  The search stops past SEARCH_BOUND
-search nodes and the census past CENSUS_BOUND scanned entries, each with
+Both filtrations are defined by one rule on each step alone, kept in
+_step_violations, whose scan stops at its first offending entry in id order.
+verify_filtration applies it to every step of a chain; _search, the one
+exhaustive search behind all_jordan_holder and all_harder_narasimhan, and
+jordan_holder_census, the theorem suite's JH count, read its first violation
+once per step through _step_passes.  The search stops past SEARCH_BOUND search
+nodes and the census past CENSUS_BOUND scanned entries, each with
 TooLargeError; both are module constants, and no flag or environment
 variable moves them.  Every construction passes the stability gate first and
 verifies its chain before returning, so an under-declared family surfaces as
@@ -203,15 +202,13 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
     id), and the construction recurses inside it.  The result is verified
     against every filtration invariant before it is returned.
     """
-    require_classifiable(model)
+    _require_semistable(model)
     steps: list[str] = []
     step = model.id
     while True:
         orders = list(_orders(model, step, None, _data(model, step)))
         verdict = _classify(Notion.GIESEKER, orders)
         if verdict.classification is StabilityClass.UNSTABLE:
-            if step == model.id:
-                raise NotSemistableError(f"{model.id} is unstable (witness {verdict.witness})")
             raise BrokenInvariantError(
                 f"intermediate step {step} is unstable; the family is under-declared"
             )
@@ -235,44 +232,40 @@ def _step_violations(
     quotient: NumericalSheafData,
     above: Optional[tuple[str, NumericalSheafData]],
 ) -> Iterator[Violation]:
-    """The JH or HN rule for one step, upper over lower (None for zero).
+    """The JH or HN rule for one step, upper over lower (None for zero), in one scan.
 
     quotient is upper/lower; above holds the upper id and the quotient of the
     step above, None at the top.  JH: the quotient is stable with p equal to
     the object's.  HN: it is semistable, and p strictly decreases up the chain.
-    Both: it is torsion-free, so _orders marks no entry in between.  Violations
-    come cheapest first; _step_passes is the search's pass/fail form.
+    Both: it is torsion-free, so _orders marks no entry in between.  The cheap
+    checks come first; the scan then stops at, and names, its first offending
+    entry in id order: one torsion over lower, one whose p is above the
+    quotient's, or, for JH, one whose p ties with it.
     """
     if quotient.rank <= 0:
         yield Violation(upper, "QuotientRank", "quotients need positive rank")
         return
-    if kind is FiltrationKind.JH:
+    jh = kind is FiltrationKind.JH
+    if jh:
         if compare_p(quotient, model.data) is not EventualOrder.EQUAL:
             yield Violation(upper, "EqualP", "quotient p differs from the object's")
             return
     elif above is not None and compare_p(above[1], quotient) is not EventualOrder.PRECEDES:
         yield Violation(
-            above[0],
-            "StrictDecrease",
-            "quotient polynomials must strictly decrease up the chain",
+            above[0], "StrictDecrease", "quotient polynomials must strictly decrease up the chain"
         )
-    orders = list(_orders(model, upper, lower, quotient))
-    for gid, order in orders:
+    for gid, order in _orders(model, upper, lower, quotient):
         if order is None:
             yield Violation(upper, "QuotientTorsion", f"{gid} is torsion over the step below")
             return
-    verdict = _classify(Notion.GIESEKER, orders)
-    if kind is FiltrationKind.JH:
-        if verdict.classification is not StabilityClass.STABLE:
+        if jh and order is not EventualOrder.PRECEDES:
+            yield Violation(upper, "QuotientStable", f"quotient is not stable (witness {gid})")
+            return
+        if order is EventualOrder.SUCCEEDS:
             yield Violation(
-                upper, "QuotientStable", f"quotient classifies {verdict.classification.value}"
+                upper, "QuotientSemistable", f"quotient classifies unstable (witness {gid})"
             )
-    elif not verdict.semistable:
-        yield Violation(
-            upper,
-            "QuotientSemistable",
-            f"quotient classifies unstable (witness {verdict.witness})",
-        )
+            return
 
 
 def _step_passes(
@@ -282,22 +275,8 @@ def _step_passes(
     lower: Optional[str],
     quotient: NumericalSheafData,
 ) -> bool:
-    """Whether _step_violations, StrictDecrease aside, finds nothing.
-
-    The scan stops at the first torsion entry, the first entry whose p over
-    lower is above the quotient's, or, for JH, the first that ties with it.
-    Kept apart from _step_violations on measurement: derived as
-    next(_step_violations(..., None), None) is None, which lists and classifies
-    every order, it cost 23-24% of bench wall time on deep-search, 4-6% on fuzz-batch.
-    """
-    jh = kind is FiltrationKind.JH
-    if quotient.rank <= 0 or (jh and compare_p(quotient, model.data) is not EventualOrder.EQUAL):
-        return False
-    fails = (None, EventualOrder.SUCCEEDS, EventualOrder.EQUAL if jh else None)
-    for _, order in _orders(model, upper, lower, quotient):
-        if order in fails:
-            return False
-    return True
+    """Whether _step_violations, StrictDecrease aside, finds nothing: its first item alone."""
+    return next(_step_violations(model, kind, upper, lower, quotient, None), None) is None
 
 
 def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
@@ -306,9 +285,9 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     Chains grow down from the object one step at a time, depth first, and a
     prefix is extended only through steps with no _step_violations, so every
     chain found is valid and every valid chain is found.  HN's StrictDecrease,
-    the one check that reads the prefix, runs first; _step_passes decides the
-    rest once per (upper, lower) step, and each upper's lowers are listed once
-    per model by _below_list.
+    the one check that reads the prefix, runs first; _step_passes, the first
+    violation of the one step rule, decides the rest once per (upper, lower)
+    step, and each upper's lowers are listed once per model by _below_list.
     A prefix whose lowest step passes over zero is a chain, listed before its
     extensions.  Each prefix visited is one search node, at most SEARCH_BOUND
     of them.  Pending prefixes sit on a stack: a recursive closure would keep

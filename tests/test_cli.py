@@ -296,6 +296,19 @@ class TestVerify:
             "direct_sum",
         } <= checks
 
+    def test_a_planted_step_rule_fails_the_theorem_checks(self, monkeypatch, capsys):
+        # the searches, the census and the verifier read one step rule: a rule that
+        # accepts every step finds chains that contradict JH and HN uniqueness
+        monkeypatch.setattr(higgs_lab.filtration, "_step_violations", lambda *args: iter(()))
+        assert run(["verify", str(HITCHIN_PAIR), "--format", "json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        failing = [(c["check"], c["subject"], c["detail"])
+                   for c in report["checks"] if c["status"] == "fail"]
+        assert failing == [
+            ("jh_grading_invariance", "hitchin", "2 chain(s), 2 grading(s)"),
+            ("hn_uniqueness", "split", "2 valid chain(s) by search"),
+        ]
+
     def test_bogomolov_contradiction_fails(self, tmp_path, capsys):
         path = tmp_path / "surface.json"
         path.write_text(json.dumps(BAD_SURFACE))

@@ -320,6 +320,75 @@ class TestTorsionSteps:
         ]
 
 
+def torsion_and_destabilizer_model(destabilizer, torsion):
+    """O(10) + O(3) + O on the projective line, with L = O(9) inside O(10) and two entries over L.
+
+    torsion is O(10), torsion over L.  destabilizer is L + O(3): O(3) over L has p above
+    that of E/L (degree 4, rank 2).  L has the larger p, so L over zero is a valid HN
+    step under E/L.
+    """
+    kd = KahlerData.curve(0, 1)
+    total = chi_curve(kd, 3, 13)
+    length_one = NumericalSheafData(0, Fraction(1), poly(1), torsion_free=False)
+
+    def entry(eid, rank, degree, torsion_part=None, contains=()):
+        sub = chi_curve(kd, rank, degree)
+        quotient = NumericalSheafData(
+            3 - rank, total.deg_h - sub.deg_h, total.chi - sub.chi, torsion_part is None
+        )
+        return SubobjectEntry(eid, sub, quotient, torsion_part, contains=set(contains))
+
+    entries = (
+        entry("L", 1, 9, length_one),
+        entry(torsion, 1, 10, contains={"L"}),
+        entry(destabilizer, 2, 12, length_one, contains={"L"}),
+    )
+    return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=entries)
+
+
+class TestFirstOffender:
+    """_step_violations stops at its first offending entry in id order and names it."""
+
+    @pytest.mark.parametrize("destabilizer, torsion", [("A", "B"), ("B", "A")])
+    def test_the_earlier_offender_decides(self, destabilizer, torsion):
+        m = torsion_and_destabilizer_model(destabilizer, torsion)
+        assert validate(m) == []
+        offenders = {
+            destabilizer: (
+                "QuotientSemistable", f"quotient classifies unstable (witness {destabilizer})"
+            ),
+            torsion: ("QuotientTorsion", f"{torsion} is torsion over the step below"),
+        }
+        quotient = filtration._step_quotient(m, "E", "L")
+        found = filtration._step_violations(m, FiltrationKind.HN, "E", "L", quotient, None)
+        assert [(v.subject, v.kind, v.detail) for v in found] == [("E", *offenders["A"])]
+        for kind in FiltrationKind:
+            assert filtration._step_passes(m, kind, "E", "L", quotient) is False
+        through_l = filtration._filtration(m, FiltrationKind.HN, ("L", "E"))
+        assert [(v.subject, v.kind, v.detail) for v in verify_filtration(m, through_l)] == [
+            ("E", *offenders["A"])
+        ]
+
+    def test_the_scan_stops_at_the_first_offender(self, monkeypatch):
+        # every entry of an equal-degree chain ties with the object, the first in id order too
+        m = curve_chain(1, 1, (0, 0, 0))
+        assert len(m.subobjects) == 6
+        calls = []
+        real = filtration.compare_scaled
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(filtration, "compare_scaled", counted)
+        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", None, m.data, None))
+        witness = m.subobjects[0].id
+        assert (first.kind, first.detail) == (
+            "QuotientStable", f"quotient is not stable (witness {witness})"
+        )
+        assert len(calls) == 1
+
+
 class TestJordanHolder:
     def test_stable_object_is_its_own_grading(self):
         m = curve_chain(2, 1, (1, -1), arrows={(1, 2)})
