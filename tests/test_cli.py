@@ -7,6 +7,7 @@ import gc
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
@@ -31,6 +32,7 @@ from higgs_lab import (
     StabilityClass,
     StabilityVerdict,
     Violation,
+    gieseker_classify,
     load,
     realize,
     run,
@@ -40,9 +42,10 @@ from higgs_lab import (
 from higgs_lab.cli import _json
 from higgs_lab.modelfile import LoadedObject, kahler_to_json, model_to_json
 
-from conftest import ambiguous_model
+from conftest import ambiguous_model, random_chain_spec
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
+FILTRATION_GOLDEN = Path(__file__).parent / "data" / "filtration_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
 
 HITCHIN = {
@@ -584,6 +587,52 @@ class TestFuzz:
     def test_report_matches_golden(self, capsys):
         assert run(["fuzz", "--seed", "0", "--count", "40", "--max-rank", "4"]) == 0
         assert capsys.readouterr().out.encode("utf-8") == FUZZ_GOLDEN.read_bytes()
+
+
+def filtration_golden_files() -> list[tuple[str, dict]]:
+    """(name, chain file) for the filtration golden: the Hitchin pair, equal-degree chains
+    of 5 and 6 summands, and the first 30 strictly semistable chains with arrows of a
+    seeded draw (a stable chain's JH filtration is the object alone)."""
+    files = [("hitchin_pair", json.loads(HITCHIN_PAIR.read_text()))]
+    for size in (5, 6):
+        chain = {"type": "chain", "id": "E", "degrees": [0] * size, "arrows": []}
+        files.append((f"equal{size}", {"ambient": {"n": 1, "genus": 1, "degH": 1},
+                                       "objects": [chain]}))
+    rng, drawn = random.Random(2507), 0
+    while drawn < 30:
+        spec = random_chain_spec(rng, 7, 3)
+        verdict = gieseker_classify(realize(spec))
+        if spec.arrows and verdict.classification is StabilityClass.STRICTLY_SEMISTABLE:
+            arrows = [list(a) for a in sorted(spec.arrows)]
+            chain = {"type": "chain", "id": "E", "degrees": list(spec.summand_degrees),
+                     "arrows": arrows}
+            files.append((f"seeded{drawn:02d}", {"ambient": kahler_to_json(spec.ambient),
+                                                  "objects": [chain]}))
+            drawn += 1
+    return files
+
+
+def filtration_golden_text(tmp_path, capsys) -> str:
+    """The jh and hn table reports, exit codes and stderr of every golden file's objects."""
+    out = []
+    for name, doc in filtration_golden_files():
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(doc))
+        genus = doc["ambient"]["genus"]
+        for chain in doc["objects"]:
+            for command in ("jh", "hn"):
+                code = run([command, str(path), "--object", chain["id"]])
+                captured = capsys.readouterr()
+                out.append(f"$ {command} {name} --object {chain['id']}: genus {genus}, "
+                           f"degrees {chain['degrees']}, arrows {chain['arrows']}: exit {code}\n")
+                out += [captured.out, *(f"stderr: {line}\n" for line in captured.err.splitlines())]
+    return "".join(out)
+
+
+def test_filtration_reports_match_golden(tmp_path, capsys):
+    """jh and hn reports, byte for byte, on the Hitchin pair, equal-degree and seeded chains."""
+    text = filtration_golden_text(tmp_path, capsys)
+    assert text.encode("utf-8") == FILTRATION_GOLDEN.read_bytes()
 
 
 class TestBadInput:
