@@ -10,12 +10,13 @@ _step_violations, whose scan stops at its first offending entry in id order.
 verify_filtration applies it to every step of a chain; _search, the one
 exhaustive search behind all_jordan_holder and all_harder_narasimhan, and
 jordan_holder_census, the theorem suite's JH count, read its first violation
-once per step through _step_passes.  The search stops past SEARCH_BOUND search
-nodes and the census past CENSUS_BOUND scanned entries, each with
-TooLargeError; both are module constants, and no flag or environment
-variable moves them.  Every construction passes the stability gate first and
-verifies its chain before returning, so an under-declared family surfaces as
-an explicit error, not a wrong answer.
+once per step; jordan_holder takes its greedy chain in one pass over the
+equal-p entries.  The search stops past SEARCH_BOUND search nodes and the
+census past CENSUS_BOUND scanned entries, each with TooLargeError; both are
+module constants, and no flag or environment variable moves them.  Every
+construction passes the stability gate first and verifies its chain before
+returning, so an under-declared family surfaces as an explicit error, not a
+wrong answer.
 """
 
 from __future__ import annotations
@@ -29,10 +30,8 @@ from .chern import ZERO_SHEAF, NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial, compare_scaled
 from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
-    Notion,
     PreconditionUnmetError,
     StabilityClass,
-    _classify,
     gieseker_classify,
     require_classifiable,
 )
@@ -198,29 +197,21 @@ def _verified(
 def jordan_holder(model: HiggsObjectModel) -> Filtration:
     """One Jordan-Holder filtration: greedy maximal-rank descent.
 
-    At each stage the maximal-rank equal-p entry is taken (ties broken by
-    id), and the construction recurses inside it.  The result is verified
-    against every filtration invariant before it is returned.
+    At each stage the maximal-rank equal-p entry below the last step is taken
+    (ties broken by id): one pass over the equal-p entries by (-rank, id), with
+    p compared once per entry of the model's distinct table.  The result is
+    verified against every filtration invariant before it is returned.
     """
     _require_semistable(model)
-    steps: list[str] = []
-    step = model.id
-    while True:
-        orders = list(_orders(model, step, None, _data(model, step)))
-        verdict = _classify(Notion.GIESEKER, orders)
-        if verdict.classification is StabilityClass.UNSTABLE:
-            raise BrokenInvariantError(
-                f"intermediate step {step} is unstable; the family is under-declared"
-            )
-        steps.append(step)
-        if verdict.classification is StabilityClass.STABLE:
-            break
-        # every step has the object's p, so its equalizers are the equal-p entries
-        _, step = min(
-            (-model.entry(gid).data.rank, gid)
-            for gid, order in orders
-            if order is EventualOrder.EQUAL
-        )
+    total = model.data
+    equal = {id(e.data) for e in model.distinct
+             if 0 < e.data.rank < total.rank and compare_p(e.data, total) is EventualOrder.EQUAL}
+    steps, top = [model.id], None
+    for e in sorted((e for e in model.subobjects if id(e.data) in equal),
+                    key=lambda e: (-e.data.rank, e.id)):
+        if top is None or e.data.rank < top.data.rank and _below(e, top):
+            steps.append(e.id)
+            top = e
     return _verified(model, FiltrationKind.JH, steps)
 
 
@@ -268,34 +259,23 @@ def _step_violations(
             return
 
 
-def _step_passes(
-    model: HiggsObjectModel,
-    kind: FiltrationKind,
-    upper: str,
-    lower: Optional[str],
-    quotient: NumericalSheafData,
-) -> bool:
-    """Whether _step_violations, StrictDecrease aside, finds nothing: its first item alone."""
-    return next(_step_violations(model, kind, upper, lower, quotient, None), None) is None
-
-
 def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     """Every valid chain of one kind, in deterministic order.
 
     Chains grow down from the object one step at a time, depth first, and a
     prefix is extended only through steps with no _step_violations, so every
     chain found is valid and every valid chain is found.  HN's StrictDecrease,
-    the one check that reads the prefix, runs first; _step_passes, the first
-    violation of the one step rule, decides the rest once per (upper, lower)
-    step, and each upper's lowers are listed once per model by _below_list.
-    A prefix whose lowest step passes over zero is a chain, listed before its
-    extensions.  Each prefix visited is one search node, at most SEARCH_BOUND
-    of them.  Pending prefixes sit on a stack: a recursive closure would keep
-    every chain alive until the collector runs.
+    the one check that reads the prefix, runs first; the first violation of the
+    step rule decides the rest once per (upper, lower) step, and each upper's
+    lowers are listed once per model by _below_list.  A prefix whose lowest step
+    passes over zero is a chain, listed before its extensions.  Each prefix
+    visited is one search node, at most SEARCH_BOUND of them.  Pending prefixes
+    sit on a stack: a recursive closure would keep every chain alive until the
+    collector runs.
     """
     require_classifiable(model)
     found: list[Filtration] = []
-    passes: dict[tuple[str, Optional[str]], bool] = {}  # (upper, lower) -> _step_passes
+    passes: dict[tuple[str, Optional[str]], bool] = {}  # (upper, lower) -> no violation
     nodes = 0
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
@@ -307,11 +287,12 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
         deeper = []
         for lower in (None, *(e.id for e in _below_list(model, upper))):
             quotient = _step_quotient(model, upper, lower)
-            if above is not None and quotient.rank > 0:  # rank zero fails _step_passes
+            if above is not None and quotient.rank > 0:  # rank zero fails QuotientRank
                 if compare_p(above, quotient) is not EventualOrder.PRECEDES:
                     continue  # StrictDecrease
             if (upper, lower) not in passes:
-                passes[upper, lower] = _step_passes(model, kind, upper, lower, quotient)
+                rule = _step_violations(model, kind, upper, lower, quotient, None)
+                passes[upper, lower] = next(rule, None) is None
             if not passes[upper, lower]:
                 continue
             if lower is None:  # every step of the chain is known
@@ -339,8 +320,8 @@ def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
 
     JH steps read no prefix, so the chains from a node (the object or an
     entry) down to zero depend on that node alone: each node keeps their
-    count and gradings, summed over the steps from it that _step_passes
-    admits.  Nodes wait on a stack until every step below them is known.
+    count and gradings, summed over the steps from it where _step_violations
+    yields nothing.  Nodes wait on a stack until every step below them is known.
     The scans are counted as lattice entries touched, one list of a node's
     entries below plus one filter of it per entry below; work past
     CENSUS_BOUND raises TooLargeError before it starts.
@@ -362,7 +343,8 @@ def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
             steps = passing[upper] = []
             for lower in (None, *(e.id for e in below)):
                 quotient = _step_quotient(model, upper, lower)
-                if _step_passes(model, FiltrationKind.JH, upper, lower, quotient):
+                rule = _step_violations(model, FiltrationKind.JH, upper, lower, quotient, None)
+                if next(rule, None) is None:
                     steps.append((lower, quotient))
             stack.extend(low for low, _ in steps if low not in found)
             continue

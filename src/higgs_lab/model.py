@@ -82,14 +82,19 @@ def _contains(e: SubobjectEntry) -> FrozenSet[str]:
 SubobjectEntry.contains = property(_contains)  # after the class, past the InitVar's default
 
 
+def _identity(e: SubobjectEntry) -> tuple[int, int, int]:
+    return id(e.data), id(e.quotient), id(e.quotient_torsion_part)
+
+
 @dataclass(frozen=True, eq=False)
 class HiggsObjectModel:
     """An object plus its declared subobject lattice.
 
     The trivial subobjects (zero and the object itself) are implicit and
     never listed.  Entries are kept sorted by id so every downstream scan is
-    deterministic.  The model is frozen, so `violations` and what `_memo` keeps (verdicts by
-    formulation, step quotients by (upper, lower)) are computed once, on first use.
+    deterministic.  The model is frozen, so `distinct`, `violations` and what `_memo` keeps
+    (verdicts by formulation, step quotients by (upper, lower), the entries below each
+    upper) are computed once, on first use.
     """
 
     id: str
@@ -129,6 +134,15 @@ class HiggsObjectModel:
 
     def has_entry(self, entry_id: str) -> bool:
         return entry_id in self._index
+
+    @cached_property
+    def distinct(self) -> tuple[SubobjectEntry, ...]:
+        """The first entry, in id order, of each distinct (data, quotient, torsion part)
+        triple by identity: entries share sheaves, and each is decided on this entry alone."""
+        first = {}
+        for e in self.subobjects:
+            first.setdefault(_identity(e), e)
+        return tuple(first.values())
 
     @cached_property
     def violations(self) -> tuple[Violation, ...]:
@@ -225,7 +239,8 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
     the OR of its arrow targets (it is closed when that lies inside it) and, when both are
     closed, its label.  A closed mask is an entry's key, its label kept in a table the entries
     share; each distinct (rank, degree) gets one sheaf, in the ambient's table for all its
-    chains, so scans decide once per sheaf.  More than REALIZE_MASK_BOUND masks are refused.
+    chains, so `distinct` keeps one entry per sheaf.  More than REALIZE_MASK_BOUND masks are
+    refused.
     """
     kd, m, degrees = spec.ambient, spec.size, spec.summand_degrees
     if 1 << m > REALIZE_MASK_BOUND:
@@ -320,12 +335,10 @@ def _scan(model: HiggsObjectModel) -> list[Violation]:
     violations = [] if model.data.torsion_free else [flaw]
     for problem in leading_term_violations(model.data, model.ambient):
         violations.append(Violation(model.id, "LeadingCoefficient", problem))
-    first = {}  # (data, quotient, torsion part) by identity -> its check, run once
-    for e in model.subobjects:
-        key = (id(e.data), id(e.quotient), id(e.quotient_torsion_part))
-        v = first[key] = first[key] if key in first else _entry_violation(model, e)
-        if v is not None:
-            violations.append(replace(v, subject=e.id))
+    failed = {_identity(e): v for e in model.distinct if (v := _entry_violation(model, e))}
+    if failed:  # name every entry that carries a failing triple
+        violations += [replace(failed[key], subject=e.id) for e in model.subobjects
+                       if (key := _identity(e)) in failed]
     violations.extend(_containment_violations(model))
     return violations
 

@@ -2,9 +2,9 @@
 
 Both notions (normalized-polynomial and slope) come in the subobject,
 quotient, and torsion-free-quotient formulations; all quantify over the
-declared family only, skipping entries of rank zero or full rank.  Witnesses
-are reported in lexicographic id order so verdicts are reproducible; each
-distinct sheaf is compared once per scan, though every entry is walked.
+declared family only, skipping entries of rank zero or full rank.  A scan reads
+the model's distinct entries, one per sheaf triple, in id order: an order reads
+the sheaves alone, so the witness is the first offender in id order.
 """
 
 from __future__ import annotations
@@ -12,12 +12,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import wraps
-from operator import attrgetter
-from typing import Callable, Iterable, Optional
+from typing import Iterable, Optional
 
 from .chern import compare_p, compare_slope
 from .hilbert import EventualOrder, HilbertPolynomial
-from .model import HiggsObjectModel, SubobjectEntry
+from .model import HiggsObjectModel
 
 
 class InvalidModelError(ValueError):
@@ -82,17 +81,7 @@ def require_classifiable(model: HiggsObjectModel) -> None:
 
 def _proper(model: HiggsObjectModel):
     total = model.data.rank
-    return [e for e in model.subobjects if 0 < e.data.rank < total]
-
-
-def _per_sheaf(decide: Callable, entries: Iterable[SubobjectEntry], part=attrgetter("data")):
-    """(id, decide(part(e))) for each entry e in order, with decide run once per distinct sheaf
-    object (entries share them, one per (rank, degree) on a chain); the table lives one scan."""
-    decided = {}
-    for e in entries:
-        if (key := id(sheaf := part(e))) not in decided:
-            decided[key] = decide(sheaf)
-        yield e.id, decided[key]
+    return [e for e in model.distinct if 0 < e.data.rank < total]
 
 
 def _classify(
@@ -131,20 +120,20 @@ def _classifier(formulation: str):
 
 @_classifier("gieseker")
 def gieseker_classify(model: HiggsObjectModel) -> StabilityVerdict:
-    """Compare each proper subobject's p against the object's, once per distinct sheaf.
+    """Compare each proper subobject's p against the object's, once per distinct entry.
 
     Stable when all precede, strictly semistable when none succeed but some
     tie, unstable otherwise; rank-one objects are stable vacuously.
     """
     total = model.data
-    return _classify(Notion.GIESEKER, _per_sheaf(lambda s: compare_p(s, total), _proper(model)))
+    return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, total)) for e in _proper(model)))
 
 
 @_classifier("slope")
 def slope_classify(model: HiggsObjectModel) -> StabilityVerdict:
-    """Same quantifier with rational slope comparison, once per distinct sheaf."""
+    """Same quantifier with rational slope comparison, once per distinct entry."""
     total = model.data
-    return _classify(Notion.SLOPE, _per_sheaf(lambda s: compare_slope(s, total), _proper(model)))
+    return _classify(Notion.SLOPE, ((e.id, compare_slope(e.data, total)) for e in _proper(model)))
 
 
 @_classifier("by_quotients")
@@ -153,17 +142,16 @@ def gieseker_classify_by_quotients(model: HiggsObjectModel) -> StabilityVerdict:
 
     An entry offends when the object's polynomial fails to precede the
     quotient's; on consistent models this matches gieseker_classify entry by
-    entry, witness included; each distinct quotient sheaf is compared once.
+    entry, witness included; each distinct entry's quotient is compared once.
     """
     total = model.data
-    entries = [e for e in model.subobjects if 0 < e.quotient.rank < total.rank]
-    orders = _per_sheaf(lambda q: compare_p(total, q), entries, attrgetter("quotient"))
-    return _classify(Notion.GIESEKER, orders)
+    entries = (e for e in model.distinct if 0 < e.quotient.rank < total.rank)
+    return _classify(Notion.GIESEKER, ((e.id, compare_p(total, e.quotient)) for e in entries))
 
 
 @_classifier("tf_quotients")
 def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
-    """Quantify only over entries whose quotient is torsion-free, once per distinct sheaf.
+    """Quantify only over entries whose quotient is torsion-free, once per distinct entry.
 
     Sound once every torsion-quotient entry F has its saturation F' declared: F' has F's
     rank and chi_F + chi_T (T the quotient's torsion part), so it destabilizes at least as
@@ -176,7 +164,7 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             kept.append(e)
             continue
         if saturations is None:  # built on the first torsion quotient: a chain has none
-            saturations = {(g.data.rank, g.data.chi) for g in model.subobjects
+            saturations = {(g.data.rank, g.data.chi) for g in model.distinct
                            if g.quotient.torsion_free}
         # an entry with the saturation's rank and chi has its p, so it stands in for it
         if (e.data.rank, e.data.chi + e.quotient_torsion_part.chi) not in saturations:
@@ -184,7 +172,7 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
                 f"entry {e.id} has a torsion quotient and no declared enlargement"
             )
     total = model.data
-    return _classify(Notion.GIESEKER, _per_sheaf(lambda s: compare_p(s, total), kept))
+    return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, total)) for e in kept))
 
 
 def morphism_verdict(

@@ -106,7 +106,7 @@ def check_torsion_free_formulation(obj: LoadedObject) -> CheckResult:
 def check_residuals(obj: LoadedObject) -> CheckResult:
     """The rank-weighted polynomial residual vanishes on every declared extension."""
     total = obj.model.data
-    for e in obj.model.subobjects:
+    for e in obj.model.distinct:
         f, q = e.data, e.quotient  # zero residual: chi_E / rk E = (chi_F + chi_Q) / (rk F + rk Q)
         if f.rank and q.rank and compare_scaled(
             total.chi, total.rank, f.chi + q.chi, f.rank + q.rank

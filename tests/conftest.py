@@ -375,6 +375,19 @@ def oracle_tf_gate_passes(model):
     )
 
 
+def shared_sheaf_model():
+    """E = O(1) + O(1) + O(-1) + O(-1) on the line: c and b are the two O(1)s, one sheaf
+    object, and a is O(1) + O(-1), an earlier equalizer."""
+    kd = KahlerData.curve(0, 1)
+    total = reduce(sum_data, (chi_curve(kd, 1, d) for d in (1, 1, -1, -1)))
+    line, rest = chi_curve(kd, 1, 1), chi_curve(kd, 3, -1)
+    half = chi_curve(kd, 2, 0)
+    entries = (SubobjectEntry("c", line, rest, None, ()),
+               SubobjectEntry("b", line, rest, None, ()),
+               SubobjectEntry("a", half, half, None, ()))
+    return HiggsObjectModel("E", kd, total, entries)
+
+
 def ambiguous_model():
     """Two incomparable equal-rank equal-p destabilizers: no determined maximizer."""
     kd = KahlerData.curve(0, 1)
@@ -467,6 +480,30 @@ def oracle_chains(model, kind):
 
 def oracle_jh_chains(model):
     return oracle_chains(model, FiltrationKind.JH)
+
+
+def oracle_jordan_holder(model):
+    """Reference greedy Jordan-Holder steps, read off ids and contains, not keys.
+
+    None when some proper entry's p is above the object's.  Otherwise the object, then at
+    each step the minimum of (-rank, id) among the equal-p entries strictly below the step
+    with 0 < rank < the step's rank, until there is none.
+    """
+    total = model.data
+    orders = {e.id: fraction_order(e.data.chi, total.chi, e.data.rank, total.rank)
+              for e in model.subobjects if 0 < e.data.rank < total.rank}
+    if EventualOrder.SUCCEEDS in orders.values():
+        return None
+    steps, rank, below = [model.id], total.rank, set(orders)
+    while True:
+        candidates = [(-model.entry(eid).data.rank, eid) for eid in below
+                      if orders.get(eid) is EventualOrder.EQUAL
+                      and model.entry(eid).data.rank < rank]
+        if not candidates:
+            return tuple(steps)
+        negative_rank, step = min(candidates)
+        steps.append(step)
+        rank, below = -negative_rank, model.entry(step).contains
 
 
 def oracle_hn_chains(model):

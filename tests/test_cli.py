@@ -1021,8 +1021,7 @@ def test_no_memo_outlives_its_command(monkeypatch, capsys):
     """
     sheaves, verdicts, compares = [], [], []
     _recorded(monkeypatch, higgs_lab.model, "chi_curve", sheaves)
-    for module in (higgs_lab.stability, higgs_lab.filtration):
-        _recorded(monkeypatch, module, "_classify", verdicts)
+    _recorded(monkeypatch, higgs_lab.stability, "_classify", verdicts)
     for module in (higgs_lab.chern, higgs_lab.filtration, higgs_lab.suite):
         _recorded(monkeypatch, module, "compare_scaled", compares)
     counts = []

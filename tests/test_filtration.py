@@ -54,8 +54,10 @@ from conftest import (
     interval_quotient_model,
     oracle_hn_chains,
     oracle_jh_chains,
+    oracle_jordan_holder,
     poly,
     random_chain_spec,
+    shared_sheaf_model,
     surface_entry,
     surface_model,
     torsion_closure_model,
@@ -195,8 +197,8 @@ class TestIntervals:
 
 
 class TestStepQuery:
-    """_step_passes, the search's one step query, against the explainer _step_violations
-    and against the classification of the oracle's interval model.
+    """The search's one step query, whether _step_violations yields a first violation,
+    against the classification of the oracle's interval model.
     """
 
     def test_query_matches_the_explainer_on_every_step(self):
@@ -222,9 +224,7 @@ class TestStepQuery:
                     first = next(
                         filtration._step_violations(m, kind, upper, lower, quotient, None), None
                     )
-                    passes = filtration._step_passes(m, kind, upper, lower, quotient)
-                    assert passes is (first is None), (m.id, kind, upper, lower, first)
-                    assert passes is want[kind], (m.id, kind, upper, lower, first, oracle)
+                    assert (first is None) is want[kind], (m.id, kind, upper, lower, first, oracle)
                     seen[kind, first.kind if first else "pass"] += 1
         for kind in ("QuotientRank", "QuotientTorsion", "pass"):
             assert seen[FiltrationKind.JH, kind] and seen[FiltrationKind.HN, kind], seen
@@ -237,13 +237,13 @@ class TestStepQuery:
         # HN queries only the steps down from the object: each deeper step
         # fails StrictDecrease, which runs before the query, so 2^m - 1.
         queries = []
-        real = filtration._step_passes
+        real = filtration._step_violations
 
-        def counted(model, kind, upper, lower, quotient):
+        def counted(model, kind, upper, lower, quotient, above):
             queries.append((upper, lower))
-            return real(model, kind, upper, lower, quotient)
+            return real(model, kind, upper, lower, quotient, above)
 
-        monkeypatch.setattr(filtration, "_step_passes", counted)
+        monkeypatch.setattr(filtration, "_step_violations", counted)
         m = curve_chain(1, 1, (0,) * size)
         for search, chains, steps in (
             (all_jordan_holder, jh_chains, 3**size - 2**size),
@@ -362,8 +362,8 @@ class TestFirstOffender:
         quotient = filtration._step_quotient(m, "E", "L")
         found = filtration._step_violations(m, FiltrationKind.HN, "E", "L", quotient, None)
         assert [(v.subject, v.kind, v.detail) for v in found] == [("E", *offenders["A"])]
-        for kind in FiltrationKind:
-            assert filtration._step_passes(m, kind, "E", "L", quotient) is False
+        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", "L", quotient, None))
+        assert (first.subject, first.kind) == ("E", "EqualP")  # E/L: slope 2, E: 13/3
         through_l = filtration._filtration(m, FiltrationKind.HN, ("L", "E"))
         assert [(v.subject, v.kind, v.detail) for v in verify_filtration(m, through_l)] == [
             ("E", *offenders["A"])
@@ -453,6 +453,42 @@ class TestJordanHolder:
             assert f.quotients[0].rank == min(equal_p_quotient_ranks)
             checked += 1
         assert checked >= 5
+
+    def test_matches_the_reference_greedy(self):
+        # seeded semistable chains with arrows, equal-degree chains, both Hitchin objects,
+        # and unstable declared models, where the reference finds a p above the object's
+        rng = random.Random(53)
+        models, seeded = [], 0
+        while seeded < 150:
+            spec = random_chain_spec(rng, 7, 3)
+            if spec.arrows and gieseker_classify(m := realize(spec)).semistable:
+                models.append(m)
+                seeded += 1
+        models += [curve_chain(1, 1, (0,) * size) for size in range(2, 7)]
+        models += [obj.model for obj in load(HITCHIN_PAIR).objects]
+        models += [torsion_step_model(), shared_sheaf_model()]
+        steps = Counter()
+        for m in models:
+            expected = oracle_jordan_holder(m)
+            if expected is None:
+                with pytest.raises(NotSemistableError):
+                    jordan_holder(m)
+            else:
+                assert jordan_holder(m).steps == expected, m.id
+            steps[None if expected is None else len(expected) > 1] += 1
+        assert steps[True] >= 15 and steps[False] and steps[None] == 3, steps
+
+    def test_the_descent_compares_once_per_distinct_entry(self, monkeypatch):
+        m = curve_chain(2, 1, (0,) * 8)
+        assert (len(m.subobjects), len(m.distinct)) == (254, 7)
+        calls = []
+        for name in ("compare_p", "compare_scaled"):
+            real = getattr(filtration, name)
+            monkeypatch.setattr(filtration, name,
+                                lambda *args, real=real: calls.append(args) or real(*args))
+        monkeypatch.setattr(filtration, "_verified", filtration._filtration)
+        assert jordan_holder(m).steps == oracle_jordan_holder(m)
+        assert 0 < len(calls) <= len(m.distinct)
 
 
 class TestAllJordanHolder:

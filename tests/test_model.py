@@ -2,12 +2,14 @@
 
 import dataclasses
 import json
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 import higgs_lab.model
+import higgs_lab.suite
 from higgs_lab import (
     AmbientMismatchError,
     EventualOrder,
@@ -335,6 +337,42 @@ class TestSharedSheaves:
             for s in sheaves:
                 by_key.setdefault((s.rank, s.deg_h), set()).add(id(s))
             assert all(len(ids) == 1 for ids in by_key.values()), spec
+
+    @staticmethod
+    def first_per_triple(model):
+        """Each entry whose (data, quotient, torsion part) no earlier entry has, by identity."""
+        def triple(e):
+            return e.data, e.quotient, e.quotient_torsion_part
+
+        entries = model.subobjects
+        return tuple(e for i, e in enumerate(entries)
+                     if not any(all(map(operator.is_, triple(e), triple(f))) for f in entries[:i]))
+
+    def test_distinct_is_the_first_entry_per_triple(self):
+        chain = curve_chain(1, 1, (0,) * 8)
+        doc = {
+            "ambient": {"n": 1, "genus": 1, "degH": 1},
+            "objects": [
+                model_to_json(LoadedObject(curve_chain(1, 1, (0,) * size, object_id=oid)))
+                for oid, size in (("A", 3), ("B", 2))
+            ],
+        }
+        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)  # repeated blocks shared
+        total = direct_sum_model(a, b)
+        for model, size in ((chain, 7), (a, 2), (b, 1), (total, 10)):
+            expected = self.first_per_triple(model)
+            assert len(model.distinct) == len(expected) == size, model.id
+            assert all(map(operator.is_, model.distinct, expected)), model.id
+            assert model.distinct is model.distinct  # kept on the model
+
+    def test_residuals_are_checked_once_per_triple(self, monkeypatch):
+        m = curve_chain(1, 1, (0,) * 8)
+        calls = []
+        real = higgs_lab.suite.compare_scaled
+        monkeypatch.setattr(higgs_lab.suite, "compare_scaled",
+                            lambda *args: calls.append(args) or real(*args))
+        assert higgs_lab.suite.check_residuals(LoadedObject(m)).status == "pass"
+        assert len(calls) == len(m.distinct) == 7
 
 
 class TestValidate:

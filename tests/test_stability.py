@@ -43,6 +43,7 @@ from conftest import (
     oracle_tf_gate_passes,
     poly,
     random_chain_spec,
+    shared_sheaf_model,
     surface_entry,
     surface_model,
     torsion_closure_model,
@@ -167,7 +168,8 @@ class TestGate:
 
 
 class TestPerSheafScans:
-    """A classifier walks every entry in id order but compares each distinct sheaf once."""
+    """A classifier reads the model's distinct entries: each distinct sheaf is compared once,
+    and the witness is the first offender in id order."""
 
     def test_each_classifier_compares_once_per_sheaf(self, monkeypatch):
         m = curve_chain(2, 1, (0,) * 8)
@@ -188,16 +190,8 @@ class TestPerSheafScans:
             assert len(calls) <= 7, classify
 
     def test_entries_sharing_a_sheaf_keep_the_first_witness(self):
-        """E = O(1) + O(1) + O(-1) + O(-1) on the line: c and b are the two O(1)s, one
-        sheaf object, and a is O(1) + O(-1), an earlier equalizer."""
-        kd = KahlerData.curve(0, 1)
-        total = reduce(sum_data, (chi_curve(kd, 1, d) for d in (1, 1, -1, -1)))
-        line, rest = chi_curve(kd, 1, 1), chi_curve(kd, 3, -1)
-        half = chi_curve(kd, 2, 0)
-        entries = (SubobjectEntry("c", line, rest, None, ()),
-                   SubobjectEntry("b", line, rest, None, ()),
-                   SubobjectEntry("a", half, half, None, ()))
-        m = HiggsObjectModel("E", kd, total, entries)
+        """b and c share one sheaf, and a is an earlier equalizer; see shared_sheaf_model."""
+        m = shared_sheaf_model()
         assert validate(m) == [] and m.entry("b").data is m.entry("c").data
         for classify in (gieseker_classify, gieseker_classify_by_quotients,
                          gieseker_classify_tf_quotients, slope_classify):
