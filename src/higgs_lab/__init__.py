@@ -40,16 +40,13 @@ from .model import (
 from .stability import (
     IncompleteTorsionClosureError,
     InvalidModelError,
-    MorphismVerdict,
     Notion,
     PreconditionUnmetError,
     StabilityClass,
     StabilityVerdict,
-    check_extension_semistability,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
-    morphism_verdict,
     slope_classify,
 )
 from .filtration import (

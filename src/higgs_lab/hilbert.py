@@ -132,9 +132,6 @@ class HilbertPolynomial:
         pairs = zip_longest(self.nums, other.nums, fillvalue=0)
         return _canonical([x * a + y * b for a, b in pairs], den)
 
-    def __neg__(self) -> "HilbertPolynomial":
-        return self.scale(-1)
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, HilbertPolynomial):
             return NotImplemented

@@ -13,20 +13,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Union
 
-from .chern import (
-    KahlerData,
-    NumericalSheafData,
-    SurfaceChernInput,
-)
+from .chern import KahlerData, NumericalSheafData, SurfaceChernInput
 from .hilbert import HilbertPolynomial, format_rational, parse_rational
-from .model import (
-    HiggsChainSpec,
-    HiggsObjectModel,
-    SubobjectEntry,
-    declared_entries,
-    realize,
-    validate,
-)
+from .model import HiggsChainSpec, HiggsObjectModel, declared_entries, realize, validate
 
 
 class ParseError(ValueError):
@@ -57,7 +46,7 @@ def _rat(value, where: str, parse=parse_rational):
 
 
 def _typed(value, kind: type, where: str):
-    """value itself if its type is exactly kind: int, bool, str or list."""
+    """value itself if its type is exactly kind: int, bool, str, list or dict."""
     if type(value) is not kind:
         raise ParseError(f"{where}: expected {kind.__name__}, got {type(value).__name__}")
     return value
@@ -115,20 +104,13 @@ def kahler_from_json(block: dict) -> KahlerData:
             n=n,
             hn=_rat(block["hn"], "ambient.hn"),
             c1x_h=_rat(block["c1X_H"], "ambient.c1X_H"),
-            todd=tuple(_rat(t, "ambient.todd") for t in todd) if todd else None,
+            todd=tuple(_rat(t, "ambient.todd") for t in _typed(todd, list, "ambient.todd"))
+            if todd else None,
         )
 
 
-def kahler_to_json(kd: KahlerData) -> dict:
-    if kd.n == 1:
-        return {"n": 1, "genus": kd.genus, "degH": int(kd.hn)}
-    out = {"n": kd.n, "hn": format_rational(kd.hn), "c1X_H": format_rational(kd.c1x_h)}
-    if kd.todd is not None:
-        out["todd"] = [format_rational(t) for t in kd.todd]
-    return out
-
-
 def sheaf_from_json(block: dict, where: str) -> NumericalSheafData:
+    _typed(block, dict, where)
     with _reading(where):
         return NumericalSheafData(
             rank=_typed(block["rank"], int, f"{where}.rank"),
@@ -158,7 +140,7 @@ def _shared_sheaf(memo: dict, block, where: str) -> NumericalSheafData:
 def _entry_row(block: dict, memo: dict) -> tuple:
     """(id, data, quotient, torsion part, contains ids) of one entry, for declared_entries."""
     with _reading("subobject"):
-        eid = _id(block["id"], "subobject id")
+        eid = _id(_typed(block, dict, "subobject")["id"], "subobject id")
         torsion = block.get("quotient_torsion_part")
         return (eid, _shared_sheaf(memo, block["data"], f"{eid}.data"),
                 _shared_sheaf(memo, block["quotient"], f"{eid}.quotient"),
@@ -166,27 +148,16 @@ def _entry_row(block: dict, memo: dict) -> tuple:
                 _ids(block.get("contains", []), f"{eid}.contains"))
 
 
-def entry_to_json(e: SubobjectEntry) -> dict:
-    out = {
-        "id": e.id,
-        "data": sheaf_to_json(e.data),
-        "quotient": sheaf_to_json(e.quotient),
-        "contains": sorted(e.contains),
-    }
-    if e.quotient_torsion_part is not None:
-        out["quotient_torsion_part"] = sheaf_to_json(e.quotient_torsion_part)
-    return out
-
-
 def chain_from_json(block: dict, ambient: KahlerData) -> HiggsChainSpec:
     where = f"chain {block.get('id', '?')}"
     with _reading(where):
         arrows = _typed(block.get("arrows", []), list, f"{where}.arrows")
-        return HiggsChainSpec(
-            ambient=ambient,
-            summand_degrees=_ints(block["degrees"], f"{where}.degrees"),
-            arrows=frozenset(_ints(a, f"{where}.arrows") for a in arrows),
-        )
+        degrees = _ints(block["degrees"], f"{where}.degrees")
+        pairs = [_ints(a, f"{where}.arrows") for a in arrows]
+        for pair in pairs:
+            if len(pair) != 2:
+                raise ParseError(f"{where}.arrows: expected a pair [i, j], got {list(pair)}")
+        return HiggsChainSpec(ambient, degrees, frozenset(pairs))
 
 
 def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
@@ -262,27 +233,3 @@ def load(path: Union[str, Path]) -> ModelFile:
     except (OSError, UnicodeDecodeError) as exc:
         raise ParseError(f"cannot read {path}: {exc}")
     return loads(text)
-
-
-def model_to_json(obj: LoadedObject) -> dict:
-    """Serialize an object back to its file form (always the explicit model form)."""
-    m = obj.model
-    out = {
-        "type": "model",
-        "id": m.id,
-        "data": sheaf_to_json(m.data),
-        "subobjects": [entry_to_json(e) for e in m.subobjects],
-        "family_complete": m.family_complete,
-    }
-    if obj.locally_free:
-        out["locally_free"] = True
-    if obj.surface_chern is not None:
-        sc = obj.surface_chern
-        out["surface_chern"] = {
-            "c1H": format_rational(sc.c1h),
-            "ch2": format_rational(sc.ch2),
-            "c1c1X": format_rational(sc.c1c1x),
-            "c1sq": format_rational(sc.c1sq),
-            "c2int": format_rational(sc.c2int),
-        }
-    return out

@@ -15,7 +15,7 @@ from functools import wraps
 from typing import Iterable, Optional
 
 from .chern import compare_p, compare_slope
-from .hilbert import EventualOrder, HilbertPolynomial
+from .hilbert import EventualOrder
 from .model import HiggsObjectModel
 
 
@@ -40,15 +40,6 @@ class StabilityClass(Enum):
     STABLE = "stable"
     STRICTLY_SEMISTABLE = "strictly_semistable"
     UNSTABLE = "unstable"
-
-
-class MorphismVerdict(Enum):
-    """What a map between two semistable objects can be."""
-
-    MUST_BE_ZERO = "must_be_zero"
-    ZERO_OR_INJECTIVE = "zero_or_injective"
-    ZERO_OR_GENERICALLY_SURJECTIVE = "zero_or_generically_surjective"
-    NO_CONSTRAINT = "no_constraint"
 
 
 @dataclass(frozen=True)
@@ -173,47 +164,3 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             )
     total = model.data
     return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, total)) for e in kept))
-
-
-def morphism_verdict(
-    p_source: HilbertPolynomial,
-    p_target: HilbertPolynomial,
-    source_stable: bool,
-    target_stable: bool,
-) -> MorphismVerdict:
-    """Decision table for a map between two semistable objects.
-
-    Semistability of both sides is the caller's obligation.  When both are
-    stable with equal polynomials the injective conclusion is reported as the
-    canonical one (the surjective conclusion holds as well).
-    """
-    order = p_target.compare_eventual(p_source)
-    if order is EventualOrder.PRECEDES:
-        return MorphismVerdict.MUST_BE_ZERO
-    if order is EventualOrder.EQUAL:
-        if source_stable:
-            return MorphismVerdict.ZERO_OR_INJECTIVE
-        if target_stable:
-            return MorphismVerdict.ZERO_OR_GENERICALLY_SURJECTIVE
-    return MorphismVerdict.NO_CONSTRAINT
-
-
-def check_extension_semistability(
-    sub: HiggsObjectModel, quotient: HiggsObjectModel, total: HiggsObjectModel
-) -> bool:
-    """Check that an extension of equal-p semistable pieces is semistable with that p.
-
-    Used as a theorem check on a provided total object, never as a shortcut:
-    the total is classified from its own declared family.
-    """
-    sub_verdict = gieseker_classify(sub)
-    quot_verdict = gieseker_classify(quotient)
-    if not (sub_verdict.semistable and quot_verdict.semistable):
-        raise PreconditionUnmetError("both pieces must be Gieseker semistable")
-    if compare_p(sub.data, quotient.data) is not EventualOrder.EQUAL:
-        raise PreconditionUnmetError("the pieces must share one normalized polynomial")
-    total_verdict = gieseker_classify(total)
-    return (
-        total_verdict.semistable
-        and compare_p(total.data, sub.data) is EventualOrder.EQUAL
-    )

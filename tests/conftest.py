@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from itertools import combinations
@@ -16,11 +17,14 @@ from higgs_lab import (
     KahlerData,
     MalformedPolynomialError,
     NumericalSheafData,
+    PreconditionUnmetError,
     SubobjectEntry,
     Violation,
     ZERO_SHEAF,
     ZeroRankError,
     chi_curve,
+    compare_p,
+    gieseker_classify,
     normalized_p,
     realize,
     sum_data,
@@ -29,6 +33,7 @@ from higgs_lab import (
 from higgs_lab.fuzz import _draw
 from higgs_lab.hilbert import HilbertPolynomial
 from higgs_lab.model import declared_entries
+from higgs_lab.modelfile import sheaf_to_json
 
 
 def random_chain_spec(rng, max_rank, max_genus):
@@ -578,3 +583,77 @@ def oracle_direct_sum(a, b):
     total = sum_data(a.data, b.data)
     complete = a.family_complete and b.family_complete
     return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, total, entries, complete)
+
+
+# Written for the paper's corollaries and for round trips, and run by no command yet:
+# ROADMAP items 6 (morphism and extension checks) and 13 (declared twins) bring back to
+# the library only what their checks need.
+
+class MorphismVerdict(Enum):
+    """What a map between two semistable objects can be."""
+
+    MUST_BE_ZERO = "must_be_zero"
+    ZERO_OR_INJECTIVE = "zero_or_injective"
+    ZERO_OR_GENERICALLY_SURJECTIVE = "zero_or_generically_surjective"
+    NO_CONSTRAINT = "no_constraint"
+
+
+def morphism_verdict(p_source, p_target, source_stable, target_stable):
+    """Decision table for a map between two semistable objects (HL 1.2).
+
+    Semistability of both sides is the caller's obligation.  When both are
+    stable with equal polynomials the injective conclusion is reported as the
+    canonical one (the surjective conclusion holds as well).
+    """
+    order = p_target.compare_eventual(p_source)
+    if order is EventualOrder.PRECEDES:
+        return MorphismVerdict.MUST_BE_ZERO
+    if order is EventualOrder.EQUAL:
+        if source_stable:
+            return MorphismVerdict.ZERO_OR_INJECTIVE
+        if target_stable:
+            return MorphismVerdict.ZERO_OR_GENERICALLY_SURJECTIVE
+    return MorphismVerdict.NO_CONSTRAINT
+
+
+def check_extension_semistability(sub, quotient, total):
+    """Check that an extension of equal-p semistable pieces is semistable with that p.
+
+    Used as a theorem check on a provided total object, never as a shortcut:
+    the total is classified from its own declared family.
+    """
+    sub_verdict = gieseker_classify(sub)
+    quot_verdict = gieseker_classify(quotient)
+    if not (sub_verdict.semistable and quot_verdict.semistable):
+        raise PreconditionUnmetError("both pieces must be Gieseker semistable")
+    if compare_p(sub.data, quotient.data) is not EventualOrder.EQUAL:
+        raise PreconditionUnmetError("the pieces must share one normalized polynomial")
+    total_verdict = gieseker_classify(total)
+    return (
+        total_verdict.semistable
+        and compare_p(total.data, sub.data) is EventualOrder.EQUAL
+    )
+
+
+def kahler_to_json(kd):
+    """A curve ambient in its file form; the tests write no other ambient."""
+    return {"n": 1, "genus": kd.genus, "degH": int(kd.hn)}
+
+
+def entry_to_json(e):
+    out = {"id": e.id, "data": sheaf_to_json(e.data), "quotient": sheaf_to_json(e.quotient),
+           "contains": sorted(e.contains)}
+    if e.quotient_torsion_part is not None:
+        out["quotient_torsion_part"] = sheaf_to_json(e.quotient_torsion_part)
+    return out
+
+
+def model_to_json(obj):
+    """A LoadedObject in the explicit model form of a file, with no surface_chern block."""
+    m = obj.model
+    out = {"type": "model", "id": m.id, "data": sheaf_to_json(m.data),
+           "subobjects": [entry_to_json(e) for e in m.subobjects],
+           "family_complete": m.family_complete}
+    if obj.locally_free:
+        out["locally_free"] = True
+    return out

@@ -40,9 +40,9 @@ from higgs_lab import (
     validate,
 )
 from higgs_lab.cli import _json
-from higgs_lab.modelfile import LoadedObject, kahler_to_json, model_to_json
+from higgs_lab.modelfile import LoadedObject
 
-from conftest import ambiguous_model, random_chain_spec
+from conftest import ambiguous_model, kahler_to_json, model_to_json, random_chain_spec
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 FILTRATION_GOLDEN = Path(__file__).parent / "data" / "filtration_golden.txt"
@@ -824,6 +824,24 @@ class TestBadInput:
         doc = _replaced(self.typed_file(), ("objects", 1, "subobjects", 1, "contains"), ids)
         lines = self.run_all(tmp_path, capsys, doc, "E")
         assert set(lines) == {"error: G.contains: expected str, got int"}
+
+    @pytest.mark.parametrize(
+        "where, value, line",
+        [
+            (("objects", 0, "arrows", 0), [1],
+             "error: chain C.arrows: expected a pair [i, j], got [1]"),
+            (("objects", 0, "arrows", 0), [1, 2, 3],
+             "error: chain C.arrows: expected a pair [i, j], got [1, 2, 3]"),
+            (("objects", 1, "subobjects"), ["x"], "error: subobject: expected dict, got str"),
+            (("objects", 1, "data"), [1], "error: E.data: expected dict, got list"),
+            (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": 5},
+             "error: ambient.todd: expected list, got int"),
+        ],
+        ids=["arrow-of-one", "arrow-of-three", "subobject-str", "data-list", "todd-int"],
+    )
+    def test_a_block_of_the_wrong_shape_names_the_shape(self, tmp_path, capsys, where, value, line):
+        doc = _replaced(self.typed_file(), where, value)
+        assert set(self.run_all(tmp_path, capsys, doc, "E")) == {line}
 
     @staticmethod
     def repeated_blocks(**changed):

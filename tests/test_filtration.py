@@ -44,7 +44,7 @@ from higgs_lab import (
     verify_filtration,
 )
 from higgs_lab.model import Violation, realize
-from higgs_lab.modelfile import LoadedObject, kahler_to_json, loads, model_to_json
+from higgs_lab.modelfile import LoadedObject, loads
 
 from conftest import (
     UnknownIdError,
@@ -52,6 +52,8 @@ from conftest import (
     curve_chain,
     induced_model_failure,
     interval_quotient_model,
+    kahler_to_json,
+    model_to_json,
     oracle_hn_chains,
     oracle_jh_chains,
     oracle_jordan_holder,

@@ -134,7 +134,7 @@ class TestRepresentation:
             assert all(p.coefficient(j) == Fraction(c) for j, c in enumerate(xs))
             assert (p + q).coeffs == self.stripped(a + b for a, b in pairs)
             assert (p - q).coeffs == self.stripped(a - b for a, b in pairs)
-            assert (-p).coeffs == self.stripped(-a for a in xs)
+            assert p.scale(-1).coeffs == self.stripped(-a for a in xs)
             c = rng.choice((rng.randint(-4, 4), Fraction(rng.randint(-6, 6), rng.randint(1, 5))))
             assert p.scale(c).coeffs == self.stripped(c * a for a in xs)
             k = rng.randint(-12, 12)

@@ -31,7 +31,7 @@ from higgs_lab import (
 )
 
 from higgs_lab.model import RealizeBoundError
-from higgs_lab.modelfile import LoadedObject, ParseError, kahler_to_json, loads, model_to_json
+from higgs_lab.modelfile import LoadedObject, ParseError, loads
 
 from conftest import (
     _closed_masks,
@@ -39,6 +39,8 @@ from conftest import (
     curve_chain,
     enumerate_invariant_subobjects,
     fraction_order,
+    kahler_to_json,
+    model_to_json,
     oracle_containment,
     oracle_direct_sum,
     oracle_family,

@@ -8,9 +8,9 @@ import pytest
 import higgs_lab.model
 from higgs_lab import KahlerData, ParseError, loads, modelfile, realize
 from higgs_lab.cli import run
-from higgs_lab.modelfile import kahler_to_json, model_to_json, sheaf_to_json
+from higgs_lab.modelfile import sheaf_to_json
 
-from conftest import curve_chain, poly
+from conftest import curve_chain, kahler_to_json, model_to_json, poly
 
 
 HITCHIN_DOC = {

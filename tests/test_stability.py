@@ -12,21 +12,18 @@ from higgs_lab import (
     IncompleteTorsionClosureError,
     InvalidModelError,
     KahlerData,
-    MorphismVerdict,
     Notion,
     NumericalSheafData,
     PreconditionUnmetError,
     StabilityClass,
     StabilityVerdict,
     SubobjectEntry,
-    check_extension_semistability,
     chi_curve,
     direct_sum_model,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     harder_narasimhan,
-    morphism_verdict,
     normalized_p,
     slope_classify,
     sum_data,
@@ -37,9 +34,12 @@ import higgs_lab.stability
 from higgs_lab.model import realize
 
 from conftest import (
+    MorphismVerdict,
     ambiguous_model,
+    check_extension_semistability,
     curve_chain,
     interval_quotient_model,
+    morphism_verdict,
     oracle_tf_gate_passes,
     poly,
     random_chain_spec,
