@@ -80,7 +80,7 @@ class KahlerData:
         return {}
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class NumericalSheafData:
     """Numerical invariants of one object: rank, H-degree, and chi(E(k))."""
 
@@ -91,7 +91,7 @@ class NumericalSheafData:
 
     def __post_init__(self):
         if not isinstance(self.deg_h, Fraction):
-            object.__setattr__(self, "deg_h", Fraction(self.deg_h))
+            self.deg_h = Fraction(self.deg_h)
         if self.rank < 0:
             raise ValueError("rank must be nonnegative")
 

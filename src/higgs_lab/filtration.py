@@ -61,7 +61,7 @@ class FiltrationKind(Enum):
     HN = "hn"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Filtration:
     """An ordered chain of subobject ids with per-step quotient invariants.
 
@@ -75,8 +75,8 @@ class Filtration:
     quotients: tuple[NumericalSheafData, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "steps", tuple(self.steps))
-        object.__setattr__(self, "quotients", tuple(self.quotients))
+        self.steps = tuple(self.steps)
+        self.quotients = tuple(self.quotients)
         if len(self.steps) != len(self.quotients):
             raise ValueError("one quotient per step")
 

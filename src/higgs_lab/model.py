@@ -44,7 +44,7 @@ REALIZE_MASK_BOUND = 1 << 16  # index sets realize walks: chains of up to 16 sum
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class SubobjectEntry:
     """One declared subobject F with the invariants of F and of E/F.
 
@@ -53,6 +53,7 @@ class SubobjectEntry:
     lattice's entries, reads ids off keys (a realized lattice's dict from key to id, a declared
     one's ids in bit order), and contains (the ids below) is derived from the two.  An entry
     built by hand passes contains ids, which its model turns into keys (see declared_entries).
+    Records are never mutated once built: a convention, unenforced, that the value hash needs.
     """
 
     id: str
@@ -66,7 +67,7 @@ class SubobjectEntry:
 
     def __post_init__(self, contains):
         if contains is not None or self.key is None:
-            object.__setattr__(self, "claims", frozenset(contains or ()))
+            self.claims = frozenset(contains or ())
 
 
 def _contains(e: SubobjectEntry) -> FrozenSet[str]:
@@ -80,10 +81,6 @@ def _contains(e: SubobjectEntry) -> FrozenSet[str]:
 
 
 SubobjectEntry.contains = property(_contains)  # after the class, past the InitVar's default
-
-
-def _identity(e: SubobjectEntry) -> tuple[int, int, int]:
-    return id(e.data), id(e.quotient), id(e.quotient_torsion_part)
 
 
 @dataclass(frozen=True, eq=False)
@@ -141,7 +138,7 @@ class HiggsObjectModel:
         triple by identity: entries share sheaves, and each is decided on this entry alone."""
         first = {}
         for e in self.subobjects:
-            first.setdefault(_identity(e), e)
+            first.setdefault((id(e.data), id(e.quotient), id(e.quotient_torsion_part)), e)
         return tuple(first.values())
 
     @cached_property
@@ -183,7 +180,7 @@ class HiggsChainSpec:
         return len(self.summand_degrees)
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class Violation:
     """One failed invariant: where it happened, what failed, and a detail."""
 
@@ -248,9 +245,10 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
         raise RealizeBoundError(f"{bound}, and {m} summands need 2^{m}")
     _check_arrows(spec)
     sheaves, total, full = kd.sheaves, sum(degrees), (1 << m) - 1
+    get = sheaves.get  # a sheaf the table holds is read directly
 
-    def part(*key):  # the ambient's sheaf of this (rank, degree), built on first use
-        return sheaves.get(key) or sheaves.setdefault(key, chi_curve(kd, *key))
+    def part(key):  # the ambient's sheaf of this (rank, degree), built on first use
+        return get(key) or sheaves.setdefault(key, chi_curve(kd, *key))
 
     targets = [0] * m  # summand i's arrow targets, as a mask
     for i, j in spec.arrows:
@@ -267,10 +265,10 @@ def realize(spec: HiggsChainSpec, object_id: str = "E") -> HiggsObjectModel:
         below = labels.get(rest)  # set when rest is closed: then its label ends this one's
         labels[mask] = label = (f"{{{i + 1},{below[1:]}" if below else "{" + ",".join(
             str(k + 1) for k in range(i, m) if mask >> k & 1) + "}")
-        r = mask.bit_count()
-        entries.append(SubobjectEntry(label, part(r, d), part(m - r, total - d),
-                                      key=mask, names=labels))
-    return HiggsObjectModel(object_id, kd, part(m, total), tuple(entries), family_complete=True)
+        sub, quotient = (r := mask.bit_count(), d), (m - r, total - d)
+        entries.append(SubobjectEntry(label, get(sub) or part(sub),
+                                      get(quotient) or part(quotient), None, None, mask, labels))
+    return HiggsObjectModel(object_id, kd, part((m, total)), tuple(entries), family_complete=True)
 
 
 def chain_sum(a: HiggsChainSpec, b: HiggsChainSpec) -> HiggsChainSpec:
@@ -335,10 +333,11 @@ def _scan(model: HiggsObjectModel) -> list[Violation]:
     violations = [] if model.data.torsion_free else [flaw]
     for problem in leading_term_violations(model.data, model.ambient):
         violations.append(Violation(model.id, "LeadingCoefficient", problem))
-    failed = {_identity(e): v for e in model.distinct if (v := _entry_violation(model, e))}
-    if failed:  # name every entry that carries a failing triple
+    failed = {(e.data, e.quotient, e.quotient_torsion_part): v
+              for e in model.distinct if (v := _entry_violation(model, e))}
+    if failed:  # name every entry whose triple fails: a violation reads the three sheaves alone
         violations += [replace(failed[key], subject=e.id) for e in model.subobjects
-                       if (key := _identity(e)) in failed]
+                       if (key := (e.data, e.quotient, e.quotient_torsion_part)) in failed]
     violations.extend(_containment_violations(model))
     return violations
 
@@ -358,9 +357,13 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
             out.append(Violation(e.id, "Containment", "entry contains itself"))
     if out:
         return out
-    fewest, least = inf, {}  # rank r -> fewest key bits of an entry of rank r or more
-    for e in sorted(entries, key=lambda e: -e.data.rank):
-        least[e.data.rank] = fewest = min(fewest, e.key.bit_count())
+    least = {}  # rank r -> fewest key bits of an entry of rank r, then of rank r or more
+    for e in entries:
+        if least.get(rank := e.data.rank, inf) > (bits := e.key.bit_count()):
+            least[rank] = bits
+    fewest = inf
+    for rank in sorted(least, reverse=True):
+        least[rank] = fewest = min(fewest, least[rank])
     for e in entries:
         if e.key.bit_count() <= least[e.data.rank] and e.id not in model._unsound:
             continue

@@ -105,7 +105,7 @@ def kahler_from_json(block: dict) -> KahlerData:
             hn=_rat(block["hn"], "ambient.hn"),
             c1x_h=_rat(block["c1X_H"], "ambient.c1X_H"),
             todd=tuple(_rat(t, "ambient.todd") for t in _typed(todd, list, "ambient.todd"))
-            if todd else None,
+            if todd is not None else None,
         )
 
 
@@ -170,6 +170,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
     surface_chern = None
     if chern_block is not None:
         with _reading(f"{oid}.surface_chern"):
+            _typed(chern_block, dict, f"{oid}.surface_chern")
             surface_chern = SurfaceChernInput(
                 c1h=_rat(chern_block["c1H"], f"{oid}.c1H"),
                 ch2=_rat(chern_block["ch2"], f"{oid}.ch2"),
@@ -185,7 +186,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
             raise ParseError(f"chain {oid}: {exc}")
         return LoadedObject(model, chain=spec, locally_free=True)
     if kind == "model":
-        memo: dict[str, NumericalSheafData] = {}  # repeated blocks share one frozen sheaf
+        memo: dict[str, NumericalSheafData] = {}  # repeated blocks share one sheaf
         with _reading(f"object {oid}"):
             data = _shared_sheaf(memo, block["data"], f"{oid}.data")
             blocks = _typed(block.get("subobjects", []), list, f"{oid}.subobjects")

@@ -42,7 +42,7 @@ class StabilityClass(Enum):
     UNSTABLE = "unstable"
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class StabilityVerdict:
     notion: Notion
     classification: StabilityClass

@@ -38,7 +38,7 @@ from .stability import (
 PAIR_FAMILY_LIMIT = 600  # sum families beyond this are skipped, not built
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True, unsafe_hash=True)
 class CheckResult:
     check: str
     subject: str

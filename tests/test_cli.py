@@ -836,8 +836,22 @@ class TestBadInput:
             (("objects", 1, "data"), [1], "error: E.data: expected dict, got list"),
             (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": 5},
              "error: ambient.todd: expected list, got int"),
+            (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": 0},
+             "error: ambient.todd: expected list, got int"),
+            (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": False},
+             "error: ambient.todd: expected list, got bool"),
+            (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": ""},
+             "error: ambient.todd: expected list, got str"),
+            (("ambient",), {"n": 2, "hn": "1", "c1X_H": "0", "todd": []},
+             "error: ambient: todd pairing vector must have length n + 1"),
+            (("objects", 1, "surface_chern"), [1],
+             "error: E.surface_chern: expected dict, got list"),
+            (("objects", 1, "surface_chern"), "x",
+             "error: E.surface_chern: expected dict, got str"),
         ],
-        ids=["arrow-of-one", "arrow-of-three", "subobject-str", "data-list", "todd-int"],
+        ids=["arrow-of-one", "arrow-of-three", "subobject-str", "data-list", "todd-int",
+             "todd-zero", "todd-false", "todd-empty-str", "todd-empty-list",
+             "surface-chern-list", "surface-chern-str"],
     )
     def test_a_block_of_the_wrong_shape_names_the_shape(self, tmp_path, capsys, where, value, line):
         doc = _replaced(self.typed_file(), where, value)

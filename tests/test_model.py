@@ -12,14 +12,21 @@ import higgs_lab.model
 import higgs_lab.suite
 from higgs_lab import (
     AmbientMismatchError,
+    CheckResult,
     EventualOrder,
+    Filtration,
+    FiltrationKind,
     HiggsChainSpec,
     HiggsObjectModel,
     InvalidArrowError,
     InvalidModelError,
     KahlerData,
+    Notion,
     NumericalSheafData,
+    StabilityClass,
+    StabilityVerdict,
     SubobjectEntry,
+    Violation,
     ZERO_SHEAF,
     chain_sum,
     chi_curve,
@@ -278,9 +285,9 @@ class TestLazyContains:
     def test_contains_matches_the_oracle(self):
         for spec in self.chains(300):
             model = realize(spec)
-            assert not any("contains" in vars(e) for e in model.subobjects)  # nothing stored
+            assert all(e.claims is None for e in model.subobjects)  # no contains stored
             assert validate(model) == []
-            assert not any("contains" in vars(e) for e in model.subobjects)
+            assert all(e.claims is None for e in model.subobjects)
             expected = oracle_realization(spec)
             assert {e.id: e.contains for e in model.subobjects} == {
                 eid: below for eid, (_, _, below) in expected.items()
@@ -1044,3 +1051,73 @@ class TestContainmentMessages:
             self.entry("B", contains={"C"}),
             self.entry("C", deg=-1),
         ) == ["A: Containment (not transitive: missing ['C'] below B)"]
+
+
+class TestRecords:
+    """The six records built per entry, step or check compare, hash, print and copy by value,
+    and carry no __dict__: a per-instance dict would bring back the construction cost."""
+
+    LINE = ("NumericalSheafData(rank=1, deg_h=Fraction(0, 1), "
+            "chi=HilbertPolynomial([Fraction(0, 1), Fraction(1, 1)]), torsion_free=True)")
+
+    @staticmethod
+    def records():
+        """(one record, an equal one built separately, its repr, a field and a new value)."""
+        kd = KahlerData.curve(1, 1)
+        line = TestRecords.LINE
+        unstable = (Notion.SLOPE, StabilityClass.UNSTABLE, "F")
+        return [
+            (chi_curve(kd, 1, 0), chi_curve(kd, 1, 0), line, "rank", 2),
+            (SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, contains=["A"]),
+             SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, contains=("A",)),
+             f"SubobjectEntry(id='F', data={line}, quotient={ZERO_SHEAF!r}, "
+             "quotient_torsion_part=None, key=None)", "id", "G"),
+            (Violation("F", "RankRange", "rank 3 outside 0..2"),
+             Violation("F", "RankRange", "rank 3 outside 0..2"),
+             "Violation(subject='F', kind='RankRange', detail='rank 3 outside 0..2')",
+             "subject", "G"),
+            (StabilityVerdict(*unstable), StabilityVerdict(*unstable),
+             "StabilityVerdict(notion=<Notion.SLOPE: 'slope'>, "
+             "classification=<StabilityClass.UNSTABLE: 'unstable'>, witness='F')", "witness", "G"),
+            (CheckResult("ladder", "E", "pass"), CheckResult("ladder", "E", "pass"),
+             "CheckResult(check='ladder', subject='E', status='pass', detail='')",
+             "status", "fail"),
+            (Filtration(FiltrationKind.JH, ["E"], [chi_curve(kd, 1, 0)]),
+             Filtration(FiltrationKind.JH, ("E",), (chi_curve(kd, 1, 0),)),
+             f"Filtration(kind=<FiltrationKind.JH: 'jh'>, steps=('E',), quotients=({line},))",
+             "steps", ("F",)),
+        ]
+
+    def test_value_semantics(self):
+        for record, twin, text, name, value in self.records():
+            assert record is not twin and record == twin and hash(record) == hash(twin)
+            assert repr(record) == text
+            changed = dataclasses.replace(record, **{name: value})
+            assert getattr(changed, name) == value and changed != record
+            assert dataclasses.replace(changed, **{name: getattr(record, name)}) == record
+            assert not hasattr(record, "__dict__"), type(record).__name__
+            with pytest.raises(AttributeError):
+                record.extra = 1
+
+    def test_replace_keeps_the_contains_init_var(self):
+        """replace passes contains on, read through the property, so a copy keeps its ids."""
+        e = SubobjectEntry("F", ZERO_SHEAF, ZERO_SHEAF, contains=["A"])
+        assert dataclasses.replace(e, contains=["B", "C"]).claims == {"B", "C"}
+        assert dataclasses.replace(e, id="G").claims == {"A"}
+        keyed = SubobjectEntry("B", ZERO_SHEAF, ZERO_SHEAF, key=3, names=("A", "B"))
+        assert keyed.claims is None and keyed.contains == {"A"}
+        copy = dataclasses.replace(keyed)
+        assert copy.claims == {"A"} and copy.key == 3 and copy != keyed  # derived ids, now claimed
+        assert dataclasses.replace(keyed, contains=["C"]).claims == {"C"}
+
+    def test_the_checks_still_raise(self):
+        with pytest.raises(ValueError, match="witness present exactly when not stable"):
+            StabilityVerdict(Notion.SLOPE, StabilityClass.STABLE, "F")
+        with pytest.raises(ValueError, match="witness present exactly when not stable"):
+            dataclasses.replace(StabilityVerdict(Notion.SLOPE, StabilityClass.UNSTABLE, "F"),
+                                witness=None)
+        with pytest.raises(ValueError, match="one quotient per step"):
+            Filtration(FiltrationKind.HN, ["F", "E"], [ZERO_SHEAF])
+        with pytest.raises(ValueError, match="rank must be nonnegative"):
+            dataclasses.replace(ZERO_SHEAF, rank=-1)
+        assert NumericalSheafData(1, 3, ZERO_SHEAF.chi, True).deg_h == Fraction(3)
