@@ -10,12 +10,12 @@ family_complete flag records whether that family is claimed exhaustive.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
-from itertools import compress, repeat
+from itertools import repeat
 from math import inf
 from operator import attrgetter, or_
-from typing import FrozenSet, Iterable, Optional
+from typing import FrozenSet, Optional
 
 from .chern import (
     KahlerData,
@@ -41,7 +41,6 @@ class RealizeBoundError(ValueError):
 
 
 REALIZE_MASK_BOUND = 1 << 16  # index sets realize walks: chains of up to 16 summands
-_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits to the bytes 0 and 1
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -49,38 +48,32 @@ class SubobjectEntry:
     """One declared subobject F with the invariants of F and of E/F.
 
     quotient_torsion_part, when present, is the rank-zero torsion of the quotient.  a lies
-    strictly below b exactly when a.key & ~b.key == 0 and a is not b.  names, shared by a
-    lattice's entries, reads ids off keys (a realized lattice's dict from key to id, a declared
-    one's ids in bit order), and contains (the ids below) is derived from the two.  An entry
-    built by hand passes contains ids, which its model turns into keys (see declared_entries).
-    Records are never mutated once built: a convention, unenforced, that the value hash needs.
+    strictly below b exactly when a.key & ~b.key == 0 and a is not b.  names, the dict from key
+    to id that a lattice's entries share, gives contains: the ids whose keys lie in this key.
+    An entry built by hand passes its claims, the ids below it, which its model turns into
+    keys (see declared_entries).  Records are never mutated once built: a convention,
+    unenforced, that the value hash needs.
     """
 
     id: str
     data: NumericalSheafData
     quotient: NumericalSheafData
     quotient_torsion_part: Optional[NumericalSheafData] = None
-    contains: InitVar[Optional[Iterable[str]]] = None
+    claims: Optional[FrozenSet[str]] = field(default=None, repr=False)
     key: Optional[int] = None
-    names: Optional[dict | tuple] = field(default=None, repr=False, compare=False)
-    claims: Optional[FrozenSet[str]] = field(default=None, init=False, repr=False)
+    names: Optional[dict] = field(default=None, repr=False, compare=False)
 
-    def __post_init__(self, contains):
-        if contains is not None or self.key is None:
-            self.claims = frozenset(contains or ())
+    def __post_init__(self):
+        if self.claims is not None or self.key is None:
+            self.claims = frozenset(self.claims or ())
 
-
-def _contains(e: SubobjectEntry) -> FrozenSet[str]:
-    """The ids strictly below e: its own ids, else the names of the keys inside its key."""
-    if e.claims is not None:
-        return e.claims
-    key, names = e.key, e.names
-    if type(names) is tuple:  # declared: the ids at the key's set bits, lowest bit first
-        return frozenset(compress(names, f"{key:b}"[::-1].encode().translate(_BITS))) - {e.id}
-    return frozenset(i for k, i in names.items() if k & key == k) - {e.id}  # realized: a scan
-
-
-SubobjectEntry.contains = property(_contains)  # after the class, past the InitVar's default
+    @property
+    def contains(self) -> FrozenSet[str]:
+        """The ids strictly below: the claims, else the names of the keys inside the key."""
+        if self.claims is not None:
+            return self.claims
+        key = self.key
+        return frozenset(i for k, i in self.names.items() if k & key == k) - {self.id}
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,8 +192,7 @@ def declared_entries(rows: list[tuple]) -> tuple[tuple[SubobjectEntry, ...], Fro
     first, so a sound entry's members' keys OR to its ids' bits (as many as its ids,
     all distinct, not its own).  Any other entry is unsound; then all keep their ids.
     """
-    order = tuple(sorted(row[0] for row in rows))
-    bit = {eid: 1 << i for i, eid in enumerate(order)}
+    bit = {eid: 1 << i for i, eid in enumerate(sorted(row[0] for row in rows))}
     keys, unsound = {}, set()
     for eid, *_, ids in sorted(rows, key=lambda row: len(row[-1])):
         try:
@@ -212,7 +204,7 @@ def declared_entries(rows: list[tuple]) -> tuple[tuple[SubobjectEntry, ...], Fro
             below = reduce(or_, map(bit.get, ids, repeat(0)), 0)
             unsound.add(eid)
         keys[eid] = below | bit[eid]
-    names = None if unsound else order
+    names = None if unsound else {key: eid for eid, key in keys.items()}
     return tuple(
         SubobjectEntry(eid, data, quotient, torsion, ids if unsound else None, keys[eid], names)
         for eid, data, quotient, torsion, ids in rows
@@ -329,8 +321,8 @@ def validate(model: HiggsObjectModel) -> list[Violation]:
 
 
 def _scan(model: HiggsObjectModel) -> list[Violation]:
-    flaw = Violation(model.id, "ModelTorsionFree", "stability needs a torsion-free object")
-    violations = [] if model.data.torsion_free else [flaw]
+    violations = [] if model.data.torsion_free else [
+        Violation(model.id, "ModelTorsionFree", "stability needs a torsion-free object")]
     for problem in leading_term_violations(model.data, model.ambient):
         violations.append(Violation(model.id, "LeadingCoefficient", problem))
     failed = {(e.data, e.quotient, e.quotient_torsion_part): v
@@ -347,6 +339,7 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
 
     A sound entry passes when no entry of its rank or more has a key of fewer bits:
     its members' keys lie strictly inside its own, so have fewer bits and lower rank.
+    Only an unsound entry can close a cycle or miss an id below a member.
     """
     entries, out = model.subobjects, []
     for e in map(model.entry, sorted(model._unsound)):
@@ -367,9 +360,10 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
     for e in entries:
         if e.key.bit_count() <= least[e.data.rank] and e.id not in model._unsound:
             continue
+        unsound = e.id in model._unsound
         for mid in sorted(e.contains):
             inner = model.entry(mid)
-            if e.id in inner.contains:
+            if unsound and e.id in inner.contains:
                 out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))
             if inner.data.rank > e.data.rank:
                 out.append(Violation(e.id, "Containment", f"contains {mid} of larger rank"))
@@ -378,7 +372,7 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
                 out.append(
                     Violation(e.id, "Containment", f"contains {mid} of equal rank, larger chi")
                 )
-            if not inner.contains <= e.contains:
+            if unsound and not inner.contains <= e.contains:
                 missing = sorted(inner.contains - e.contains)
                 out.append(
                     Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")
@@ -389,11 +383,11 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
 def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectModel:
     """Model of a + b whose family is the product of the two families.
 
-    Every pair (F, G) of declared-or-trivial subobjects contributes F + G,
-    except the zero and total combinations; in particular a + 0 and 0 + b are
-    entries.  Mixed "graph" subobjects are not representable here: the
-    classical reduction replaces any such subobject by its intersection and
-    projection, both of which this family carries.
+    Every pair (F, G) of declared-or-trivial subobjects contributes F + G, keyed by F's key
+    with G's beside it, except the zero and total combinations; so a + 0 and 0 + b are
+    entries.  Mixed "graph" subobjects are not representable here: the classical reduction
+    replaces any such subobject by its intersection and projection, both of which this
+    family carries.
     """
     if a.ambient != b.ambient:
         raise AmbientMismatchError("direct sum needs a common ambient")
@@ -407,35 +401,32 @@ def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectMod
         if m._unsound:  # its keys encode no order
             raise ValueError(f"factor {m.id!r} has unsound containment at {sorted(m._unsound)}")
     left, right = _parts(a), _parts(b)
-    w = len(left)  # a's i-th part plus b's j-th has bit i + j*w - 1, so zero drops out
-    names = tuple(f"{lid}(+){rid}" for rid, *_ in right for lid, *_ in left)[1:-1]
-    spread = [int(("0" * (w - 1)).join(f"{key:b}"), 2) for *_, key in right]  # bit y to y*w
-    sums, entries = {}, []  # sums by operand identity: shared sheaves give shared sums
+    shift = left[-1][-1].bit_length()  # a's keys lie below this bit, b's are moved above it
+    names, sums, entries = {}, {}, []  # the entries' shared key-to-id table, sums by operands
 
-    def add(x, y):  # so that _scan checks each distinct sum triple once
+    def add(x, y):  # by identity: shared sheaves give shared sums, which _scan checks once
         if (key := (id(x), id(y))) not in sums:
             sums[key] = sum_data(x, y)
         return sums[key]
 
-    for i, (_, ldata, lquot, ltors, lkey) in enumerate(left):
-        for j, (_, rdata, rquot, rtors, _) in enumerate(right):
-            if 0 < (pair := i + j * w) <= len(names):  # not the zero or total combination
+    for lid, ldata, lquot, ltors, lkey in left:
+        for rid, rdata, rquot, rtors, rkey in right:
+            if (key := lkey | rkey << shift) and (lid, rid) != (a.id, b.id):  # not 0 or a + b
                 tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
-                key = lkey * spread[j] >> 1  # one copy of F's key per w-bit field: no carries
-                entries.append(SubobjectEntry(names[pair - 1], add(ldata, rdata),
-                                              add(lquot, rquot), tors, key=key, names=names))
+                names[key] = label = f"{lid}(+){rid}"
+                entries.append(SubobjectEntry(label, add(ldata, rdata), add(lquot, rquot),
+                                              tors, key=key, names=names))
     return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, sum_data(a.data, b.data),
                             tuple(entries), a.family_complete and b.family_complete)
 
 
 def _parts(m: HiggsObjectModel) -> list[tuple]:
-    """(id, data, quotient, torsion part, key) for zero, each entry and m, as bits 0, 1, ...;
-    a part's key holds the bits of the parts weakly below it."""
+    """(id, data, quotient, torsion part, key) for zero, each entry and m, keyed as in m;
+    zero's key is 0, and m's holds every entry's bits and one bit more."""
     entries = m.subobjects
-    bit = {e.id: 2 << i for i, e in enumerate(entries)}
+    below = reduce(or_, (e.key for e in entries), 0)
     return [
-        ("0", ZERO_SHEAF, m.data, None, 1),
-        *((e.id, e.data, e.quotient, e.quotient_torsion_part,
-           1 | bit[e.id] | sum(map(bit.get, e.contains))) for e in entries),
-        (m.id, m.data, ZERO_SHEAF, None, (4 << len(entries)) - 1),
+        ("0", ZERO_SHEAF, m.data, None, 0),
+        *((e.id, e.data, e.quotient, e.quotient_torsion_part, e.key) for e in entries),
+        (m.id, m.data, ZERO_SHEAF, None, below | 1 << below.bit_length()),
     ]

@@ -286,7 +286,7 @@ def torsion_closure_model(strict=False):
         id="F", data=sub, quotient=quotient_of_sub, quotient_torsion_part=torsion
     )
     entry_fp = SubobjectEntry(
-        id="Fp", data=first, quotient=second, contains=frozenset({"F"})
+        id="Fp", data=first, quotient=second, claims=frozenset({"F"})
     )
     return HiggsObjectModel(
         id="E",
@@ -312,7 +312,7 @@ def torsion_step_model():
     )
     entries = (
         SubobjectEntry(id="F", data=sub, quotient=quotient_of_sub, quotient_torsion_part=torsion),
-        SubobjectEntry(id="Fp", data=first, quotient=second, contains=frozenset({"F"})),
+        SubobjectEntry(id="Fp", data=first, quotient=second, claims=frozenset({"F"})),
     )
     return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=entries)
 
@@ -531,7 +531,7 @@ def induced_model_failure():
                 id="A",
                 data=chi_curve(kd, 1, 1),
                 quotient=chi_curve(kd, 1, -1),
-                contains={"B"},
+                claims={"B"},
             ),
             SubobjectEntry(id="B", data=chi_curve(kd, 1, 2), quotient=chi_curve(kd, 1, -2)),
         ),

@@ -28,6 +28,7 @@ from higgs_lab import (
     EventualOrder,
     Grading,
     HiggsChainSpec,
+    HiggsObjectModel,
     KahlerData,
     StabilityClass,
     StabilityVerdict,
@@ -42,7 +43,13 @@ from higgs_lab import (
 from higgs_lab.cli import _json
 from higgs_lab.modelfile import LoadedObject
 
-from conftest import ambiguous_model, kahler_to_json, model_to_json, random_chain_spec
+from conftest import (
+    ambiguous_model,
+    kahler_to_json,
+    model_to_json,
+    random_chain_spec,
+    torsion_closure_model,
+)
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 FILTRATION_GOLDEN = Path(__file__).parent / "data" / "filtration_golden.txt"
@@ -109,6 +116,20 @@ def _declared_pair(tmp_path):
     path = tmp_path / "hitchin_declared.json"
     path.write_text(json.dumps({"ambient": HITCHIN["ambient"], "objects": objects}))
     return path
+
+
+def _written(tmp_path, model):
+    """A file holding model alone, written as a declared model."""
+    path = tmp_path / f"{model.id}.json"
+    path.write_text(json.dumps({"ambient": kahler_to_json(model.ambient),
+                                "objects": [model_to_json(LoadedObject(model))]}))
+    return path
+
+
+def _struck_closure():
+    """torsion_closure_model with Fp struck: F's torsion quotient has no declared enlargement."""
+    model = torsion_closure_model()
+    return HiggsObjectModel(model.id, model.ambient, model.data, (model.entry("F"),))
 
 
 def _arrowed_second(tmp_path):
@@ -226,6 +247,24 @@ class TestAnalyze:
             ), notion
 
 
+class TestSkippedFormulation:
+    """analyze reports a formulation it cannot decide as skipped, in both formats."""
+
+    REASON = "entry F has a torsion quotient and no declared enlargement"
+
+    def test_table(self, tmp_path, capsys):
+        assert run(["analyze", str(_written(tmp_path, _struck_closure()))]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert f"  gieseker_torsion_free    skipped: {self.REASON}" in lines
+
+    def test_json(self, tmp_path, capsys):
+        path = _written(tmp_path, _struck_closure())
+        assert run(["analyze", str(path), "--format", "json"]) == 0
+        (report,) = json.loads(capsys.readouterr().out)["objects"]
+        assert report["gieseker_torsion_free"] == {"skipped": self.REASON}
+        assert report["gieseker"]["class"] == "strictly_semistable"
+
+
 class TestFiltrationCommands:
     def test_hn_of_unstable_object(self, unstable_file, capsys):
         assert run(["hn", unstable_file, "--object", "E", "--format", "json"]) == 0
@@ -256,11 +295,7 @@ class TestFiltrationCommands:
         return lines[0]
 
     def test_incomparable_maximizers_are_an_input_error(self, tmp_path, capsys):
-        model = ambiguous_model()
-        doc = {"ambient": kahler_to_json(model.ambient),
-               "objects": [model_to_json(LoadedObject(model))]}
-        path = tmp_path / "ambiguous.json"
-        path.write_text(json.dumps(doc))
+        path = _written(tmp_path, ambiguous_model())
         line = self.error_line(capsys, ["hn", str(path), "--object", "E"], 2)
         assert line == "error: incomparable maximizers ['A', 'B'] above 0"
 
@@ -280,6 +315,16 @@ class TestFiltrationCommands:
         argv = [command, str(HITCHIN_PAIR), "--object", object_id]
         line = self.error_line(capsys, argv, 1)
         assert line == f"error: under-declared family: {object_id}: Planted (one violation)"
+
+    def test_broken_filtration_fails_hn_uniqueness(self, monkeypatch, capsys):
+        planted = Violation("hitchin", "Planted", "one violation")
+        monkeypatch.setattr(higgs_lab.filtration, "verify_filtration", lambda m, f: [planted])
+        assert run(["verify", str(HITCHIN_PAIR)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if line.startswith("fail")] == [
+            "fail hn_uniqueness              hitchin  hitchin: Planted (one violation)",
+            "fail hn_uniqueness              split  hitchin: Planted (one violation)",
+        ]
 
 
 class TestVerify:
@@ -558,6 +603,30 @@ class TestVerify:
             for line in lines
         ), lines
 
+    @staticmethod
+    def skips(capsys, path) -> list[str]:
+        assert run(["verify", str(path)]) == 0
+        return [line for line in capsys.readouterr().out.splitlines() if line.startswith("skip")]
+
+    def test_incomparable_maximizers_skip_hn_uniqueness(self, tmp_path, capsys):
+        assert self.skips(capsys, _written(tmp_path, ambiguous_model())) == [
+            "skip jh_grading_invariance      E  object is unstable",
+            "skip hn_uniqueness              E  incomparable maximizers ['A', 'B'] above 0",
+        ]
+
+    def test_a_torsion_quotient_without_enlargement_skips(self, tmp_path, capsys):
+        assert self.skips(capsys, _written(tmp_path, _struck_closure())) == [
+            "skip torsion_free_formulation   E  "
+            "entry F has a torsion quotient and no declared enlargement",
+        ]
+
+    def test_the_search_bound_skips_hn_uniqueness(self, monkeypatch, capsys):
+        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 2)
+        assert self.skips(capsys, HITCHIN_PAIR) == [
+            "skip jh_grading_invariance      split  object is unstable",
+            "skip hn_uniqueness              split  more than 2 search nodes",
+        ]
+
 
 class TestFuzz:
     def test_empty_run_passes(self, capsys):
@@ -751,6 +820,48 @@ class TestBadInput:
         model = {"type": "model", "id": "E", "data": self.curve_sheaf(1, 0), "subobjects": [entry]}
         lines = self.run_all(tmp_path, capsys, {"ambient": self.AMBIENT, "objects": [model]}, "E")
         assert all("F: TorsionQuotient" in line for line in lines), lines
+
+    @pytest.mark.parametrize("case", [
+        "chain_on_a_surface", "chain_without_degrees", "arrow_from_zero", "rank_range",
+        "torsion_part_of_positive_rank", "torsion_part_of_a_torsion_free_quotient",
+        "torsion_part_chi_not_eventually_positive",
+    ])
+    def test_one_line_rejections(self, tmp_path, capsys, case):
+        sheaf = self.curve_sheaf
+        torsion = {**sheaf(0, 1), "torsion_free": False}
+        torsion_quotient = {**sheaf(1, 1), "torsion_free": False}
+        twist = {"id": "F", "data": sheaf(1, -1), "quotient": torsion_quotient}
+        surface = {"n": 2, "hn": "1/1", "c1X_H": "0/1"}
+        chains = {  # case -> (ambient, degrees, arrows, message)
+            "chain_on_a_surface": (surface, [0, 0], [], "chains live on curves"),
+            "chain_without_degrees": (self.AMBIENT, [], [], "a chain needs at least one summand"),
+            "arrow_from_zero": (self.AMBIENT, [0, 0], [[0, 1]],
+                                "arrow (0, 1) indexes outside 1..2"),
+        }
+        entries = {  # case -> (the one entry of a rank-2 object, its violation)
+            "rank_range": ({"id": "F", "data": sheaf(3, 0), "quotient": sheaf(0, 0)},
+                           "RankRange (rank 3 outside 0..2)"),
+            "torsion_part_of_positive_rank": (
+                {**twist, "quotient_torsion_part": torsion_quotient},
+                "TorsionPart (torsion part must have rank zero)"),
+            "torsion_part_of_a_torsion_free_quotient": (
+                {"id": "F", "data": sheaf(1, 0), "quotient": sheaf(1, 0),
+                 "quotient_torsion_part": torsion},
+                "TorsionPart (torsion-free quotient carries a torsion part)"),
+            "torsion_part_chi_not_eventually_positive": (
+                {**twist, "quotient_torsion_part": {**sheaf(0, -1), "torsion_free": False}},
+                "TorsionPart (torsion part chi must be eventually positive)"),
+        }
+        if case in chains:
+            ambient, degrees, arrows, message = chains[case]
+            chain = {"type": "chain", "id": "C", "degrees": degrees, "arrows": arrows}
+            doc, oid, want = {"ambient": ambient, "objects": [chain]}, "C", f"chain C: {message}"
+        else:
+            entry, message = entries[case]
+            model = {"type": "model", "id": "E", "data": sheaf(2, 0), "subobjects": [entry]}
+            doc, oid = {"ambient": self.AMBIENT, "objects": [model]}, "E"
+            want = f"object E fails validation: F: {message}"
+        assert set(self.run_all(tmp_path, capsys, doc, oid)) == {f"error: {want}"}
 
     @pytest.mark.parametrize("torsion_free", [True, False])
     def test_nonzero_subobject_of_rank_zero(self, tmp_path, capsys, torsion_free):

@@ -96,7 +96,7 @@ def interval_fixtures():
     kd = KahlerData.curve(1, 1)
     line = chi_curve(kd, 1, 0)
     # A contains B of the same invariants, so B has the full rank of the step A over zero
-    twins = (SubobjectEntry("A", line, line, contains={"B"}), SubobjectEntry("B", line, line))
+    twins = (SubobjectEntry("A", line, line, claims={"B"}), SubobjectEntry("B", line, line))
     models = [
         HiggsObjectModel(id="E", ambient=kd, data=chi_curve(kd, 2, 0), subobjects=twins),
         torsion_closure_model(strict=False),
@@ -338,7 +338,7 @@ def torsion_and_destabilizer_model(destabilizer, torsion):
         quotient = NumericalSheafData(
             3 - rank, total.deg_h - sub.deg_h, total.chi - sub.chi, torsion_part is None
         )
-        return SubobjectEntry(eid, sub, quotient, torsion_part, contains=set(contains))
+        return SubobjectEntry(eid, sub, quotient, torsion_part, claims=set(contains))
 
     entries = (
         entry("L", 1, 9, length_one),
@@ -644,6 +644,13 @@ class TestGradingAndSEquivalence:
         with pytest.raises(PreconditionUnmetError):
             s_equivalent(a, b)
 
+    def test_an_unstable_object_is_refused(self):
+        semistable, unstable = curve_chain(1, 1, (0, 0)), curve_chain(1, 1, (1, -1))
+        for pair in ((unstable, semistable), (semistable, unstable), (unstable, unstable)):
+            with pytest.raises(PreconditionUnmetError) as info:
+                s_equivalent(*pair)
+            assert str(info.value) == "both objects must be Gieseker semistable"
+
 
 class TestHarderNarasimhan:
     def test_two_step_chain(self):
@@ -705,6 +712,20 @@ class TestAllHarderNarasimhan:
 
 
 class TestVerifyFiltration:
+    @pytest.mark.parametrize("kind, steps, kind_of_violation, detail", [
+        (FiltrationKind.JH, (), "Steps", "a filtration has at least one step"),
+        (FiltrationKind.HN, ("{1}", "nope", "E"), "UnknownId",
+         "step id outside the declared family"),
+        (FiltrationKind.JH, ("{1,2}", "{1}"), "Chain", "first step must be the object"),
+        (FiltrationKind.HN, ("E", "{1}"), "Chain", "last step must be the object"),
+        (FiltrationKind.JH, ("E", "{1,2}", "E"), "Chain", "the object may only bound the chain"),
+        (FiltrationKind.HN, ("{1}", "E", "E"), "Chain", "the object may only bound the chain"),
+    ])
+    def test_structural_violations(self, kind, steps, kind_of_violation, detail):
+        m = curve_chain(1, 1, (0, 0, 0))
+        bad = Filtration(kind, steps, (m.data,) * len(steps))
+        assert verify_filtration(m, bad) == [Violation("E", kind_of_violation, detail)]
+
     def test_constructed_chains_verify(self):
         m = curve_chain(0, 1, (2, 0))
         assert verify_filtration(m, harder_narasimhan(m)) == []

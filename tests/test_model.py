@@ -5,6 +5,7 @@ import json
 import operator
 import random
 from fractions import Fraction
+from functools import reduce
 
 import pytest
 
@@ -491,7 +492,7 @@ class TestValidate:
                 id=eid,
                 data=chi_curve(kd, 1, deg),
                 quotient=chi_curve(kd, 1, -deg),
-                contains=frozenset(contains),
+                claims=frozenset(contains),
             )
 
         for inner_deg, kinds in ((0, []), (1, []), (2, ["Containment"])):
@@ -513,7 +514,7 @@ class TestValidate:
         m = curve_chain(1, 1, (0, 0, 0))
         # replace {1,2}'s lower set with a dangling id
         tampered = tuple(
-            SubobjectEntry(id=e.id, data=e.data, quotient=e.quotient, contains=frozenset({"nope"}))
+            SubobjectEntry(id=e.id, data=e.data, quotient=e.quotient, claims=frozenset({"nope"}))
             if e.id == "{1,2}"
             else e
             for e in m.subobjects
@@ -529,7 +530,7 @@ class TestValidate:
                 id=eid,
                 data=chi_curve(kd, rank, 0),
                 quotient=chi_curve(kd, 3 - rank, 0),
-                contains=frozenset(contains),
+                claims=frozenset(contains),
             )
 
         m = HiggsObjectModel(
@@ -812,6 +813,23 @@ class TestDirectSum:
             invalid += bool(validate(total))
         assert len(pairs) >= 300 and invalid >= 10
 
+    def test_a_factor_out_of_rank_order_gives_the_oracle_messages(self):
+        """Sound keys that put a rank-1 entry above a rank-2 one: the sum entries above that
+        pair write the messages of the same family keyed by label."""
+        kd = KahlerData.curve(1, 1)
+
+        def entry(eid, rank, claims=()):
+            return SubobjectEntry(eid, chi_curve(kd, rank, 0), chi_curve(kd, 3 - rank, 0),
+                                  claims=frozenset(claims))
+
+        bad = HiggsObjectModel("A", kd, chi_curve(kd, 3, 0), (entry("F", 1, {"G"}), entry("G", 2)))
+        assert not bad._unsound and validate(bad)
+        for pair in ((bad, curve_chain(1, 1, (0, 0), object_id="B")),
+                     (curve_chain(1, 1, (0, 0, 0), object_id="B"), bad)):
+            messages = [str(v) for v in validate(direct_sum_model(*pair))]
+            assert messages == [str(v) for v in validate(oracle_direct_sum(*pair))]
+            assert sum("of larger rank" in m for m in messages) >= 4, messages
+
     def test_a_declared_pair_is_keyed_without_ids(self, monkeypatch):
         """Every sum entry arrives keyed, so the model turns no ids into keys."""
         doc = {
@@ -832,6 +850,29 @@ class TestDirectSum:
         assert len(total.subobjects) == 8 * 4 - 2 and validate(total) == []
         assert len({id(e.names) for e in total.subobjects}) == 1
 
+    def test_factors_pass_their_keys_through(self, monkeypatch):
+        """A sum keys (F, G) by F's key with G's beside it and reads no factor's contains."""
+        realized = curve_chain(1, 1, (0, 1, -1), object_id="A")
+        doc = {"ambient": kahler_to_json(realized.ambient), "objects": [
+            model_to_json(LoadedObject(curve_chain(1, 1, (2, 0), arrows={(2, 1)}, object_id="B")))
+        ]}
+        declared = loads(json.dumps(doc)).objects[0].model
+        reads = []
+        derive = SubobjectEntry.contains.fget
+        monkeypatch.setattr(SubobjectEntry, "contains",
+                            property(lambda e: reads.append(e.id) or derive(e)))
+        for a, b in ((realized, declared), (declared, realized), (realized, realized)):
+            total = direct_sum_model(a, b)
+            assert reads == []
+            keys = [(e.id, e.key) for e in a.subobjects]
+            below = reduce(operator.or_, (k for _, k in keys))
+            shift = below.bit_length() + 1
+            parts = [("0", 0), *keys, (a.id, below | 1 << below.bit_length())]
+            for fid, fkey in parts:
+                for g in b.subobjects:
+                    assert total.entry(f"{fid}(+){g.id}").key == fkey | g.key << shift
+            assert total.entry(f"{a.id}(+)0").key == parts[-1][1]
+
     @pytest.mark.parametrize(
         "contains, unsound",
         [({"F": {"G"}, "G": {"F"}}, ["F", "G"]), ({"F": {"X"}, "G": set()}, ["F"])],
@@ -841,7 +882,7 @@ class TestDirectSum:
         kd = KahlerData.curve(0, 1)
         line = chi_curve(kd, 1, 0)
         factor = HiggsObjectModel("A", kd, chi_curve(kd, 2, 0), tuple(
-            SubobjectEntry(eid, line, line, contains=ids) for eid, ids in contains.items()
+            SubobjectEntry(eid, line, line, claims=ids) for eid, ids in contains.items()
         ))
         other = HiggsObjectModel("B", kd, line, ())
         for pair in ((factor, other), (other, factor)):
@@ -952,7 +993,7 @@ class TestContainmentScreen:
                 ambient=model.ambient,
                 data=model.data,
                 subobjects=tuple(
-                    dataclasses.replace(e, contains=frozenset(contains[e.id]))
+                    dataclasses.replace(e, claims=frozenset(contains[e.id]))
                     for e in model.subobjects
                 ),
             )
@@ -1003,7 +1044,7 @@ class TestContainmentMessages:
             id=eid,
             data=chi_curve(self.KD, rank, deg),
             quotient=chi_curve(self.KD, 3 - rank, -deg),
-            contains=frozenset(contains),
+            claims=frozenset(contains),
         )
 
     def messages(self, *entries):
@@ -1068,8 +1109,8 @@ class TestRecords:
         unstable = (Notion.SLOPE, StabilityClass.UNSTABLE, "F")
         return [
             (chi_curve(kd, 1, 0), chi_curve(kd, 1, 0), line, "rank", 2),
-            (SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, contains=["A"]),
-             SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, contains=("A",)),
+            (SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, claims=["A"]),
+             SubobjectEntry("F", chi_curve(kd, 1, 0), ZERO_SHEAF, claims=("A",)),
              f"SubobjectEntry(id='F', data={line}, quotient={ZERO_SHEAF!r}, "
              "quotient_torsion_part=None, key=None)", "id", "G"),
             (Violation("F", "RankRange", "rank 3 outside 0..2"),
@@ -1099,16 +1140,17 @@ class TestRecords:
             with pytest.raises(AttributeError):
                 record.extra = 1
 
-    def test_replace_keeps_the_contains_init_var(self):
-        """replace passes contains on, read through the property, so a copy keeps its ids."""
-        e = SubobjectEntry("F", ZERO_SHEAF, ZERO_SHEAF, contains=["A"])
-        assert dataclasses.replace(e, contains=["B", "C"]).claims == {"B", "C"}
+    def test_replace_copies_an_entry(self):
+        """claims is an ordinary field, so replace copies claimed and keyed entries alike."""
+        e = SubobjectEntry("F", ZERO_SHEAF, ZERO_SHEAF, claims=["A"])
+        assert dataclasses.replace(e, claims=["B", "C"]).claims == {"B", "C"}
         assert dataclasses.replace(e, id="G").claims == {"A"}
-        keyed = SubobjectEntry("B", ZERO_SHEAF, ZERO_SHEAF, key=3, names=("A", "B"))
+        keyed = SubobjectEntry("B", ZERO_SHEAF, ZERO_SHEAF, key=3, names={1: "A", 3: "B"})
         assert keyed.claims is None and keyed.contains == {"A"}
         copy = dataclasses.replace(keyed)
-        assert copy.claims == {"A"} and copy.key == 3 and copy != keyed  # derived ids, now claimed
-        assert dataclasses.replace(keyed, contains=["C"]).claims == {"C"}
+        assert copy == keyed and copy is not keyed and hash(copy) == hash(keyed)
+        assert copy.claims is None and copy.key == 3 and copy.names is keyed.names
+        assert dataclasses.replace(keyed, claims=["C"]).contains == {"C"}
 
     def test_the_checks_still_raise(self):
         with pytest.raises(ValueError, match="witness present exactly when not stable"):
