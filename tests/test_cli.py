@@ -53,6 +53,7 @@ from conftest import (
 
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 FILTRATION_GOLDEN = Path(__file__).parent / "data" / "filtration_golden.txt"
+WALLS_GOLDEN = Path(__file__).parent / "data" / "walls_verify_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
 
 HITCHIN = {
@@ -702,6 +703,28 @@ def test_filtration_reports_match_golden(tmp_path, capsys):
     """jh and hn reports, byte for byte, on the Hitchin pair, equal-degree and seeded chains."""
     text = filtration_golden_text(tmp_path, capsys)
     assert text.encode("utf-8") == FILTRATION_GOLDEN.read_bytes()
+
+
+def walls_file(size=8) -> dict:
+    """Two chains without arrows, genus 2: degrees 0..m-1 and 0^(m/2) 1^(m/2).  Every
+    object's HN search decides each pair of nested index sets, and many pairs share sheaves."""
+    ramp = {"type": "chain", "id": "ramp", "degrees": list(range(size)), "arrows": []}
+    steps = {"type": "chain", "id": "steps", "degrees": [0] * (size // 2) + [1] * (size // 2),
+             "arrows": []}
+    return {"ambient": {"n": 1, "genus": 2, "degH": 1}, "objects": [ramp, steps]}
+
+
+def test_walls_verify_matches_golden(tmp_path, capsys):
+    """verify, in table and JSON form, byte for byte on the two 8-summand arrowless chains."""
+    path = tmp_path / "walls.json"
+    path.write_text(json.dumps(walls_file()))
+    out = []
+    for fmt in ("table", "json"):
+        code = run(["verify", str(path), "--format", fmt])
+        captured = capsys.readouterr()
+        out += [f"$ verify walls8 --format {fmt}: exit {code}\n", captured.out,
+                *(f"stderr: {line}\n" for line in captured.err.splitlines())]
+    assert "".join(out).encode("utf-8") == WALLS_GOLDEN.read_bytes()
 
 
 class TestBadInput:
