@@ -26,7 +26,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Iterator, Optional, Sequence
 
-from .chern import ZERO_SHEAF, NumericalSheafData, compare_p
+from .chern import NumericalSheafData, compare_p
 from .hilbert import EventualOrder, HilbertPolynomial, compare_scaled
 from .model import HiggsObjectModel, SubobjectEntry, Violation
 from .stability import (
@@ -98,22 +98,13 @@ def _sheaf_delta(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheaf
     return NumericalSheafData(rank, a.deg_h - b.deg_h, chi, torsion_free=rank > 0 or chi.is_zero)
 
 
-def _data(model: HiggsObjectModel, step: str) -> NumericalSheafData:
-    """Invariants of a step: the object itself or one declared entry."""
-    return model.data if step == model.id else model.entry(step).data
-
-
 def _below(a: SubobjectEntry, b: SubobjectEntry) -> bool:
     """Whether a lies strictly below b: a.key & ~b.key == 0, and a is not b."""
     return a.key & b.key == a.key and a is not b
 
 
 def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]:
-    """Entries strictly below upper, in id order, listed once per model.
-
-    The lists sit in one table under the memo's "below" key: a memo key
-    ("below", upper) would be the step quotient of an entry named "below".
-    """
+    """Entries strictly below upper, in id order, listed once per model in its memo's "below"."""
     table = model._memo.setdefault("below", {})
     if upper not in table:
         entries = model.subobjects
@@ -143,14 +134,13 @@ def _orders(
     quotient's yields (id, its p over lower against the quotient's p).  Other
     entries yield nothing.
     """
-    base = ZERO_SHEAF if lower is None else model.entry(lower).data
+    base = None if lower is None else model.entry(lower).data
     for e in _between(model, upper, lower):
-        rank = e.data.rank - base.rank
-        if rank == 0 and e.data.chi != base.chi:
+        rel = e.data if base is None else _quotient(model, e.data, base)
+        if rel.rank == 0 and not rel.chi.is_zero:
             yield e.id, None
-        elif 0 < rank < quotient.rank:
-            chi = e.data.chi if lower is None else e.data.chi - base.chi
-            yield e.id, compare_scaled(chi, rank, quotient.chi, quotient.rank)
+        elif 0 < rel.rank < quotient.rank:
+            yield e.id, compare_scaled(rel.chi, rel.rank, quotient.chi, quotient.rank)
 
 
 def _downward(kind: FiltrationKind, items: Sequence) -> list:
@@ -163,18 +153,30 @@ def _pairs(downward_steps: Sequence[str]) -> list[tuple[str, Optional[str]]]:
     return list(zip(downward_steps, [*downward_steps[1:], None]))
 
 
+def _quotient(
+    model: HiggsObjectModel, a: NumericalSheafData, b: NumericalSheafData
+) -> NumericalSheafData:
+    """a/b for two sheaves of the model, b below a, derived once per pair of sheaves.
+
+    Entries share sheaves, so a step's quotient depends on its two sheaves alone.  The
+    table sits in the memo's "quotients": one dict per upper sheaf, keyed by the lower
+    sheaf's id().  Identity keys are sound because every sheaf passed in is held by the
+    model for its lifetime: entry data and model.data.
+    """
+    try:
+        return model._memo["quotients"][id(a)][id(b)]
+    except KeyError:
+        row = model._memo.setdefault("quotients", {}).setdefault(id(a), {})
+        row[id(b)] = quotient = _sheaf_delta(a, b)
+        return quotient
+
+
 def _step_quotient(
     model: HiggsObjectModel, upper: str, lower: Optional[str]
 ) -> NumericalSheafData:
-    """Quotient of upper over lower (None for zero).
-
-    The one place filtration quotients are derived from step ids, once per model.
-    """
-    memo = model._memo
-    if (upper, lower) not in memo:
-        data = _data(model, upper)
-        memo[upper, lower] = data if lower is None else _sheaf_delta(data, _data(model, lower))
-    return memo[upper, lower]
+    """Quotient of upper, the object or an entry, over lower, an entry or None for zero."""
+    data = model.data if upper == model.id else model.entry(upper).data
+    return data if lower is None else _quotient(model, data, model.entry(lower).data)
 
 
 def _filtration(
@@ -383,17 +385,16 @@ def _destabilizer_step(
     distinct entries is ambiguous and aborts.
     """
     top = _step_quotient(model, model.id, bottom_id)
-    base = ZERO_SHEAF if bottom_id is None else model.entry(bottom_id).data
+    base = None if bottom_id is None else model.entry(bottom_id).data
     best_p, best = (top.chi, top.rank), [(top.rank, None)]
     for e in _between(model, model.id, bottom_id):
-        rank = e.data.rank - base.rank
-        if 0 < rank < top.rank:
-            chi = e.data.chi if bottom_id is None else e.data.chi - base.chi
-            order = compare_scaled(chi, rank, *best_p)
+        rel = e.data if base is None else _quotient(model, e.data, base)
+        if 0 < rel.rank < top.rank:
+            order = compare_scaled(rel.chi, rel.rank, *best_p)
             if order is EventualOrder.SUCCEEDS:
-                best_p, best = (chi, rank), []
+                best_p, best = (rel.chi, rel.rank), []
             if order is not EventualOrder.PRECEDES:
-                best.append((rank, e.id))
+                best.append((rel.rank, e.id))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:

@@ -82,9 +82,9 @@ class HiggsObjectModel:
 
     The trivial subobjects (zero and the object itself) are implicit and
     never listed.  Entries are kept sorted by id so every downstream scan is
-    deterministic.  The model is frozen, so `distinct`, `violations` and what `_memo` keeps
-    (verdicts by formulation, step quotients by (upper, lower), the entries below each
-    upper) are computed once, on first use.
+    deterministic.  The model is frozen, so `distinct`, `violations` and the named tables
+    `_memo` keeps (verdicts by formulation, the entries below each upper, quotients by pair
+    of sheaves) are computed once, on first use.
     """
 
     id: str
@@ -339,7 +339,9 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
 
     A sound entry passes when no entry of its rank or more has a key of fewer bits:
     its members' keys lie strictly inside its own, so have fewer bits and lower rank.
-    Only an unsound entry can close a cycle or miss an id below a member.
+    One that fails walks only the entries of its rank or more, the only members that
+    can break the rank order.  Only an unsound entry can close a cycle or miss an id
+    below a member; it walks its contains.
     """
     entries, out = model.subobjects, []
     for e in map(model.entry, sorted(model._unsound)):
@@ -357,12 +359,17 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
     fewest = inf
     for rank in sorted(least, reverse=True):
         least[rank] = fewest = min(fewest, least[rank])
+    at_least = None  # rank r -> the entries of rank r or more, in id order, built on first use
     for e in entries:
         if e.key.bit_count() <= least[e.data.rank] and e.id not in model._unsound:
             continue
-        unsound = e.id in model._unsound
-        for mid in sorted(e.contains):
-            inner = model.entry(mid)
+        if unsound := e.id in model._unsound:
+            inside = map(model.entry, sorted(e.contains))
+        else:  # a sound entry contains exactly the entries whose keys lie inside its own
+            at_least = at_least or {r: [x for x in entries if x.data.rank >= r] for r in least}
+            inside = (x for x in at_least[e.data.rank] if x.key & e.key == x.key and x is not e)
+        for inner in inside:
+            mid = inner.id
             if unsound and e.id in inner.contains:
                 out.append(Violation(e.id, "Containment", f"containment cycle with {mid}"))
             if inner.data.rank > e.data.rank:

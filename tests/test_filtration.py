@@ -1,5 +1,6 @@
 """Jordan-Holder and Harder-Narasimhan construction, gradings, verification."""
 
+import dataclasses
 import gc
 import json
 import random
@@ -256,12 +257,13 @@ class TestStepQuery:
             assert len(search(m)) == chains
             assert len(queries) == len(set(queries)) == steps
 
-    def test_each_step_quotient_is_derived_once_per_model(self, monkeypatch):
-        # construction, verification and both searches share every step's quotient
+    def test_each_pair_of_sheaves_is_derived_once_per_model(self, monkeypatch):
+        # construction, verification, both searches and the census share each quotient
+        # by its two sheaves, so steps between entries of equal sheaves share one
         delta, step_quotient = filtration._sheaf_delta, filtration._step_quotient
 
         def derive(a, b):
-            deltas.append((a, b))
+            deltas.append((id(a), id(b)))
             return delta(a, b)
 
         def step(model, upper, lower):
@@ -277,7 +279,13 @@ class TestStepQuery:
                 found = build(m)
                 for filt in found if isinstance(found, list) else [found]:
                     assert verify_filtration(m, filt) == []
-            assert len(deltas) == len({(u, l) for u, l in steps if l is not None}) > 1
+            if jordan_holder in builds:
+                assert jordan_holder_census(m)[0] == 6
+            # every sheaf is held by m, so its id() names it for the whole test
+            assert len(deltas) == len(set(deltas)) > 1
+            assert not any(isinstance(key, tuple) for key in m._memo), list(m._memo)
+        derived = len(deltas)
+        assert derived < len({(u, l) for u, l in steps if l is not None}), derived
 
     @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
     def test_lowers_listed_once_per_upper(self, monkeypatch, size, jh_chains):
@@ -303,6 +311,59 @@ class TestStepQuery:
             found = search(m)
             assert len(found) == chains and found == sorted(found, key=depth_first)
             assert len(listings) <= 2 * (2**size - 1)
+
+
+def unshared(model):
+    """A twin of model whose entries hold value-equal copies of their sheaves, none shared."""
+    copy = lambda part: part and dataclasses.replace(part)
+    return HiggsObjectModel(model.id, model.ambient, copy(model.data), tuple(
+        dataclasses.replace(e, data=copy(e.data), quotient=copy(e.quotient),
+                            quotient_torsion_part=copy(e.quotient_torsion_part))
+        for e in model.subobjects), model.family_complete)
+
+
+def outcome(build, model):
+    """What build returns on model, or the type and message of what it raises."""
+    try:
+        return build(model)
+    except (ValueError, RuntimeError) as error:
+        return type(error), str(error)
+
+
+class TestSharing:
+    """Filtrations read sheaves by value: sharing them between entries changes no answer."""
+
+    @staticmethod
+    def models():
+        rng = random.Random(29)
+        arrowed = [spec for spec in (random_chain_spec(rng, 6, 3) for _ in range(120))
+                   if spec.arrows][:60]
+        # {1,2} and {3,4}, then {1,4} and {2,3}, hold one sheaf, but only the first is stable
+        split = [curve_chain(2, 1, (1, -1, 0, 0), {(1, 2)}),
+                 curve_chain(2, 1, (0, 1, -1, 0), {(2, 3)})]
+        return ([realize(spec) for spec in arrowed] + split + [shared_sheaf_model()]
+                + [curve_chain(1, 1, (0,) * size) for size in range(2, 7)])
+
+    def test_an_unshared_twin_gives_the_same_filtrations(self):
+        seen = Counter()
+        for m in self.models():
+            twin = unshared(m)
+            assert len(twin.distinct) == len(twin.subobjects)
+            for build in (jordan_holder, harder_narasimhan, all_harder_narasimhan,
+                          all_jordan_holder, jordan_holder_census):
+                got = outcome(build, m)
+                assert got == outcome(build, twin), (m.id, build.__name__)
+                seen[build.__name__, isinstance(got, tuple) and got[0] is NotSemistableError] += 1
+            # every JH and HN chain through one entry, valid or not, by its violations
+            for e in m.subobjects:
+                for kind in FiltrationKind:
+                    steps = (e.id, m.id) if kind is FiltrationKind.HN else (m.id, e.id)
+                    filt = filtration._filtration(m, kind, steps)
+                    found = verify_filtration(m, filt)
+                    assert found == verify_filtration(twin, filt), (m.id, e.id)
+                    seen["violations", bool(found)] += 1
+        assert seen["jordan_holder", True] and seen["jordan_holder", False], seen
+        assert seen["violations", True] and seen["violations", False], seen
 
 
 class TestTorsionSteps:

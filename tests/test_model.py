@@ -873,6 +873,24 @@ class TestDirectSum:
                     assert total.entry(f"{fid}(+){g.id}").key == fkey | g.key << shift
             assert total.entry(f"{a.id}(+)0").key == parts[-1][1]
 
+    def test_validating_a_declared_sum_reads_no_sound_contains(self, monkeypatch):
+        """Sound entries failing the key screen walk the entries of their rank or more."""
+        chains = [curve_chain(2, 1, (0,) * size, object_id=oid) for oid, size in (("A", 5), ("B", 4))]
+        doc = {"ambient": kahler_to_json(chains[0].ambient),
+               "objects": [model_to_json(LoadedObject(m)) for m in chains]}
+        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
+        total = direct_sum_model(a, b)
+        fewest = {}  # rank -> fewest key bits at that rank or more
+        for e in sorted(total.subobjects, key=lambda e: -e.data.rank):
+            fewest[e.data.rank] = min([e.key.bit_count(), *fewest.values()])
+        screened = [e for e in total.subobjects if e.key.bit_count() > fewest[e.data.rank]]
+        assert len(screened) == 176 and not total._unsound
+        reads = []
+        derive = SubobjectEntry.contains.fget
+        monkeypatch.setattr(SubobjectEntry, "contains",
+                            property(lambda e: reads.append(e.id) or derive(e)))
+        assert validate(total) == [] and reads == []
+
     @pytest.mark.parametrize(
         "contains, unsound",
         [({"F": {"G"}, "G": {"F"}}, ["F", "G"]), ({"F": {"X"}, "G": set()}, ["F"])],
