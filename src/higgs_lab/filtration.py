@@ -1,22 +1,20 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
 Every step is decided on the parent's lattice by one integer scan, _orders:
-it orders each entry strictly between two steps, relative to the lower one,
-against the step's quotient, or marks it as torsion over the lower step.
-Validation of the parent makes the interval of every step without torsion a
-valid model, so no step builds one: the scan is that model's classification.
-Both filtrations are defined by one rule on each step alone, kept in
-_step_violations, whose scan stops at its first offending entry in id order.
-verify_filtration applies it to every step of a chain; _search, the one
-exhaustive search behind all_jordan_holder and all_harder_narasimhan, and
-jordan_holder_census, the theorem suite's JH count, read its first violation
-once per step; jordan_holder takes its greedy chain in one pass over the
-equal-p entries.  The search stops past SEARCH_BOUND search nodes and the
-census past CENSUS_BOUND scanned entries, each with TooLargeError; both are
-module constants, and no flag or environment variable moves them.  Every
-construction passes the stability gate first and verifies its chain before
-returning, so an under-declared family surfaces as an explicit error, not a
-wrong answer.
+it walks _between, the entries strictly between two steps with their data
+over the lower one, and orders each against the step's quotient or marks it
+as torsion.  Validation of the parent makes the interval of every step without
+torsion a valid model, so no step builds one: the scan is that model's
+classification.  One rule on each step alone, _step_violations, stops at its
+first offending entry in id order; HN adds that p strictly decreases up the
+chain.  verify_filtration checks both on every step of a chain.  _steps, the
+one generator of passing steps, feeds both walks: _search, behind
+all_jordan_holder and all_harder_narasimhan, and jordan_holder_census, the
+theorem suite's JH count.  The search stops past SEARCH_BOUND search nodes and
+the census past CENSUS_BOUND scanned entries, each with TooLargeError; no flag
+or environment variable moves them.  Every construction passes the stability
+gate first and verifies its chain before returning, so an under-declared
+family surfaces as an explicit error, not a wrong answer.
 """
 
 from __future__ import annotations
@@ -81,15 +79,12 @@ class Filtration:
             raise ValueError("one quotient per step")
 
 
-@dataclass(frozen=True)
-class Grading:
-    """Multiset of quotient invariants (rank, H-degree, chi) of a filtration."""
+Grading = tuple[tuple[int, Fraction, HilbertPolynomial], ...]
+"""Multiset of quotient invariants (rank, H-degree, chi) of a filtration, as a sorted tuple."""
 
-    pieces: tuple[tuple[int, Fraction, HilbertPolynomial], ...]
 
-    def __post_init__(self):
-        ordered = sorted(self.pieces, key=lambda t: (t[0], t[1], t[2].den, t[2].nums))
-        object.__setattr__(self, "pieces", tuple(ordered))
+def _graded(pieces) -> Grading:
+    return tuple(sorted(pieces, key=lambda t: (t[0], t[1], t[2].den, t[2].nums)))
 
 
 def _sheaf_delta(a: NumericalSheafData, b: NumericalSheafData) -> NumericalSheafData:
@@ -115,13 +110,16 @@ def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]
     return table[upper]
 
 
-def _between(model: HiggsObjectModel, upper: str, lower: Optional[str]) -> Sequence[SubobjectEntry]:
-    """Entries strictly between two steps, in id order; upper may be the object, lower None."""
+def _between(
+    model: HiggsObjectModel, upper: str, lower: Optional[str]
+) -> Iterator[tuple[str, NumericalSheafData]]:
+    """Each entry strictly between two steps, in id order and lazily: (id, its data over lower)."""
     entries = _below_list(model, upper)
-    if lower is not None:
-        low = model.entry(lower)
-        entries = [e for e in entries if low.key & e.key == low.key and e is not low]
-    return entries
+    if lower is None:
+        return ((e.id, e.data) for e in entries)
+    low = model.entry(lower)
+    return ((e.id, _quotient(model, e.data, low.data)) for e in entries
+            if low.key & e.key == low.key and e is not low)
 
 
 def _orders(
@@ -134,13 +132,11 @@ def _orders(
     quotient's yields (id, its p over lower against the quotient's p).  Other
     entries yield nothing.
     """
-    base = None if lower is None else model.entry(lower).data
-    for e in _between(model, upper, lower):
-        rel = e.data if base is None else _quotient(model, e.data, base)
+    for gid, rel in _between(model, upper, lower):
         if rel.rank == 0 and not rel.chi.is_zero:
-            yield e.id, None
+            yield gid, None
         elif 0 < rel.rank < quotient.rank:
-            yield e.id, compare_scaled(rel.chi, rel.rank, quotient.chi, quotient.rank)
+            yield gid, compare_scaled(rel.chi, rel.rank, quotient.chi, quotient.rank)
 
 
 def _downward(kind: FiltrationKind, items: Sequence) -> list:
@@ -218,35 +214,25 @@ def jordan_holder(model: HiggsObjectModel) -> Filtration:
 
 
 def _step_violations(
-    model: HiggsObjectModel,
-    kind: FiltrationKind,
-    upper: str,
-    lower: Optional[str],
+    model: HiggsObjectModel, kind: FiltrationKind, upper: str, lower: Optional[str],
     quotient: NumericalSheafData,
-    above: Optional[tuple[str, NumericalSheafData]],
 ) -> Iterator[Violation]:
     """The JH or HN rule for one step, upper over lower (None for zero), in one scan.
 
-    quotient is upper/lower; above holds the upper id and the quotient of the
-    step above, None at the top.  JH: the quotient is stable with p equal to
-    the object's.  HN: it is semistable, and p strictly decreases up the chain.
-    Both: it is torsion-free, so _orders marks no entry in between.  The cheap
-    checks come first; the scan then stops at, and names, its first offending
-    entry in id order: one torsion over lower, one whose p is above the
-    quotient's, or, for JH, one whose p ties with it.
+    quotient is upper/lower.  JH: the quotient is stable with p equal to the
+    object's.  HN: it is semistable.  Both: it is torsion-free, so _orders marks
+    no entry in between.  The cheap checks come first; the scan then stops at,
+    and names, its first offending entry in id order: one torsion over lower,
+    one whose p is above the quotient's, or, for JH, one whose p ties with it.
+    HN's strict decrease of p reads the step above, so its callers check it.
     """
     if quotient.rank <= 0:
         yield Violation(upper, "QuotientRank", "quotients need positive rank")
         return
     jh = kind is FiltrationKind.JH
-    if jh:
-        if compare_p(quotient, model.data) is not EventualOrder.EQUAL:
-            yield Violation(upper, "EqualP", "quotient p differs from the object's")
-            return
-    elif above is not None and compare_p(above[1], quotient) is not EventualOrder.PRECEDES:
-        yield Violation(
-            above[0], "StrictDecrease", "quotient polynomials must strictly decrease up the chain"
-        )
+    if jh and compare_p(quotient, model.data) is not EventualOrder.EQUAL:
+        yield Violation(upper, "EqualP", "quotient p differs from the object's")
+        return
     for gid, order in _orders(model, upper, lower, quotient):
         if order is None:
             yield Violation(upper, "QuotientTorsion", f"{gid} is torsion over the step below")
@@ -261,42 +247,47 @@ def _step_violations(
             return
 
 
+def _steps(
+    model: HiggsObjectModel, kind: FiltrationKind, upper: str, passes: dict,
+    above: Optional[NumericalSheafData] = None,
+) -> Iterator[tuple[Optional[str], NumericalSheafData]]:
+    """Each passing step down from upper, as (lower, upper/lower): zero first, then in id order.
+
+    above is the quotient of the HN step above upper, or None.  StrictDecrease
+    against it runs first; then whether _step_violations yields a violation
+    decides, once per (upper, lower) step of the walk that owns passes.
+    """
+    for lower in (None, *(e.id for e in _below_list(model, upper))):
+        quotient = _step_quotient(model, upper, lower)
+        if above and quotient.rank > 0 and compare_p(above, quotient) is not EventualOrder.PRECEDES:
+            continue
+        if (upper, lower) not in passes:
+            rule = _step_violations(model, kind, upper, lower, quotient)
+            passes[upper, lower] = next(rule, None) is None
+        if passes[upper, lower]:
+            yield lower, quotient
+
+
 def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     """Every valid chain of one kind, in deterministic order.
 
-    Chains grow down from the object one step at a time, depth first, and a
-    prefix is extended only through steps with no _step_violations, so every
-    chain found is valid and every valid chain is found.  HN's StrictDecrease,
-    the one check that reads the prefix, runs first; the first violation of the
-    step rule decides the rest once per (upper, lower) step, and each upper's
-    lowers are listed once per model by _below_list.  A prefix whose lowest step
-    passes over zero is a chain, listed before its extensions.  Each prefix
-    visited is one search node, at most SEARCH_BOUND of them.  Pending prefixes
-    sit on a stack: a recursive closure would keep every chain alive until the
-    collector runs.
+    Chains grow down from the object through _steps, depth first; a prefix
+    whose lowest step passes over zero is a chain, listed before its
+    extensions.  Each prefix visited is one search node, at most SEARCH_BOUND
+    of them.  Pending prefixes sit on a stack: a recursive closure would keep
+    every chain alive until the collector runs.
     """
     require_classifiable(model)
     found: list[Filtration] = []
-    passes: dict[tuple[str, Optional[str]], bool] = {}  # (upper, lower) -> no violation
-    nodes = 0
+    passes, nodes = {}, 0
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
         steps, above = stack.pop()
         nodes += 1
         if nodes > SEARCH_BOUND:
             raise TooLargeError(f"more than {SEARCH_BOUND} search nodes")
-        upper = steps[-1]
         deeper = []
-        for lower in (None, *(e.id for e in _below_list(model, upper))):
-            quotient = _step_quotient(model, upper, lower)
-            if above is not None and quotient.rank > 0:  # rank zero fails QuotientRank
-                if compare_p(above, quotient) is not EventualOrder.PRECEDES:
-                    continue  # StrictDecrease
-            if (upper, lower) not in passes:
-                rule = _step_violations(model, kind, upper, lower, quotient, None)
-                passes[upper, lower] = next(rule, None) is None
-            if not passes[upper, lower]:
-                continue
+        for lower, quotient in _steps(model, kind, steps[-1], passes, above):
             if lower is None:  # every step of the chain is known
                 found.append(_filtration(model, kind, _downward(kind, steps)))
             else:
@@ -321,49 +312,42 @@ def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
     """The number of Jordan-Holder chains and the set of their gradings, listing no chain.
 
     JH steps read no prefix, so the chains from a node (the object or an
-    entry) down to zero depend on that node alone: each node keeps their
-    count and gradings, summed over the steps from it where _step_violations
-    yields nothing.  Nodes wait on a stack until every step below them is known.
-    The scans are counted as lattice entries touched, one list of a node's
-    entries below plus one filter of it per entry below; work past
-    CENSUS_BOUND raises TooLargeError before it starts.
+    entry) down to zero depend on that node alone: _census finds each node's
+    count and gradings once, over its steps from _steps.  Scans count as
+    lattice entries touched, one list of a node's entries below plus one
+    filter of it per entry below; work past CENSUS_BOUND raises TooLargeError
+    before it starts.  A path d nodes deep has 0, 1, ..., d-1 entries or more
+    below its nodes, so it scans about d^3/3: the bound keeps d near 114.
     """
     _require_semistable(model)
-    size, scanned = len(model.subobjects), 0
-    passing: dict[str, list[tuple[Optional[str], NumericalSheafData]]] = {}
-    found: dict[Optional[str], tuple[int, set[Grading]]] = {None: (1, {Grading(())})}
-    stack = [model.id]
-    while stack:
-        upper = stack[-1]
-        if upper not in passing:  # first visit: decide every step down from upper
-            scanned += size  # listing the entries below upper
-            if scanned <= CENSUS_BOUND:
-                below = _below_list(model, upper)
-                scanned += len(below) ** 2  # one filter of that list per lower below
-            if scanned > CENSUS_BOUND:
-                raise TooLargeError(f"census scans more than {CENSUS_BOUND} lattice entries")
-            steps = passing[upper] = []
-            for lower in (None, *(e.id for e in below)):
-                quotient = _step_quotient(model, upper, lower)
-                rule = _step_violations(model, FiltrationKind.JH, upper, lower, quotient, None)
-                if next(rule, None) is None:
-                    steps.append((lower, quotient))
-            stack.extend(low for low, _ in steps if low not in found)
-            continue
-        stack.pop()
-        if upper in found:
-            continue
-        count, gradings = 0, set()
-        for lower, q in passing[upper]:  # zero, the lower None, ends one chain
-            below_count, below_gradings = found[lower]
-            count += below_count
-            gradings.update(Grading((*g.pieces, (q.rank, q.deg_h, q.chi))) for g in below_gradings)
-        found[upper] = count, gradings
+    found: dict[Optional[str], tuple[int, set[Grading]]] = {None: (1, {()})}
+    _census(model, model.id, found, 0)
     return found[model.id]
 
 
+def _census(model: HiggsObjectModel, upper: str, found: dict, scanned: int) -> int:
+    """Put the JH chains' count and gradings from upper to zero in found; return scanned.
+
+    Each node is visited once, so its step verdicts need a dict of its own only.
+    """
+    scanned += len(model.subobjects)  # listing the entries below upper
+    if scanned <= CENSUS_BOUND:
+        scanned += len(_below_list(model, upper)) ** 2  # one filter of that list per lower
+    if scanned > CENSUS_BOUND:
+        raise TooLargeError(f"census scans more than {CENSUS_BOUND} lattice entries")
+    count, gradings = 0, set()
+    for lower, q in _steps(model, FiltrationKind.JH, upper, {}):  # zero ends one chain
+        if lower not in found:
+            scanned = _census(model, lower, found, scanned)
+        below_count, below_gradings = found[lower]
+        count += below_count
+        gradings.update(_graded((*g, (q.rank, q.deg_h, q.chi))) for g in below_gradings)
+    found[upper] = count, gradings
+    return scanned
+
+
 def grading(filt: Filtration) -> Grading:
-    return Grading(tuple((q.rank, q.deg_h, q.chi) for q in filt.quotients))
+    return _graded((q.rank, q.deg_h, q.chi) for q in filt.quotients)
 
 
 def s_equivalent(m1: HiggsObjectModel, m2: HiggsObjectModel) -> bool:
@@ -385,16 +369,14 @@ def _destabilizer_step(
     distinct entries is ambiguous and aborts.
     """
     top = _step_quotient(model, model.id, bottom_id)
-    base = None if bottom_id is None else model.entry(bottom_id).data
     best_p, best = (top.chi, top.rank), [(top.rank, None)]
-    for e in _between(model, model.id, bottom_id):
-        rel = e.data if base is None else _quotient(model, e.data, base)
+    for eid, rel in _between(model, model.id, bottom_id):
         if 0 < rel.rank < top.rank:
             order = compare_scaled(rel.chi, rel.rank, *best_p)
             if order is EventualOrder.SUCCEEDS:
                 best_p, best = (rel.chi, rel.rank), []
             if order is not EventualOrder.PRECEDES:
-                best.append((rel.rank, e.id))
+                best.append((rel.rank, eid))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:
@@ -463,9 +445,12 @@ def verify_filtration(model: HiggsObjectModel, filt: Filtration) -> list[Violati
     if out:
         return out
 
-    above = None
+    hn, above = filt.kind is FiltrationKind.HN, None
     for (upper, lower), q in zip(_pairs(ordered), quotients):
-        out.extend(_step_violations(model, filt.kind, upper, lower, q, above))
+        if above and q.rank > 0 and compare_p(above[1], q) is not EventualOrder.PRECEDES:
+            out.append(Violation(above[0], "StrictDecrease",
+                                 "quotient polynomials must strictly decrease up the chain"))
+        out.extend(_step_violations(model, filt.kind, upper, lower, q))
         # a rank-zero quotient has no p to compare against the step below
-        above = (upper, q) if q.rank > 0 else None
+        above = (upper, q) if hn and q.rank > 0 else None
     return out

@@ -54,6 +54,7 @@ from conftest import (
 FUZZ_GOLDEN = Path(__file__).parent / "data" / "fuzz_seed0_golden.txt"
 FILTRATION_GOLDEN = Path(__file__).parent / "data" / "filtration_golden.txt"
 WALLS_GOLDEN = Path(__file__).parent / "data" / "walls_verify_golden.txt"
+WALLS_HN_GOLDEN = Path(__file__).parent / "data" / "walls_hn_golden.txt"
 HITCHIN_PAIR = Path(__file__).parents[1] / "docs" / "hitchin_pair.json"
 
 HITCHIN = {
@@ -577,6 +578,30 @@ class TestVerify:
         assert jh_line in lines, lines
 
 
+    @pytest.mark.parametrize(
+        "rank, jh_line",
+        [
+            (113, "pass jh_grading_invariance      E  1 chain(s), 1 grading(s)"),
+            (114, "skip jh_grading_invariance      E  census scans more than 500000"
+                  " lattice entries"),
+        ],
+        ids=["n113", "n114"],
+    )
+    def test_census_bound_on_a_declared_nested_chain(self, tmp_path, capsys, rank, jh_line):
+        # E of rank n declares one entry of each rank below it, nested and all of slope 0:
+        # one JH chain, n steps deep.  Its census scans n(n-1) + (n-1)^2 plus (k-1)^2 for
+        # each k < n: 487,256 entries at n=113 and 500,251 at n=114, past CENSUS_BOUND
+        sheaf = lambda r: {"rank": r, "degH": "0", "chi": ["0", str(r)]}
+        entries = [{"id": f"F{k}", "data": sheaf(k), "quotient": sheaf(rank - k),
+                    "contains": [f"F{j}" for j in range(1, k)]} for k in range(1, rank)]
+        doc = {"ambient": {"n": 1, "genus": 1, "degH": 1},
+               "objects": [{"type": "model", "id": "E", "data": sheaf(rank),
+                            "subobjects": entries}]}
+        path = tmp_path / "nested.json"
+        path.write_text(json.dumps(doc))
+        assert run(["verify", str(path)]) == 0
+        assert jh_line in capsys.readouterr().out.splitlines()
+
     def test_step_with_torsion_quotient_is_no_hn_step(self, tmp_path, capsys):
         # O(5) + O on the projective line; E/F is O plus a length-one torsion
         def sheaf(rank, degree, torsion_free=True):  # genus 0, degH 1
@@ -714,17 +739,31 @@ def walls_file(size=8) -> dict:
     return {"ambient": {"n": 1, "genus": 2, "degH": 1}, "objects": [ramp, steps]}
 
 
-def test_walls_verify_matches_golden(tmp_path, capsys):
-    """verify, in table and JSON form, byte for byte on the two 8-summand arrowless chains."""
+def walls_text(tmp_path, capsys, commands) -> bytes:
+    """Each command's report, exit code and stderr on the 8-summand walls file."""
     path = tmp_path / "walls.json"
     path.write_text(json.dumps(walls_file()))
     out = []
-    for fmt in ("table", "json"):
-        code = run(["verify", str(path), "--format", fmt])
+    for command in commands:
+        code = run([command[0], str(path), *command[1:]])
         captured = capsys.readouterr()
-        out += [f"$ verify walls8 --format {fmt}: exit {code}\n", captured.out,
-                *(f"stderr: {line}\n" for line in captured.err.splitlines())]
-    assert "".join(out).encode("utf-8") == WALLS_GOLDEN.read_bytes()
+        out += [f"$ {' '.join([command[0], 'walls8', *command[1:]])}: exit {code}\n",
+                captured.out, *(f"stderr: {line}\n" for line in captured.err.splitlines())]
+    return "".join(out).encode("utf-8")
+
+
+def test_walls_verify_matches_golden(tmp_path, capsys):
+    """verify, in table and JSON form, byte for byte on the two 8-summand arrowless chains."""
+    text = walls_text(tmp_path, capsys, [["verify", "--format", fmt] for fmt in ("table", "json")])
+    assert text == WALLS_GOLDEN.read_bytes()
+
+
+def test_walls_hn_matches_golden(tmp_path, capsys):
+    """hn, in table and JSON form, byte for byte on each 8-summand arrowless chain: the
+    maximal destabilizer is chosen among 254 entries at every step."""
+    commands = [["hn", "--object", oid, "--format", fmt]
+                for oid in ("ramp", "steps") for fmt in ("table", "json")]
+    assert walls_text(tmp_path, capsys, commands) == WALLS_HN_GOLDEN.read_bytes()
 
 
 class TestBadInput:

@@ -146,9 +146,8 @@ class TestIntervals:
                 quotient = filtration._step_quotient(m, upper, lower)
                 kinds = {
                     v.kind
-                    for v in filtration._step_violations(
-                        m, FiltrationKind.HN, upper, lower, quotient, None
-                    )
+                    for v in filtration._step_violations(m, FiltrationKind.HN, upper, lower,
+                                                         quotient)
                 }
                 has_torsion = "QuotientTorsion" in kinds
                 assert (validate(interval) == []) is not has_torsion, (m.id, upper, lower)
@@ -224,9 +223,7 @@ class TestStepQuery:
                     FiltrationKind.HN: oracle not in (None, StabilityClass.UNSTABLE),
                 }
                 for kind in FiltrationKind:
-                    first = next(
-                        filtration._step_violations(m, kind, upper, lower, quotient, None), None
-                    )
+                    first = next(filtration._step_violations(m, kind, upper, lower, quotient), None)
                     assert (first is None) is want[kind], (m.id, kind, upper, lower, first, oracle)
                     seen[kind, first.kind if first else "pass"] += 1
         for kind in ("QuotientRank", "QuotientTorsion", "pass"):
@@ -242,9 +239,9 @@ class TestStepQuery:
         queries = []
         real = filtration._step_violations
 
-        def counted(model, kind, upper, lower, quotient, above):
+        def counted(model, kind, upper, lower, quotient):
             queries.append((upper, lower))
-            return real(model, kind, upper, lower, quotient, above)
+            return real(model, kind, upper, lower, quotient)
 
         monkeypatch.setattr(filtration, "_step_violations", counted)
         m = curve_chain(1, 1, (0,) * size)
@@ -301,7 +298,7 @@ class TestStepQuery:
 
         def depth_first(f):  # each step's place among [None, *lowers] of the step above
             steps = [*filtration._downward(f.kind, f.steps), None]
-            return [[None, *(e.id for e in real(m, upper, None))].index(lower)
+            return [[None, *(gid for gid, _ in real(m, upper, None))].index(lower)
                     for upper, lower in zip(steps, steps[1:])]
 
         monkeypatch.setattr(filtration, "_between", counted)
@@ -423,9 +420,9 @@ class TestFirstOffender:
             torsion: ("QuotientTorsion", f"{torsion} is torsion over the step below"),
         }
         quotient = filtration._step_quotient(m, "E", "L")
-        found = filtration._step_violations(m, FiltrationKind.HN, "E", "L", quotient, None)
+        found = filtration._step_violations(m, FiltrationKind.HN, "E", "L", quotient)
         assert [(v.subject, v.kind, v.detail) for v in found] == [("E", *offenders["A"])]
-        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", "L", quotient, None))
+        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", "L", quotient))
         assert (first.subject, first.kind) == ("E", "EqualP")  # E/L: slope 2, E: 13/3
         through_l = filtration._filtration(m, FiltrationKind.HN, ("L", "E"))
         assert [(v.subject, v.kind, v.detail) for v in verify_filtration(m, through_l)] == [
@@ -444,7 +441,7 @@ class TestFirstOffender:
             return real(*args)
 
         monkeypatch.setattr(filtration, "compare_scaled", counted)
-        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", None, m.data, None))
+        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", None, m.data))
         witness = m.subobjects[0].id
         assert (first.kind, first.detail) == (
             "QuotientStable", f"quotient is not stable (witness {witness})"
@@ -772,6 +769,23 @@ class TestAllHarderNarasimhan:
             assert len(chains) == len({f.steps for f in chains})
 
 
+STRICT_DECREASE = "quotient polynomials must strictly decrease up the chain"
+
+
+def saturated_twist_model():
+    """O(5) + O on the projective line, with F = O(-1) inside Fp = O, its saturation."""
+    kd = KahlerData.curve(0, 1)
+    total, sub, saturated, top = (
+        chi_curve(kd, rank, degree) for rank, degree in ((2, 5), (1, -1), (1, 0), (1, 5))
+    )
+    torsion = NumericalSheafData(0, Fraction(1), poly(1), torsion_free=False)
+    over_sub = NumericalSheafData(1, total.deg_h - sub.deg_h, total.chi - sub.chi, False)
+    return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(
+        SubobjectEntry(id="F", data=sub, quotient=over_sub, quotient_torsion_part=torsion),
+        SubobjectEntry(id="Fp", data=saturated, quotient=top, claims=frozenset({"F"})),
+    ))
+
+
 class TestVerifyFiltration:
     @pytest.mark.parametrize("kind, steps, kind_of_violation, detail", [
         (FiltrationKind.JH, (), "Steps", "a filtration has at least one step"),
@@ -794,27 +808,47 @@ class TestVerifyFiltration:
         assert verify_filtration(ss, jordan_holder(ss)) == []
 
     def test_reordered_hn_steps(self):
-        m = curve_chain(0, 1, (2, 0))
-        bad = Filtration(
-            FiltrationKind.HN,
-            ("{2}", "E"),
-            (
-                m.entry("{2}").data,
-                m.entry("{2}").quotient,
-            ),
-        )
-        kinds = [v.kind for v in verify_filtration(m, bad)]
-        assert "StrictDecrease" in kinds
+        # each step whose quotient's p is not below the one under it is named, top down
+        two, three = curve_chain(0, 1, (2, 0)), curve_chain(0, 1, (3, 1, -1))
+        for m, steps, subjects in ((two, ("{2}", "E"), ["E"]),
+                                   (three, ("{3}", "{2,3}", "E"), ["E", "{2,3}"]),
+                                   (three, ("{2}", "{1,2}", "E"), ["{1,2}"])):
+            bad = filtration._filtration(m, FiltrationKind.HN, steps)
+            assert verify_filtration(m, bad) == [
+                Violation(subject, "StrictDecrease", STRICT_DECREASE) for subject in subjects
+            ], steps
+
+    def test_a_rank_zero_quotient_has_no_p_to_compare(self):
+        # E/Fp = O(5) lies above F = O(-1), but the rank-zero step Fp/F between them has
+        # no p: QuotientRank is its one violation, and no StrictDecrease reaches across it
+        m = saturated_twist_model()
+        for steps, found in (
+            (("F", "Fp", "E"), [("Fp", "QuotientRank", "quotients need positive rank")]),
+            (("Fp", "E"), [("E", "StrictDecrease", STRICT_DECREASE)]),
+            (("F", "E"), [("E", "QuotientTorsion", "Fp is torsion over the step below"),
+                          ("E", "StrictDecrease", STRICT_DECREASE)]),
+        ):
+            bad = filtration._filtration(m, FiltrationKind.HN, steps)
+            assert [(v.subject, v.kind, v.detail) for v in verify_filtration(m, bad)] == found
 
     def test_jh_quotient_with_wrong_p(self):
+        wrong_p = "quotient p differs from the object's"
         m = curve_chain(2, 1, (1, -1), arrows={(1, 2)})
         bad = Filtration(
             FiltrationKind.JH,
             ("E", "{2}"),
             (m.entry("{2}").quotient, m.entry("{2}").data),
         )
-        kinds = [v.kind for v in verify_filtration(m, bad)]
-        assert kinds.count("EqualP") == 2
+        assert verify_filtration(m, bad) == [
+            Violation("E", "EqualP", wrong_p), Violation("{2}", "EqualP", wrong_p)
+        ]
+        m = torsion_step_model()
+        bad = filtration._filtration(m, FiltrationKind.JH, ("E", "Fp", "F"))
+        assert [(v.subject, v.kind, v.detail) for v in verify_filtration(m, bad)] == [
+            ("E", "EqualP", wrong_p),
+            ("Fp", "QuotientRank", "quotients need positive rank"),
+            ("F", "EqualP", wrong_p),
+        ]
 
     def test_broken_chain_detected(self):
         m = curve_chain(1, 1, (0, 0, 0))

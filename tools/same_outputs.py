@@ -1,0 +1,122 @@
+"""Compare the CLI output of two source trees on the standard command set.
+
+    python3 tools/same_outputs.py OLD_SRC NEW_SRC
+
+OLD_SRC and NEW_SRC are directories that hold a `higgs_lab` package, such as
+the `src/` of two checkouts.  Every command runs as `python -m higgs_lab` in a
+fresh process, once against each tree, and any difference in stdout, stderr
+or exit code is printed.  The exit code is 0 when every command agrees and 1
+otherwise.
+
+The command set: every `bench/workloads.py` command at seeds 1, 2 and 7; the
+Hitchin pair in `docs/` and the same pair written as declared models, each
+through analyze, verify, jh and hn in both formats; `fuzz` at seeds 0, 3 and 7;
+and verify and hn, in both formats, on the two arrowless chains of 8 and 10
+summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2).  Input files are
+written here from plain JSON, never by either tree's serializers.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "bench"))
+
+import workloads  # noqa: E402
+
+FORMATS = ("table", "json")
+
+
+def declared(oid: str, degrees, arrows, genus: int, deg_h: int) -> dict:
+    """A chain of line bundles as a declared model: every arrow-closed proper index set."""
+    m, full = len(degrees), (1 << len(degrees)) - 1
+    masks = workloads.closed_masks(m, arrows)
+
+    def part(mask):
+        members = workloads._members(mask, m)
+        return workloads._sheaf(len(members), sum(degrees[i - 1] for i in members), genus, deg_h)
+
+    label = lambda mask: workloads.subset_label(workloads._members(mask, m))
+    return {"type": "model", "id": oid, "data": part(full), "family_complete": True,
+            "subobjects": [{"id": label(mask), "data": part(mask), "quotient": part(full ^ mask),
+                            "contains": [label(s) for s in masks if s != mask and s & mask == s]}
+                           for mask in masks]}
+
+
+def file_commands(path: Path, object_ids) -> list[list[str]]:
+    """analyze and verify on the file, jh and hn on each object, in both formats."""
+    out = []
+    for fmt in FORMATS:
+        out += [["analyze", str(path), "--format", fmt], ["verify", str(path), "--format", fmt]]
+        for oid in object_ids:
+            out += [[cmd, str(path), "--object", oid, "--format", fmt] for cmd in ("jh", "hn")]
+    return out
+
+
+def command_set(work: Path) -> list[list[str]]:
+    commands = []
+    for name in workloads.WORKLOADS:
+        for seed in (1, 2, 7):
+            seeded = work / f"{name}-{seed}"
+            seeded.mkdir()
+            commands += [c.argv for c in workloads.build_inputs(name, seed, seeded)]
+    pair = json.loads((ROOT / "docs" / "hitchin_pair.json").read_text(encoding="utf-8"))
+    ambient = pair["ambient"]
+    twins = [declared(o["id"], o["degrees"], [tuple(a) for a in o["arrows"]], ambient["genus"],
+                      ambient["degH"]) for o in pair["objects"]]
+    declared_pair = work / "hitchin_declared.json"
+    declared_pair.write_text(json.dumps({"ambient": ambient, "objects": twins}), encoding="utf-8")
+    ids = [o["id"] for o in pair["objects"]]
+    commands += file_commands(ROOT / "docs" / "hitchin_pair.json", ids)
+    commands += file_commands(declared_pair, ids)
+    commands += [["fuzz", "--seed", str(seed)] for seed in (0, 3, 7)]
+    for size in (8, 10):
+        ramp = {"type": "chain", "id": "ramp", "degrees": list(range(size)), "arrows": []}
+        steps = {"type": "chain", "id": "steps", "arrows": [],
+                 "degrees": [0] * (size // 2) + [1] * (size // 2)}
+        walls = work / f"walls{size}.json"
+        walls.write_text(json.dumps({"ambient": {"n": 1, "genus": 2, "degH": 1},
+                                     "objects": [ramp, steps]}), encoding="utf-8")
+        for fmt in FORMATS:
+            commands.append(["verify", str(walls), "--format", fmt])
+            commands += [["hn", str(walls), "--object", oid, "--format", fmt]
+                         for oid in ("ramp", "steps")]
+    return commands
+
+
+def outcome(src: Path, argv: list[str]) -> tuple[int, str, str]:
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "higgs_lab", *argv], env=env,
+                          capture_output=True, text=True, check=False)
+    return done.returncode, done.stdout, done.stderr
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2 or not all((Path(a) / "higgs_lab").is_dir() for a in argv):
+        print("usage: python3 tools/same_outputs.py OLD_SRC NEW_SRC, each holding higgs_lab",
+              file=sys.stderr)
+        return 2
+    old, new = (Path(a).resolve() for a in argv)
+    differ = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        commands = command_set(Path(tmp))
+        for command in commands:
+            before, after = outcome(old, command), outcome(new, command)
+            if before != after:
+                differ += 1
+                shown = " ".join(command).replace(tmp, "$WORK")
+                parts = [p for p, a, b in zip(("exit code", "stdout", "stderr"), before, after)
+                         if a != b]
+                print(f"DIFFER ({', '.join(parts)}): {shown}")
+    print(f"{len(commands)} commands, {differ} differ")
+    return 1 if differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
