@@ -1,9 +1,10 @@
 """JSON model files: exact rationals as "num/den" strings, polynomials as arrays.
 
-A file holds one ambient block and a list of objects, each either a chain
-spec (realized on load) or an explicit model with its declared subobject
-family.  Loading validates every object; a file whose objects fail
-validation is rejected as input.
+A file holds one ambient block and a list of objects, each a chain spec (realized on
+load) or an explicit model with its declared subobject family.  A model's entries are
+read in one loop: an entry whose blocks parsed cleanly before is read in place, and any
+other goes through _entry_row, which parses its new blocks or names its fault.  Loading
+validates every object; a file whose objects fail validation is rejected as input.
 """
 
 from __future__ import annotations
@@ -62,9 +63,8 @@ class _reading:
         return None
 
     def __exit__(self, kind, exc, tb):
-        if isinstance(exc, (KeyError, ValueError, TypeError)):
-            if not isinstance(exc, ParseError):
-                raise ParseError(f"{self.where}: {exc}")
+        if isinstance(exc, (KeyError, ValueError, TypeError)) and not isinstance(exc, ParseError):
+            raise ParseError(f"{self.where}: {exc}")
 
 
 def _ints(value, where: str) -> tuple[int, ...]:
@@ -85,10 +85,6 @@ def _id(value, where: str) -> str:
     if text == "0":  # direct sums name the zero subobject "0"
         raise ParseError('the id "0" is reserved for the zero subobject')
     return text
-
-
-def _poly(value, where: str) -> HilbertPolynomial:
-    return _rat(_typed(value, list, where), where, HilbertPolynomial.from_strings)
 
 
 def kahler_from_json(block: dict) -> KahlerData:
@@ -115,18 +111,15 @@ def sheaf_from_json(block: dict, where: str) -> NumericalSheafData:
         return NumericalSheafData(
             rank=_typed(block["rank"], int, f"{where}.rank"),
             deg_h=_rat(block["degH"], f"{where}.degH"),
-            chi=_poly(block["chi"], f"{where}.chi"),
+            chi=_rat(_typed(block["chi"], list, f"{where}.chi"), f"{where}.chi",
+                     HilbertPolynomial.from_strings),
             torsion_free=_typed(block.get("torsion_free", True), bool, f"{where}.torsion_free"),
         )
 
 
 def sheaf_to_json(s: NumericalSheafData) -> dict:
-    return {
-        "rank": s.rank,
-        "degH": format_rational(s.deg_h),
-        "chi": s.chi.to_strings(),
-        "torsion_free": s.torsion_free,
-    }
+    return {"rank": s.rank, "degH": format_rational(s.deg_h), "chi": s.chi.to_strings(),
+            "torsion_free": s.torsion_free}
 
 
 def _shared_sheaf(memo: dict, block, where: str) -> NumericalSheafData:
@@ -146,6 +139,25 @@ def _entry_row(block: dict, memo: dict) -> tuple:
                 _shared_sheaf(memo, block["quotient"], f"{eid}.quotient"),
                 None if torsion is None else _shared_sheaf(memo, torsion, f"{eid}.torsion"),
                 _ids(block.get("contains", []), f"{eid}.contains"))
+
+
+def _entry_rows(blocks: list, memo: dict) -> list[tuple]:
+    """The rows of _entry_row.  An entry with a str id other than "0", a list of str ids, no
+    torsion part, and blocks whose repr memo holds (they parsed cleanly) is read in place."""
+    get, rows = memo.get, []
+    for b in blocks:
+        if type(b) is dict and "quotient_torsion_part" not in b:
+            eid, ids = b.get("id"), b.get("contains")
+            data, quotient = get(repr(b.get("data"))), get(repr(b.get("quotient")))
+            if data and quotient and type(eid) is str and eid != "0" and type(ids) is list:
+                try:
+                    "".join(ids)  # the str screen, in C: faster than a set of the ids' types
+                    rows.append((eid, data, quotient, None, ids))
+                    continue
+                except TypeError:  # an id that is not a str
+                    pass
+        rows.append(_entry_row(b, memo))
+    return rows
 
 
 def chain_from_json(block: dict, ambient: KahlerData) -> HiggsChainSpec:
@@ -171,13 +183,8 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
     if chern_block is not None:
         with _reading(f"{oid}.surface_chern"):
             _typed(chern_block, dict, f"{oid}.surface_chern")
-            surface_chern = SurfaceChernInput(
-                c1h=_rat(chern_block["c1H"], f"{oid}.c1H"),
-                ch2=_rat(chern_block["ch2"], f"{oid}.ch2"),
-                c1c1x=_rat(chern_block["c1c1X"], f"{oid}.c1c1X"),
-                c1sq=_rat(chern_block["c1sq"], f"{oid}.c1sq"),
-                c2int=_rat(chern_block["c2int"], f"{oid}.c2int"),
-            )
+            surface_chern = SurfaceChernInput(*(_rat(chern_block[k], f"{oid}.{k}") for k in (
+                "c1H", "ch2", "c1c1X", "c1sq", "c2int")))  # c1h, ch2, c1c1x, c1sq, c2int
     if kind == "chain":
         spec = chain_from_json(block, ambient)
         try:
@@ -190,7 +197,7 @@ def _object_from_json(block: dict, ambient: KahlerData) -> LoadedObject:
         with _reading(f"object {oid}"):
             data = _shared_sheaf(memo, block["data"], f"{oid}.data")
             blocks = _typed(block.get("subobjects", []), list, f"{oid}.subobjects")
-            rows = [_entry_row(b, memo) for b in blocks]
+            rows = _entry_rows(blocks, memo)
             complete = _typed(block.get("family_complete", False), bool, f"{oid}.family_complete")
             model = HiggsObjectModel(oid, ambient, data, declared_entries(rows)[0], complete)
         return LoadedObject(model, locally_free=locally_free, surface_chern=surface_chern)
@@ -210,22 +217,15 @@ def loads(text: str) -> ModelFile:
     ambient = kahler_from_json(doc["ambient"])
     if not isinstance(doc["objects"], list):
         raise ParseError("'objects' must be a list")
-    objects = []
-    seen = set()
+    objects = {}  # by id, in file order
     for block in doc["objects"]:
         loaded = _object_from_json(block, ambient)
-        if loaded.model.id in seen:
+        if objects.setdefault(loaded.model.id, loaded) is not loaded:
             raise ParseError(f"duplicate object id {loaded.model.id!r}")
-        seen.add(loaded.model.id)
-        objects.append(loaded)
-    for loaded in objects:
-        problems = validate(loaded.model)
-        if problems:
-            raise ParseError(
-                f"object {loaded.model.id} fails validation: "
-                + "; ".join(str(v) for v in problems)
-            )
-    return ModelFile(ambient=ambient, objects=tuple(objects))
+    for oid, loaded in objects.items():
+        if problems := validate(loaded.model):
+            raise ParseError(f"object {oid} fails validation: " + "; ".join(map(str, problems)))
+    return ModelFile(ambient=ambient, objects=tuple(objects.values()))
 
 
 def load(path: Union[str, Path]) -> ModelFile:

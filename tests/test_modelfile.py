@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +13,7 @@ from higgs_lab.modelfile import sheaf_to_json
 
 from conftest import curve_chain, kahler_to_json, model_to_json, poly
 
+DOCS = Path(__file__).parents[1] / "docs"
 
 HITCHIN_DOC = {
     "ambient": {"n": 1, "genus": 2, "degH": 1},
@@ -335,6 +337,96 @@ class TestContainsLists:
         entries[1]["contains"] = [entries[0]["id"]]
         with pytest.raises(ParseError, match=r"\.quotient\.degH"):
             loads(json.dumps(doc))
+
+
+def without(key):
+    return lambda entry: {k: v for k, v in entry.items() if k != key}
+
+
+# One fault per kind, as a function of the entry it replaces, with the message it gives
+# ("ID" stands for the entry's id); the messages were read from the loader before its
+# entries took the fast row, and must not change.
+FAULTS = {
+    "not an object": (lambda e: e["id"], "subobject: expected dict, got str"),
+    "missing id": (without("id"), "subobject: 'id'"),
+    "integer id": (lambda e: {**e, "id": 7}, "subobject id: expected str, got int"),
+    "zero id": (lambda e: {**e, "id": "0"}, 'the id "0" is reserved for the zero subobject'),
+    "missing data": (without("data"), "subobject: 'data'"),
+    "missing quotient": (without("quotient"), "subobject: 'quotient'"),
+    "contains not a list": (lambda e: {**e, "contains": "{1}"},
+                            "ID.contains: expected list, got str"),
+    "integer in contains": (lambda e: {**e, "contains": e["contains"] + [7]},
+                            "ID.contains: expected str, got int"),
+    "rank true": (lambda e: {**e, "data": {**e["data"], "rank": True}},
+                  "ID.data.rank: expected int, got bool"),
+    "bad torsion part": (lambda e: {**e, "quotient_torsion_part": {"rank": "0", "degH": "0",
+                                                                   "chi": []}},
+                         "ID.torsion.rank: expected int, got str"),
+}
+
+
+class TestDeclaredRows:
+    """A 1,022-entry declared object: most entries take the loader's fast row, none its faults."""
+
+    DOC = declared_equal_degree_chain(10)
+    POSITIONS = {0: "{1}", 511: "{2,3,4,5,6}", 1021: "{2,3,4,5,6,7,8,9,10}"}
+
+    def with_faults(self, faults):
+        """DOC with the entry at each position replaced by its fault's entry."""
+        model = self.DOC["objects"][0]
+        entries = list(model["subobjects"])
+        for position, fault in faults.items():
+            entries[position] = FAULTS[fault][0](entries[position])
+        return {**self.DOC, "objects": [{**model, "subobjects": entries}]}
+
+    def rejection(self, faults) -> str:
+        with pytest.raises(ParseError) as caught:
+            loads(json.dumps(self.with_faults(faults)))
+        return str(caught.value)
+
+    @pytest.mark.parametrize("fault", FAULTS)
+    def test_each_fault_is_named_at_every_position(self, fault):
+        entries = self.DOC["objects"][0]["subobjects"]
+        assert {p: entries[p]["id"] for p in self.POSITIONS} == self.POSITIONS
+        for position, eid in self.POSITIONS.items():
+            assert self.rejection({position: fault}) == FAULTS[fault][1].replace("ID", eid)
+
+    def test_the_earlier_of_two_faults_is_named(self):
+        # entries 300 and 700 are {2,5,7,9} and {1,2,5,7,9,10}
+        assert self.rejection({300: "integer in contains", 700: "rank true"}) == (
+            "{2,5,7,9}.contains: expected str, got int")
+        assert self.rejection({300: "rank true", 700: "integer in contains"}) == (
+            "{2,5,7,9}.data.rank: expected int, got bool")
+        assert self.rejection({300: "missing quotient", 700: "not an object"}) == (
+            "subobject: 'quotient'")
+
+    @pytest.mark.parametrize("twin", ["equal-degree", "hitchin"])
+    def test_fast_rows_match_entry_row(self, twin, monkeypatch):
+        doc = self.DOC
+        if twin == "hitchin":
+            pair = loads((DOCS / "hitchin_pair.json").read_text())
+            doc = {"objects": [model_to_json(obj) for obj in pair.objects]}
+        entry_row, slow = modelfile._entry_row, []
+        monkeypatch.setattr(modelfile, "_entry_row", lambda b, memo: slow.append(b["id"])
+                            or entry_row(b, memo))
+        for block in doc["objects"]:
+            blocks, memo, oracle_memo = block["subobjects"], {}, {}
+            rows = modelfile._entry_rows(blocks, memo)
+            first = {}  # the entries that bring a block not seen before take _entry_row
+            for b in blocks:
+                for side in ("data", "quotient"):
+                    first.setdefault(repr(b[side]), b["id"])
+            assert slow == list(dict.fromkeys(first.values()))
+            slow.clear()
+            expected = [entry_row(b, oracle_memo) for b in blocks]
+            assert [(row[0], row[4]) for row in rows] == [(row[0], row[4]) for row in expected]
+            assert [row[1:4] for row in rows] == [row[1:4] for row in expected]
+            assert memo.keys() == oracle_memo.keys()
+            sheaf = {}  # one object per distinct block repr
+            for b, row in zip(blocks, rows):
+                assert sheaf.setdefault(repr(b["data"]), row[1]) is row[1]
+                assert sheaf.setdefault(repr(b["quotient"]), row[2]) is row[2]
+            assert len({id(s) for row in rows for s in row[1:3]}) == len(sheaf)
 
 
 class TestRealizeBound:

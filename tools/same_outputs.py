@@ -11,9 +11,12 @@ otherwise.
 The command set: every `bench/workloads.py` command at seeds 1, 2 and 7; the
 Hitchin pair in `docs/` and the same pair written as declared models, each
 through analyze, verify, jh and hn in both formats; `fuzz` at seeds 0, 3 and 7;
-and verify and hn, in both formats, on the two arrowless chains of 8 and 10
-summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2).  Input files are
-written here from plain JSON, never by either tree's serializers.
+verify and hn, in both formats, on the two arrowless chains of 8 and 10
+summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2); and analyze, verify, jh
+and hn on 31 malformed declared files, each a 1,022-entry object with one fault
+of a kind in FAULTS at its first, middle or last entry, or two faults of
+different kinds in two entries.  That is 202 commands.  Input files are written
+here from plain JSON, never by either tree's serializers.
 """
 
 from __future__ import annotations
@@ -31,6 +34,19 @@ sys.path.insert(0, str(ROOT / "bench"))
 import workloads  # noqa: E402
 
 FORMATS = ("table", "json")
+FAULTS = {  # a malformed entry, from the entry it replaces
+    "not-an-object": lambda e: e["id"],
+    "missing-id": lambda e: {k: v for k, v in e.items() if k != "id"},
+    "integer-id": lambda e: {**e, "id": 7},
+    "zero-id": lambda e: {**e, "id": "0"},
+    "missing-data": lambda e: {k: v for k, v in e.items() if k != "data"},
+    "missing-quotient": lambda e: {k: v for k, v in e.items() if k != "quotient"},
+    "contains-not-a-list": lambda e: {**e, "contains": "{1}"},
+    "integer-in-contains": lambda e: {**e, "contains": e["contains"] + [7]},
+    "rank-true": lambda e: {**e, "data": {**e["data"], "rank": True}},
+    "bad-torsion-part": lambda e: {**e, "quotient_torsion_part": {"rank": "0", "degH": "0",
+                                                                  "chi": []}},
+}
 
 
 def declared(oid: str, degrees, arrows, genus: int, deg_h: int) -> dict:
@@ -57,6 +73,25 @@ def file_commands(path: Path, object_ids) -> list[list[str]]:
         for oid in object_ids:
             out += [[cmd, str(path), "--object", oid, "--format", fmt] for cmd in ("jh", "hn")]
     return out
+
+
+def malformed_commands(work: Path) -> list[list[str]]:
+    """analyze, verify, jh and hn on each malformed copy of a 1,022-entry declared object."""
+    model = declared("E", [0] * 10, [], 1, 1)
+    entries = model["subobjects"]
+    placed = [{position: fault} for fault in FAULTS for position in (0, 511, len(entries) - 1)]
+    placed.append({300: "integer-in-contains", 700: "rank-true"})
+    commands = []
+    for faults in placed:
+        copy = list(entries)
+        for position, fault in faults.items():
+            copy[position] = FAULTS[fault](copy[position])
+        path = work / ("bad-" + "-".join(f"{fault}-{p}" for p, fault in faults.items()) + ".json")
+        path.write_text(json.dumps({"ambient": {"n": 1, "genus": 1, "degH": 1},
+                                    "objects": [{**model, "subobjects": copy}]}), encoding="utf-8")
+        commands += [["analyze", str(path)], ["verify", str(path)]]
+        commands += [[cmd, str(path), "--object", "E"] for cmd in ("jh", "hn")]
+    return commands
 
 
 def command_set(work: Path) -> list[list[str]]:
@@ -87,7 +122,7 @@ def command_set(work: Path) -> list[list[str]]:
             commands.append(["verify", str(walls), "--format", fmt])
             commands += [["hn", str(walls), "--object", oid, "--format", fmt]
                          for oid in ("ramp", "steps")]
-    return commands
+    return commands + malformed_commands(work)
 
 
 def outcome(src: Path, argv: list[str]) -> tuple[int, str, str]:
