@@ -1,8 +1,8 @@
 """Jordan-Holder and Harder-Narasimhan filtrations over declared lattices.
 
-Every step is decided on the parent's lattice by one integer scan, _orders:
-it walks _between, the entries strictly between two steps with their data
-over the lower one, and orders each against the step's quotient or marks it
+Every step is decided on the parent's lattice by one flat integer scan, _orders,
+of the upper step's entries below: it skips those not above the lower step and
+orders each other one's data over it against the step's quotient, or marks it
 as torsion.  Validation of the parent makes the interval of every step without
 torsion a valid model, so no step builds one: the scan is that model's
 classification.  One rule on each step alone, _step_violations, stops at its
@@ -100,14 +100,15 @@ def _below(a: SubobjectEntry, b: SubobjectEntry) -> bool:
 
 def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]:
     """Entries strictly below upper, in id order, listed once per model in its memo's "below"."""
-    table = model._memo.setdefault("below", {})
-    if upper not in table:
+    table = model._memo.get("below") or model._memo.setdefault("below", {})  # made once
+    entries = table.get(upper)
+    if entries is None:
         entries = model.subobjects
         if upper != model.id:  # _below, inline: this scan runs for every upper
             top = model.entry(upper)
             entries = [e for e in entries if e.key & top.key == e.key and e is not top]
         table[upper] = entries
-    return table[upper]
+    return entries
 
 
 def _between(
@@ -132,11 +133,15 @@ def _orders(
     quotient's yields (id, its p over lower against the quotient's p).  Other
     entries yield nothing.
     """
-    for gid, rel in _between(model, upper, lower):
+    low = None if lower is None else model.entry(lower)
+    for e in _below_list(model, upper):  # _between, in place: lazy, with no generator below
+        if low is not None and (low.key & e.key != low.key or e is low):
+            continue
+        rel = e.data if low is None else _quotient(model, e.data, low.data)
         if rel.rank == 0 and not rel.chi.is_zero:
-            yield gid, None
+            yield e.id, None
         elif 0 < rel.rank < quotient.rank:
-            yield gid, compare_scaled(rel.chi, rel.rank, quotient.chi, quotient.rank)
+            yield e.id, compare_scaled(rel.chi, rel.rank, quotient.chi, quotient.rank)
 
 
 def _downward(kind: FiltrationKind, items: Sequence) -> list:
@@ -257,14 +262,16 @@ def _steps(
     against it runs first; then whether _step_violations yields a violation
     decides, once per (upper, lower) step of the walk that owns passes.
     """
-    for lower in (None, *(e.id for e in _below_list(model, upper))):
-        quotient = _step_quotient(model, upper, lower)
+    data = model.data if upper == model.id else model.entry(upper).data
+    for low in (None, *_below_list(model, upper)):
+        lower, quotient = (None, data) if low is None else (low.id, _quotient(model, data, low.data))
         if above and quotient.rank > 0 and compare_p(above, quotient) is not EventualOrder.PRECEDES:
             continue
-        if (upper, lower) not in passes:
+        verdict = passes.get((upper, lower))
+        if verdict is None:
             rule = _step_violations(model, kind, upper, lower, quotient)
-            passes[upper, lower] = next(rule, None) is None
-        if passes[upper, lower]:
+            verdict = passes[upper, lower] = next(rule, None) is None
+        if verdict:
             yield lower, quotient
 
 
@@ -313,35 +320,45 @@ def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
 
     JH steps read no prefix, so the chains from a node (the object or an
     entry) down to zero depend on that node alone: _census finds each node's
-    count and gradings once, over its steps from _steps.  Scans count as
-    lattice entries touched, one list of a node's entries below plus one
-    filter of it per entry below; work past CENSUS_BOUND raises TooLargeError
-    before it starts.  A path d nodes deep has 0, 1, ..., d-1 entries or more
-    below its nodes, so it scans about d^3/3: the bound keeps d near 114.
+    count and gradings once, over its steps from _steps, on small ints (see
+    _census).  Scans count as lattice entries touched, one list of a node's
+    entries below plus one filter of it per entry below; work past CENSUS_BOUND
+    raises TooLargeError before it starts.  A path d nodes deep has 0, 1, ...,
+    d-1 entries or more below its nodes, so it scans about d^3/3: the bound
+    keeps d near 114.
     """
     _require_semistable(model)
-    found: dict[Optional[str], tuple[int, set[Grading]]] = {None: (1, {()})}
-    _census(model, model.id, found, 0)
-    return found[model.id]
+    found: dict[Optional[str], tuple[int, set[tuple[int, ...]]]] = {None: (1, {()})}
+    pieces: tuple[dict, dict] = ({}, {})  # id(quotient), then its invariants -> its int
+    _census(model, model.id, found, 0, pieces)
+    count, gradings = found[model.id]
+    invariants = list(pieces[1])  # in order of first sight, so a piece's int is its index
+    return count, {_graded(invariants[i] for i in g) for g in gradings}
 
 
-def _census(model: HiggsObjectModel, upper: str, found: dict, scanned: int) -> int:
+def _census(model: HiggsObjectModel, upper: str, found: dict, scanned: int, pieces) -> int:
     """Put the JH chains' count and gradings from upper to zero in found; return scanned.
 
-    Each node is visited once, so its step verdicts need a dict of its own only.
+    Each node is visited once, so its step verdicts need a dict of its own only.  A
+    grading is a sorted tuple of ints: each step quotient gets one from pieces, by
+    id() (the model holds every quotient), else by value, so equal values share one.
     """
     scanned += len(model.subobjects)  # listing the entries below upper
     if scanned <= CENSUS_BOUND:
         scanned += len(_below_list(model, upper)) ** 2  # one filter of that list per lower
     if scanned > CENSUS_BOUND:
         raise TooLargeError(f"census scans more than {CENSUS_BOUND} lattice entries")
+    by_id, by_value = pieces
     count, gradings = 0, set()
     for lower, q in _steps(model, FiltrationKind.JH, upper, {}):  # zero ends one chain
         if lower not in found:
-            scanned = _census(model, lower, found, scanned)
+            scanned = _census(model, lower, found, scanned, pieces)
         below_count, below_gradings = found[lower]
         count += below_count
-        gradings.update(_graded((*g, (q.rank, q.deg_h, q.chi))) for g in below_gradings)
+        piece = by_id.get(id(q))
+        if piece is None:
+            piece = by_id[id(q)] = by_value.setdefault((q.rank, q.deg_h, q.chi), len(by_value))
+        gradings.update(tuple(sorted((*g, piece))) for g in below_gradings)
     found[upper] = count, gradings
     return scanned
 

@@ -203,9 +203,12 @@ def _ratio(text: Union[str, int]) -> tuple[int, int]:
     try:
         num, den = int(match[1]), int(match[2] or 1)  # TypeError when match is None
     except (TypeError, ValueError):  # ValueError: a numeral past int()'s digit limit
-        raise ValueError(f"expected a rational 'num/den', got {text!r}") from None
-    if not den:
-        raise ZeroDivisionError(f"expected a rational 'num/den', got {text!r}")
+        num = den = None
+    if not den:  # the value's repr, past 60 characters cut there and its length named
+        shown = repr(text)
+        shown = shown if len(shown) <= 60 else f"{shown[:60]}... ({len(shown)} characters)"
+        error = ValueError if den is None else ZeroDivisionError
+        raise error(f"expected a rational 'num/den', got {shown}")
     return num, den
 
 

@@ -803,6 +803,23 @@ class TestBadInput:
         lines = self.run_all(tmp_path, capsys, doc, "E")
         assert set(lines) == {"error: object E: a subobject may not reuse the model id 'E'"}
 
+    @pytest.mark.parametrize("field", ["degH", "chi"])
+    def test_a_huge_rejected_value_is_cut_short(self, tmp_path, capsys, field):
+        # a 100,001-digit degH, past int()'s digit limit, or a chi item 900 lists deep
+        sheaf = {"rank": 1, "degH": "0", "chi": ["0", "1"]}
+        if field == "degH":
+            sheaf["degH"], shown = "9" * 100_001, repr("9" * 100_001)
+        else:
+            item = "1"
+            for _ in range(900):
+                item = [item]
+            sheaf["chi"], shown = ["0", item], repr(item)
+        doc = {"ambient": self.AMBIENT, "objects": [{"type": "model", "id": "E", "data": sheaf}]}
+        lines = self.run_all(tmp_path, capsys, doc, "E")
+        assert all(len(line.encode()) < 200 for line in lines), lines
+        assert set(lines) == {f"error: E.data.{field}: expected a rational 'num/den', got "
+                              f"{shown[:60]}... ({len(shown)} characters)"}
+
     def test_rank_zero_model(self, tmp_path, capsys):
         zero = {"rank": 0, "degH": "0/1", "chi": []}
         doc = {"ambient": self.AMBIENT, "objects": [{"type": "model", "id": "Z", "data": zero}]}

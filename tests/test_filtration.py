@@ -289,25 +289,25 @@ class TestStepQuery:
         # every nested index set is an upper: 2^m - 1 of them, each listed once
         # and queried once over zero; the parent listed one upper per prefix
         listings = []
-        real = filtration._between
+        real, scan = filtration._between, filtration._orders
 
-        def counted(model, upper, lower):
+        def counted(model, upper, lower, quotient):  # the step scan lists upper's entries
             if lower is None:
                 listings.append(upper)
-            return real(model, upper, lower)
+            return scan(model, upper, lower, quotient)
 
         def depth_first(f):  # each step's place among [None, *lowers] of the step above
             steps = [*filtration._downward(f.kind, f.steps), None]
             return [[None, *(gid for gid, _ in real(m, upper, None))].index(lower)
                     for upper, lower in zip(steps, steps[1:])]
 
-        monkeypatch.setattr(filtration, "_between", counted)
+        monkeypatch.setattr(filtration, "_orders", counted)
         m = curve_chain(1, 1, (0,) * size)
         for search, chains in ((all_jordan_holder, jh_chains), (all_harder_narasimhan, 1)):
             listings.clear()
             found = search(m)
             assert len(found) == chains and found == sorted(found, key=depth_first)
-            assert len(listings) <= 2 * (2**size - 1)
+            assert 0 < len(listings) <= 2 * (2**size - 1)
 
 
 def unshared(model):
@@ -447,6 +447,26 @@ class TestFirstOffender:
             "QuotientStable", f"quotient is not stable (witness {witness})"
         )
         assert len(calls) == 1
+
+    def test_the_scan_reads_no_entry_past_the_first_offender(self, monkeypatch):
+        # over {4}, the first entry above it in id order, {1,2,4}, ties with E/{4}
+        m = curve_chain(1, 1, (0, 0, 0, 0))
+        reads = []
+        real = filtration._below_list
+
+        def counted(model, upper):
+            for e in real(model, upper):
+                reads.append(e.id)
+                yield e
+
+        monkeypatch.setattr(filtration, "_below_list", counted)
+        quotient = filtration._step_quotient(m, "E", "{4}")
+        first = next(filtration._step_violations(m, FiltrationKind.JH, "E", "{4}", quotient))
+        assert (first.kind, first.detail) == (
+            "QuotientStable", "quotient is not stable (witness {1,2,4})"
+        )
+        ids = [e.id for e in m.subobjects]
+        assert reads == ids[:ids.index("{1,2,4}") + 1] and len(reads) > 1
 
 
 class TestJordanHolder:
@@ -668,6 +688,36 @@ class TestJordanHolderCensus:
         monkeypatch.setattr(filtration, "CENSUS_BOUND", 7 * 6 + 6**2 + 3 * 2**2 - 1)
         with pytest.raises(TooLargeError, match="census scans more than 89 lattice entries"):
             jordan_holder_census(m)
+
+    def test_an_unshared_twin_has_the_same_census(self):
+        # fuzzed chains, then equal-degree chains of up to 6 summands with random arrows
+        rng = random.Random(42)
+        fuzzed = [realize(random_chain_spec(rng, 6, 2)) for _ in range(300)]
+        semistable = [m for m in fuzzed if gieseker_classify(m).semistable]
+        for _ in range(40):
+            size = rng.randint(2, 6)
+            arrows = {(i, i + 1) for i in range(1, size) if rng.random() < 0.4}
+            semistable.append(curve_chain(rng.randint(1, 2), 1, (rng.randint(-2, 2),) * size,
+                                          arrows))
+        assert all(gieseker_classify(m).semistable for m in semistable)
+        several = 0
+        for m in [*semistable, ambiguous_model()]:
+            census = outcome(jordan_holder_census, m)
+            assert outcome(jordan_holder_census, unshared(m)) == census, m.id
+            several += isinstance(census[1], set) and census[0] > 1
+        assert several >= 10
+
+    def test_a_quotient_and_an_entry_of_equal_invariants_are_one_piece(self):
+        # O + (O(1) -> O(-1)): E/{1} is derived and {2,3} is realized, two sheaves of one value
+        # and O + O + (O(1) -> O(-1)) repeats the rank-1 piece
+        for degrees, arrow, chains, ranks in (((0, 1, -1), (2, 3), 2, [1, 2]),
+                                              ((0, 0, 1, -1), (3, 4), 6, [1, 1, 2])):
+            m = curve_chain(2, 1, degrees, arrows={arrow})
+            count, gradings = jordan_holder_census(m)
+            assert count == chains and len(gradings) == 1
+            (pieces,) = gradings
+            assert [(rank, deg_h) for rank, deg_h, _ in pieces] == [(r, 0) for r in ranks]
+            assert gradings == {grading(f) for f in all_jordan_holder(m)}
 
 
 class TestGradingAndSEquivalence:

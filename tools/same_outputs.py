@@ -12,11 +12,13 @@ The command set: every `bench/workloads.py` command at seeds 1, 2 and 7; the
 Hitchin pair in `docs/` and the same pair written as declared models, each
 through analyze, verify, jh and hn in both formats; `fuzz` at seeds 0, 3 and 7;
 verify and hn, in both formats, on the two arrowless chains of 8 and 10
-summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2); and analyze, verify, jh
-and hn on 31 malformed declared files, each a 1,022-entry object with one fault
-of a kind in FAULTS at its first, middle or last entry, or two faults of
-different kinds in two entries.  That is 202 commands.  Input files are written
-here from plain JSON, never by either tree's serializers.
+summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2); verify and jh, in both
+formats, on five semistable chains whose verify runs the JH census (see
+census_commands); and analyze, verify, jh and hn on 31 malformed declared files,
+each a 1,022-entry object with one fault of a kind in FAULTS at its first,
+middle or last entry, or two faults of different kinds in two entries.  That is
+222 commands.  Input files are written here from plain JSON, never by either
+tree's serializers.
 """
 
 from __future__ import annotations
@@ -122,7 +124,28 @@ def command_set(work: Path) -> list[list[str]]:
             commands.append(["verify", str(walls), "--format", fmt])
             commands += [["hn", str(walls), "--object", oid, "--format", fmt]
                          for oid in ("ramp", "steps")]
-    return commands + malformed_commands(work)
+    return commands + census_commands(work) + malformed_commands(work)
+
+
+def census_commands(work: Path) -> list[list[str]]:
+    """verify and jh, in both formats, on semistable chains that reach the JH census.
+
+    The arrowless equal-degree chains of 6, 7 and 8 summands, the uniformizing
+    chain of rank 6, with degrees 5, 3, ..., -5 and arrows i -> i+1, and the
+    polystable O + (O(1) -> O(-1)), each alone in a file at genus 2.
+    """
+    chains = {f"eq{m}": ([0] * m, []) for m in (6, 7, 8)}
+    chains["uni6"] = ([7 - 2 * i for i in range(1, 7)], [[i, i + 1] for i in range(1, 6)])
+    chains["poly"] = ([0, 1, -1], [[2, 3]])
+    commands = []
+    for oid, (degrees, arrows) in chains.items():
+        path = work / f"census-{oid}.json"
+        path.write_text(json.dumps({"ambient": {"n": 1, "genus": 2, "degH": 1}, "objects": [
+            {"type": "chain", "id": oid, "degrees": degrees, "arrows": arrows}]}), encoding="utf-8")
+        for fmt in FORMATS:
+            commands += [["verify", str(path), "--format", fmt],
+                         ["jh", str(path), "--object", oid, "--format", fmt]]
+    return commands
 
 
 def outcome(src: Path, argv: list[str]) -> tuple[int, str, str]:
