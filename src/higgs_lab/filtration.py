@@ -10,11 +10,15 @@ first offending entry in id order; HN adds that p strictly decreases up the
 chain.  verify_filtration checks both on every step of a chain.  _steps, the
 one generator of passing steps, feeds both walks: _search, behind
 all_jordan_holder and all_harder_narasimhan, and jordan_holder_census, the
-theorem suite's JH count.  The search stops past SEARCH_BOUND search nodes and
-the census past CENSUS_BOUND scanned entries, each with TooLargeError; no flag
-or environment variable moves them.  Every construction passes the stability
-gate first and verifies its chain before returning, so an under-declared
-family surfaces as an explicit error, not a wrong answer.
+theorem suite's JH count.  For HN, _steps skips a lower entry before deciding
+its step unless the entry and the quotient over it have positive rank and the
+entry's p is above the quotient's: no HN chain steps down to any other entry.
+A search node is a prefix the search opens, so HN opens none under a skipped
+entry.  The search stops past SEARCH_BOUND search nodes and the census past
+CENSUS_BOUND scanned entries, each with TooLargeError; no flag or environment
+variable moves them.  Every construction passes the stability gate first and
+verifies its chain before returning, so an under-declared family surfaces as
+an explicit error, not a wrong answer.
 """
 
 from __future__ import annotations
@@ -258,13 +262,25 @@ def _steps(
 ) -> Iterator[tuple[Optional[str], NumericalSheafData]]:
     """Each passing step down from upper, as (lower, upper/lower): zero first, then in id order.
 
-    above is the quotient of the HN step above upper, or None.  StrictDecrease
-    against it runs first; then whether _step_violations yields a violation
-    decides, once per (upper, lower) step of the walk that owns passes.
+    above is the quotient of the HN step above upper, or None.  HN first drops
+    each entry low unless low and upper/low have positive rank and p(low) is
+    above p(upper/low), and loses no chain: in an HN chain through upper over
+    low every piece has positive rank (QuotientRank), and each piece below low
+    has p above p(upper/low) (StrictDecrease).  _sheaf_delta telescopes, so rank
+    and chi of low are the sums of its pieces', and p(low), their rank-weighted
+    mean, is above p(upper/low) too.  StrictDecrease against above runs next;
+    then whether _step_violations yields a violation decides, once per (upper,
+    lower) step of the walk that owns passes.
     """
     data = model.data if upper == model.id else model.entry(upper).data
+    hn = kind is FiltrationKind.HN
     for low in (None, *_below_list(model, upper)):
         lower, quotient = (None, data) if low is None else (low.id, _quotient(model, data, low.data))
+        if hn and low is not None and not (
+            low.data.rank > 0 and quotient.rank > 0
+            and compare_p(low.data, quotient) is EventualOrder.SUCCEEDS
+        ):
+            continue  # the HN cut: no HN chain steps down to low
         if above and quotient.rank > 0 and compare_p(above, quotient) is not EventualOrder.PRECEDES:
             continue
         verdict = passes.get((upper, lower))
@@ -281,8 +297,10 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
     Chains grow down from the object through _steps, depth first; a prefix
     whose lowest step passes over zero is a chain, listed before its
     extensions.  Each prefix visited is one search node, at most SEARCH_BOUND
-    of them.  Pending prefixes sit on a stack: a recursive closure would keep
-    every chain alive until the collector runs.
+    of them.  HN visits no prefix under an entry that _steps's cut drops, and
+    the cut loses no chain, so the chains found are the same with it as
+    without it.  Pending prefixes sit on a stack: a recursive closure would
+    keep every chain alive until the collector runs.
     """
     require_classifiable(model)
     found: list[Filtration] = []

@@ -647,10 +647,25 @@ class TestVerify:
         ]
 
     def test_the_search_bound_skips_hn_uniqueness(self, monkeypatch, capsys):
-        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 2)
+        # split's HN search opens 2 nodes: the object and {1}, of degree 1 over a
+        # quotient of degree -1; the HN cut drops {2}, whose p is below its quotient's
+        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 1)
         assert self.skips(capsys, HITCHIN_PAIR) == [
             "skip jh_grading_invariance      split  object is unstable",
-            "skip hn_uniqueness              split  more than 2 search nodes",
+            "skip hn_uniqueness              split  more than 1 search nodes",
+        ]
+
+    def test_walls_pass_hn_uniqueness_within_64_search_nodes(self, monkeypatch, tmp_path, capsys):
+        # the HN cut opens 29 nodes on ramp and 16 on steps; without it each search
+        # opens all 255 nonzero masks of 8 summands, and both lines skip
+        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 64)
+        path = tmp_path / "walls.json"
+        path.write_text(json.dumps(walls_file()))
+        assert run(["verify", str(path)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert [line for line in lines if "hn_uniqueness" in line] == [
+            "pass hn_uniqueness              ramp  1 valid chain(s) by search",
+            "pass hn_uniqueness              steps  1 valid chain(s) by search",
         ]
 
 

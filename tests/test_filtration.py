@@ -234,8 +234,8 @@ class TestStepQuery:
     @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
     def test_one_query_per_distinct_step(self, monkeypatch, size, jh_chains):
         # JH reaches every (upper, lower) pair of nested index sets: 3^m - 2^m steps.
-        # HN queries only the steps down from the object: each deeper step
-        # fails StrictDecrease, which runs before the query, so 2^m - 1.
+        # HN queries the object over zero alone: every entry L has p(L) equal to
+        # p(E/L), not above it, so the HN cut drops L before its query, 1 in all.
         queries = []
         real = filtration._step_violations
 
@@ -248,7 +248,7 @@ class TestStepQuery:
         for search, chains, steps in (
             (all_jordan_holder, jh_chains, 3**size - 2**size),
             (lambda m: [None] * jordan_holder_census(m)[0], jh_chains, 3**size - 2**size),
-            (all_harder_narasimhan, 1, 2**size - 1),
+            (all_harder_narasimhan, 1, 1),
         ):
             queries.clear()
             assert len(search(m)) == chains
@@ -602,10 +602,10 @@ class TestAllJordanHolder:
     def test_search_bound(self, monkeypatch):
         m = curve_chain(1, 1, (0, 0, 0))
         # JH visits the object, the 3 planes under it (stable line quotients) and
-        # 2 lines under each plane; HN visits the object and the 3 planes and 3
-        # lines under it (semistable quotients), and StrictDecrease stops the rest
+        # 2 lines under each plane; HN visits the object alone: each plane or line
+        # L under it has p(L) equal to p(E/L), so the HN cut opens no node below E
         for search, nodes, chains in ((all_jordan_holder, 1 + 3 + 3 * 2, 6),
-                                      (all_harder_narasimhan, 1 + 3 + 3, 1)):
+                                      (all_harder_narasimhan, 1, 1)):
             monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes)
             assert len(search(m)) == chains
             monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes - 1)
@@ -817,6 +817,55 @@ class TestAllHarderNarasimhan:
             chains = all_harder_narasimhan(m)
             assert {f.steps for f in chains} == {f.steps for f in oracle_hn_chains(m)}
             assert len(chains) == len({f.steps for f in chains})
+
+    def test_matches_oracle_where_the_cut_guards(self):
+        # The HN cut drops an entry L unless L and upper/L have positive rank and
+        # p(L) is above p(upper/L).  Its edge cases: a declared zero entry, whose p
+        # compare_p refuses; torsion quotients; two tied destabilizers; arrows.
+        rng, arrowed = random.Random(33), []
+        while len(arrowed) < 150:
+            spec = random_chain_spec(rng, 5, 2)
+            if spec.arrows:
+                arrowed.append(realize(spec))
+        assert max(m.data.rank for m in arrowed) == 5
+        for m in [zero_entry_model(), saturated_twist_model(), ambiguous_model(), *arrowed]:
+            assert validate(m) == []
+            chains = all_harder_narasimhan(m)
+            assert {f.steps for f in chains} == {f.steps for f in oracle_hn_chains(m)}, m.id
+            assert len(chains) == len({f.steps for f in chains})
+
+    @pytest.mark.parametrize("degrees, nodes", [
+        # 1 + 28: each node below the object drops one more summand, of degree above
+        # the last one dropped and below the mean degree of the summands it leaves
+        (tuple(range(8)), 1 + 28),
+        # 1 + 15: the step over the object leaves out a nonempty set of degree-0
+        # summands; no entry under what is left has p above its quotient's
+        ((0,) * 4 + (1,) * 4, 1 + 15),
+        # the object alone: every entry has the object's p
+        ((0,) * 5, 1),
+    ])
+    def test_search_nodes_under_the_cut(self, monkeypatch, degrees, nodes):
+        # without the cut each of these searches opens all 2^m - 1 nonzero masks
+        m = curve_chain(2, 1, degrees)
+        monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes)
+        assert all_harder_narasimhan(m) == [harder_narasimhan(m)]
+        monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes - 1)
+        with pytest.raises(TooLargeError, match=f"^more than {nodes - 1} search nodes$"):
+            all_harder_narasimhan(m)
+
+
+def zero_entry_model():
+    """O(2) + O on the projective line, with lines A = O(2) and B = O over a declared
+    zero entry Z, of rank 0 and chi 0."""
+    kd = KahlerData.curve(0, 1)
+    high, low = chi_curve(kd, 1, 2), chi_curve(kd, 1, 0)
+    total = NumericalSheafData(2, high.deg_h + low.deg_h, high.chi + low.chi, torsion_free=True)
+    zero = NumericalSheafData(0, Fraction(0), poly(0), torsion_free=True)
+    return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=(
+        SubobjectEntry(id="A", data=high, quotient=low, claims=frozenset({"Z"})),
+        SubobjectEntry(id="B", data=low, quotient=high, claims=frozenset({"Z"})),
+        SubobjectEntry(id="Z", data=zero, quotient=total),
+    ))
 
 
 STRICT_DECREASE = "quotient polynomials must strictly decrease up the chain"

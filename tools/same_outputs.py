@@ -12,13 +12,13 @@ The command set: every `bench/workloads.py` command at seeds 1, 2 and 7; the
 Hitchin pair in `docs/` and the same pair written as declared models, each
 through analyze, verify, jh and hn in both formats; `fuzz` at seeds 0, 3 and 7;
 verify and hn, in both formats, on the two arrowless chains of 8 and 10
-summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2); verify and jh, in both
-formats, on five semistable chains whose verify runs the JH census (see
-census_commands); and analyze, verify, jh and hn on 31 malformed declared files,
-each a 1,022-entry object with one fault of a kind in FAULTS at its first,
-middle or last entry, or two faults of different kinds in two entries.  That is
-222 commands.  Input files are written here from plain JSON, never by either
-tree's serializers.
+summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2), and verify on those of
+12; verify and jh, in both formats, on five semistable chains whose verify runs
+the JH census, and hn on the first of them (see census_commands); and analyze,
+verify, jh and hn on 31 malformed declared files, each a 1,022-entry object
+with one fault of a kind in FAULTS at its first, middle or last entry, or two
+faults of different kinds in two entries.  That is 226 commands.  Input files
+are written here from plain JSON, never by either tree's serializers.
 """
 
 from __future__ import annotations
@@ -113,7 +113,7 @@ def command_set(work: Path) -> list[list[str]]:
     commands += file_commands(ROOT / "docs" / "hitchin_pair.json", ids)
     commands += file_commands(declared_pair, ids)
     commands += [["fuzz", "--seed", str(seed)] for seed in (0, 3, 7)]
-    for size in (8, 10):
+    for size in (8, 10, 12):
         ramp = {"type": "chain", "id": "ramp", "degrees": list(range(size)), "arrows": []}
         steps = {"type": "chain", "id": "steps", "arrows": [],
                  "degrees": [0] * (size // 2) + [1] * (size // 2)}
@@ -123,7 +123,7 @@ def command_set(work: Path) -> list[list[str]]:
         for fmt in FORMATS:
             commands.append(["verify", str(walls), "--format", fmt])
             commands += [["hn", str(walls), "--object", oid, "--format", fmt]
-                         for oid in ("ramp", "steps")]
+                         for oid in ("ramp", "steps") if size < 12]
     return commands + census_commands(work) + malformed_commands(work)
 
 
@@ -132,7 +132,8 @@ def census_commands(work: Path) -> list[list[str]]:
 
     The arrowless equal-degree chains of 6, 7 and 8 summands, the uniformizing
     chain of rank 6, with degrees 5, 3, ..., -5 and arrows i -> i+1, and the
-    polystable O + (O(1) -> O(-1)), each alone in a file at genus 2.
+    polystable O + (O(1) -> O(-1)), each alone in a file at genus 2.  The chain
+    of 6 also runs hn.
     """
     chains = {f"eq{m}": ([0] * m, []) for m in (6, 7, 8)}
     chains["uni6"] = ([7 - 2 * i for i in range(1, 7)], [[i, i + 1] for i in range(1, 6)])
@@ -145,6 +146,8 @@ def census_commands(work: Path) -> list[list[str]]:
         for fmt in FORMATS:
             commands += [["verify", str(path), "--format", fmt],
                          ["jh", str(path), "--object", oid, "--format", fmt]]
+            if oid == "eq6":
+                commands.append(["hn", str(path), "--object", oid, "--format", fmt])
     return commands
 
 
