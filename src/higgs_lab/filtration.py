@@ -13,12 +13,15 @@ all_jordan_holder and all_harder_narasimhan, and jordan_holder_census, the
 theorem suite's JH count.  For HN, _steps skips a lower entry before deciding
 its step unless the entry and the quotient over it have positive rank and the
 entry's p is above the quotient's: no HN chain steps down to any other entry.
-A search node is a prefix the search opens, so HN opens none under a skipped
-entry.  The search stops past SEARCH_BOUND search nodes and the census past
-CENSUS_BOUND scanned entries, each with TooLargeError; no flag or environment
-variable moves them.  Every construction passes the stability gate first and
-verifies its chain before returning, so an under-declared family surfaces as
-an explicit error, not a wrong answer.
+For JH, it skips a lower step, zero too, that an entry M of p not below the
+object's separates from the upper, of rank strictly between theirs: every node
+a JH walk reaches has chi = rank * p(E), so M would break that step's
+stability.  A search node is a prefix the search opens, so neither walk opens
+one under a skipped step.  The search stops past SEARCH_BOUND search nodes and
+the census past CENSUS_BOUND scanned entries, each with TooLargeError; no flag
+or environment variable moves them.  Every construction passes the stability
+gate first and verifies its chain before returning, so an under-declared family
+surfaces as an explicit error, not a wrong answer.
 """
 
 from __future__ import annotations
@@ -256,25 +259,51 @@ def _step_violations(
             return
 
 
+def _separated(model: HiggsObjectModel, upper: str, rank: int) -> set[int]:
+    """The keys, 0 for zero, of lower steps a blocker separates from upper, of this rank.
+
+    A blocker M has 0 < rank M < rank E and p not below p(E) (one compare per distinct
+    sheaf); the memo's "blockers" keeps each with its shadow, 0 and the keys below M of
+    rank below M's.  Upper unions the shadows of the blockers below it of lower rank.
+    """
+    if (blockers := model._memo.get("blockers")) is None:
+        high = {id(e.data) for e in model.distinct if 0 < e.data.rank < model.data.rank
+                and compare_p(e.data, model.data) is not EventualOrder.PRECEDES}
+        blockers = model._memo["blockers"] = {
+            e.id: {0, *(x.key for x in _below_list(model, e.id) if x.data.rank < e.data.rank)}
+            for e in model.subobjects if id(e.data) in high}
+    return set().union(*[blockers[e.id] for e in _below_list(model, upper)
+                         if e.id in blockers and e.data.rank < rank])
+
+
 def _steps(
     model: HiggsObjectModel, kind: FiltrationKind, upper: str, passes: dict,
     above: Optional[NumericalSheafData] = None,
 ) -> Iterator[tuple[Optional[str], NumericalSheafData]]:
     """Each passing step down from upper, as (lower, upper/lower): zero first, then in id order.
 
-    above is the quotient of the HN step above upper, or None.  HN first drops
-    each entry low unless low and upper/low have positive rank and p(low) is
-    above p(upper/low), and loses no chain: in an HN chain through upper over
-    low every piece has positive rank (QuotientRank), and each piece below low
-    has p above p(upper/low) (StrictDecrease).  _sheaf_delta telescopes, so rank
-    and chi of low are the sums of its pieces', and p(low), their rank-weighted
-    mean, is above p(upper/low) too.  StrictDecrease against above runs next;
-    then whether _step_violations yields a violation decides, once per (upper,
-    lower) step of the walk that owns passes.
+    JH first drops each lower step low, zero too, that a blocker M separates from upper
+    (see _separated), losing no chain.  Every node a JH walk reaches has
+    chi = rank*p(E): the object does, and chi and rank add over a step passing EqualP (a
+    rank-0 low has chi 0 by validation, so M/low is M).  Were the step over low to pass,
+    chi(M/low) - rank(M/low)*p(E) = chi(M) - rank(M)*p(E) would put p(M/low) not below
+    p(upper/low) = p(E), as p(M) is not, and M, of relative rank strictly between 0 and
+    the quotient's, would be a QuotientStable offender; where EqualP fails, the step
+    fails anyway.  above is the quotient of the HN step above upper, or None.  HN first
+    drops each entry low unless low and upper/low have positive rank and p(low) is above
+    p(upper/low), and loses no chain: in an HN chain through upper over low every piece
+    has positive rank (QuotientRank), and each piece below low has p above p(upper/low)
+    (StrictDecrease).  _sheaf_delta telescopes, so rank and chi of low are the sums of
+    its pieces', and p(low), their rank-weighted mean, is above p(upper/low) too.
+    StrictDecrease against above runs next; then whether _step_violations yields a
+    violation decides, once per (upper, lower) step of the walk that owns passes.
     """
     data = model.data if upper == model.id else model.entry(upper).data
     hn = kind is FiltrationKind.HN
+    cut = () if hn else _separated(model, upper, data.rank)
     for low in (None, *_below_list(model, upper)):
+        if cut and (0 if low is None else low.key) in cut:
+            continue  # the JH cut: a blocker lies between low and upper
         lower, quotient = (None, data) if low is None else (low.id, _quotient(model, data, low.data))
         if hn and low is not None and not (
             low.data.rank > 0 and quotient.rank > 0
@@ -343,7 +372,8 @@ def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
     entries below plus one filter of it per entry below; work past CENSUS_BOUND
     raises TooLargeError before it starts.  A path d nodes deep has 0, 1, ...,
     d-1 entries or more below its nodes, so it scans about d^3/3: the bound
-    keeps d near 114.
+    keeps d near 114.  The JH cut's shadows cost at most one filter of the entry
+    list per entry, within the n^2 charged at the object's node.
     """
     _require_semistable(model)
     found: dict[Optional[str], tuple[int, set[tuple[int, ...]]]] = {None: (1, {()})}

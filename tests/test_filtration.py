@@ -231,11 +231,9 @@ class TestStepQuery:
         assert seen[FiltrationKind.JH, "EqualP"] and seen[FiltrationKind.JH, "QuotientStable"]
         assert seen[FiltrationKind.HN, "QuotientSemistable"], seen
 
-    @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
-    def test_one_query_per_distinct_step(self, monkeypatch, size, jh_chains):
-        # JH reaches every (upper, lower) pair of nested index sets: 3^m - 2^m steps.
-        # HN queries the object over zero alone: every entry L has p(L) equal to
-        # p(E/L), not above it, so the HN cut drops L before its query, 1 in all.
+    @staticmethod
+    def counted_queries(monkeypatch):
+        """The (upper, lower) steps _step_violations is asked, from here on."""
         queries = []
         real = filtration._step_violations
 
@@ -244,15 +242,35 @@ class TestStepQuery:
             return real(model, kind, upper, lower, quotient)
 
         monkeypatch.setattr(filtration, "_step_violations", counted)
+        return queries
+
+    @pytest.mark.parametrize("size, jh_chains", [(5, 120), (6, 720)])
+    def test_one_query_per_distinct_step(self, monkeypatch, size, jh_chains):
+        # JH reaches every (upper, lower) pair of nested index sets, 3^m - 2^m, but every
+        # entry is a blocker, so the JH cut drops each lower with an index set strictly
+        # between it and upper: only steps that drop one summand are queried, one for
+        # each summand of each upper, the object included, so m * 2^(m-1) in all.
+        # HN queries the object over zero alone: every entry L has p(L) equal to
+        # p(E/L), not above it, so the HN cut drops L before its query, 1 in all.
+        queries = self.counted_queries(monkeypatch)
         m = curve_chain(1, 1, (0,) * size)
         for search, chains, steps in (
-            (all_jordan_holder, jh_chains, 3**size - 2**size),
-            (lambda m: [None] * jordan_holder_census(m)[0], jh_chains, 3**size - 2**size),
+            (all_jordan_holder, jh_chains, size * 2 ** (size - 1)),
+            (lambda m: [None] * jordan_holder_census(m)[0], jh_chains, size * 2 ** (size - 1)),
             (all_harder_narasimhan, 1, 1),
         ):
             queries.clear()
             assert len(search(m)) == chains
             assert len(queries) == len(set(queries)) == steps
+
+    @pytest.mark.parametrize("size, chains, steps", [(7, 5040, 448), (8, 40320, 1024)])
+    def test_the_census_queries_only_steps_that_drop_one_summand(
+        self, monkeypatch, size, chains, steps
+    ):
+        # m * 2^(m-1), as above; without the JH cut 3^m - 2^m: 2,059 and 6,305
+        queries = self.counted_queries(monkeypatch)
+        assert jordan_holder_census(curve_chain(1, 1, (0,) * size))[0] == chains
+        assert len(queries) == len(set(queries)) == steps == size * 2 ** (size - 1)
 
     def test_each_pair_of_sheaves_is_derived_once_per_model(self, monkeypatch):
         # construction, verification, both searches and the census share each quotient
@@ -616,6 +634,35 @@ class TestAllJordanHolder:
         with pytest.raises(NotSemistableError):
             all_jordan_holder(curve_chain(0, 1, (2, 0)))
 
+    def test_matches_oracle_where_the_cut_guards(self):
+        # The JH cut drops a lower L under upper U when a blocker M, an entry of p not
+        # below p(E), lies strictly between them with rank L < rank M < rank U.  Its edge
+        # cases: a declared zero entry under lines; a line inside its saturation; a line
+        # inside an equal copy of itself, where M/L is 0 (rank L = rank M) or U/M is 0
+        # (rank M = rank U) and the step passes; the polystable O + (O(1) -> O(-1)),
+        # whose line O(-1) has p below p(E); arrows; and twins that share no sheaf.
+        rng, arrowed = random.Random(34), []
+        while len(arrowed) < 150:
+            spec = random_chain_spec(rng, 5, 2)
+            if spec.arrows and gieseker_classify(m := realize(spec)).semistable:
+                arrowed.append(m)
+        assert max(m.data.rank for m in arrowed) == 5
+        polystable = curve_chain(2, 1, (0, 1, -1), arrows={(2, 3)})
+        declared = [semistable_zero_entry_model(), saturation_model(), copied_line_model()]
+        several = 0
+        for m in [*declared, polystable, *arrowed]:
+            assert validate(m) == []
+            oracle = oracle_jh_chains(m)
+            census = (len(oracle), {grading(f) for f in oracle})
+            for model in (m, unshared(m)):
+                chains = all_jordan_holder(model)
+                assert {f.steps for f in chains} == {f.steps for f in oracle}, m.id
+                assert len(chains) == len({f.steps for f in chains})
+                assert jordan_holder_census(model) == census, m.id
+            several += len(oracle) > 1
+        assert several >= 10
+        assert [len(oracle_jh_chains(m)) for m in (*declared, polystable)] == [2, 2, 3, 2]
+
     @pytest.mark.parametrize(
         "search", [all_jordan_holder, all_harder_narasimhan, jordan_holder_census]
     )
@@ -629,6 +676,41 @@ class TestAllJordanHolder:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+
+def two_lines_model(*entries):
+    """O + O on the projective line, with the given entries, each (id, rank, degree,
+    ids it contains); an entry of rank 1 and degree d < 0 has a torsion quotient."""
+    kd = KahlerData.curve(0, 1)
+    total = chi_curve(kd, 2, 0)
+
+    def entry(eid, rank, degree, contains):
+        data = (chi_curve(kd, rank, degree) if rank else
+                NumericalSheafData(0, Fraction(0), poly(0), torsion_free=True))
+        torsion = None
+        if rank == 1 and degree < 0:
+            torsion = NumericalSheafData(0, Fraction(-degree), poly(-degree), torsion_free=False)
+        quotient = NumericalSheafData(2 - rank, total.deg_h - data.deg_h, total.chi - data.chi,
+                                      torsion_free=torsion is None)
+        return SubobjectEntry(eid, data, quotient, torsion, claims=frozenset(contains))
+
+    return HiggsObjectModel(id="E", ambient=kd, data=total, subobjects=tuple(
+        entry(*spec) for spec in entries))
+
+
+def semistable_zero_entry_model():
+    """O + O, with lines A = O and B = O over a declared zero entry Z."""
+    return two_lines_model(("A", 1, 0, {"Z"}), ("B", 1, 0, {"Z"}), ("Z", 0, 0, ()))
+
+
+def saturation_model():
+    """O + O, with F = O(-1) inside Fp = O, its saturation, and G = O."""
+    return two_lines_model(("F", 1, -1, ()), ("Fp", 1, 0, {"F"}), ("G", 1, 0, ()))
+
+
+def copied_line_model():
+    """O + O, with A = O inside A2 = O, the same line declared twice, and B = O."""
+    return two_lines_model(("A", 1, 0, ()), ("A2", 1, 0, {"A"}), ("B", 1, 0, ()))
 
 
 def census_and_enumeration(model):

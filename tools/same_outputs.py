@@ -14,11 +14,13 @@ through analyze, verify, jh and hn in both formats; `fuzz` at seeds 0, 3 and 7;
 verify and hn, in both formats, on the two arrowless chains of 8 and 10
 summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2), and verify on those of
 12; verify and jh, in both formats, on five semistable chains whose verify runs
-the JH census, and hn on the first of them (see census_commands); and analyze,
-verify, jh and hn on 31 malformed declared files, each a 1,022-entry object
-with one fault of a kind in FAULTS at its first, middle or last entry, or two
-faults of different kinds in two entries.  That is 226 commands.  Input files
-are written here from plain JSON, never by either tree's serializers.
+the JH census and on a declared file with a zero entry and a line inside its
+saturation, hn on the first chain, and verify on the equal-degree chain of 9
+(see census_commands); and analyze, verify, jh and hn on 31 malformed declared
+files, each a 1,022-entry object with one fault of a kind in FAULTS at its
+first, middle or last entry, or two faults of different kinds in two entries.
+That is 232 commands.  Input files are written here from plain JSON, never by
+either tree's serializers.
 """
 
 from __future__ import annotations
@@ -49,6 +51,30 @@ FAULTS = {  # a malformed entry, from the entry it replaces
     "bad-torsion-part": lambda e: {**e, "quotient_torsion_part": {"rank": "0", "degH": "0",
                                                                   "chi": []}},
 }
+
+
+def _line(degree: int, torsion_free: bool = True) -> dict:
+    """A sheaf of rank 1 and the given degree on the projective line (degH 1)."""
+    return {"rank": 1, "degH": str(degree), "chi": [str(degree + 1), "1"],
+            "torsion_free": torsion_free}
+
+
+# O + O on the projective line: a line A = O over a zero entry Z and a copy A2 of A
+# holding both; F = O(-1) inside its saturation Fp = O, so E/F is O plus a
+# length-one torsion
+SATURATION = {"ambient": {"n": 1, "genus": 0, "degH": 1}, "objects": [{
+    "type": "model", "id": "E",
+    "data": {"rank": 2, "degH": "0", "chi": ["2", "2"]},
+    "subobjects": [
+        {"id": "A", "data": _line(0), "quotient": _line(0), "contains": ["Z"]},
+        {"id": "A2", "data": _line(0), "quotient": _line(0), "contains": ["A", "Z"]},
+        {"id": "F", "data": _line(-1), "quotient": _line(1, False),
+         "quotient_torsion_part": {"rank": 0, "degH": "1", "chi": ["1"], "torsion_free": False}},
+        {"id": "Fp", "data": _line(0), "quotient": _line(0), "contains": ["F"]},
+        {"id": "Z", "data": {"rank": 0, "degH": "0", "chi": ["0"]},
+         "quotient": {"rank": 2, "degH": "0", "chi": ["2", "2"]}},
+    ],
+}]}
 
 
 def declared(oid: str, degrees, arrows, genus: int, deg_h: int) -> dict:
@@ -128,24 +154,31 @@ def command_set(work: Path) -> list[list[str]]:
 
 
 def census_commands(work: Path) -> list[list[str]]:
-    """verify and jh, in both formats, on semistable chains that reach the JH census.
+    """verify and jh, in both formats, on semistable objects that reach the JH census.
 
     The arrowless equal-degree chains of 6, 7 and 8 summands, the uniformizing
     chain of rank 6, with degrees 5, 3, ..., -5 and arrows i -> i+1, and the
     polystable O + (O(1) -> O(-1)), each alone in a file at genus 2.  The chain
-    of 6 also runs hn.
+    of 6 also runs hn.  The arrowless equal-degree chain of 9 runs verify only:
+    its census stops at CENSUS_BOUND.  Last, SATURATION, a declared O + O on the
+    projective line with a zero entry, a line inside its saturation and a line
+    declared twice, one copy inside the other.
     """
-    chains = {f"eq{m}": ([0] * m, []) for m in (6, 7, 8)}
+    chains = {f"eq{m}": ([0] * m, []) for m in (6, 7, 8, 9)}
     chains["uni6"] = ([7 - 2 * i for i in range(1, 7)], [[i, i + 1] for i in range(1, 6)])
     chains["poly"] = ([0, 1, -1], [[2, 3]])
+    files = {oid: {"ambient": {"n": 1, "genus": 2, "degH": 1}, "objects": [
+        {"type": "chain", "id": oid, "degrees": degrees, "arrows": arrows}]}
+        for oid, (degrees, arrows) in chains.items()}
+    files["E"] = SATURATION
     commands = []
-    for oid, (degrees, arrows) in chains.items():
+    for oid, doc in files.items():
         path = work / f"census-{oid}.json"
-        path.write_text(json.dumps({"ambient": {"n": 1, "genus": 2, "degH": 1}, "objects": [
-            {"type": "chain", "id": oid, "degrees": degrees, "arrows": arrows}]}), encoding="utf-8")
+        path.write_text(json.dumps(doc), encoding="utf-8")
         for fmt in FORMATS:
-            commands += [["verify", str(path), "--format", fmt],
-                         ["jh", str(path), "--object", oid, "--format", fmt]]
+            commands.append(["verify", str(path), "--format", fmt])
+            if oid != "eq9":
+                commands.append(["jh", str(path), "--object", oid, "--format", fmt])
             if oid == "eq6":
                 commands.append(["hn", str(path), "--object", oid, "--format", fmt])
     return commands
