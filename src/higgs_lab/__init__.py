@@ -32,6 +32,7 @@ from .model import (
     InvalidArrowError,
     SubobjectEntry,
     Violation,
+    chain_semistable,
     chain_sum,
     direct_sum_model,
     realize,

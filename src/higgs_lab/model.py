@@ -271,6 +271,51 @@ def chain_sum(a: HiggsChainSpec, b: HiggsChainSpec) -> HiggsChainSpec:
     return HiggsChainSpec(a.ambient, a.summand_degrees + b.summand_degrees, arrows)
 
 
+def chain_semistable(spec: HiggsChainSpec) -> bool:
+    """Whether no arrow-closed index set S of the chain has m·deg S > |S|·deg E.
+
+    On a curve Gieseker order is average-degree order, so this is the chain's semistability,
+    decided without its lattice.  With weights w_i = m·d_i - deg E it asks whether some closed
+    set has positive weight: a maximum-weight closure, one minimum s-t cut (Picard 1976).  The
+    network has arcs s->i of capacity w_i > 0 and i->t of capacity -w_i, and per arrow an arc
+    i->j of capacity P, the sum of the positive weights.  A cut through an arrow costs at least
+    P, the cut around s alone, so a minimum cut's source side is s and a closed set S, of cost
+    P - w(S).  The chain is semistable exactly when the minimum cut costs P: when a maximum
+    flow, found by shortest augmenting paths (Edmonds-Karp), saturates every source arc.
+    """
+    _check_arrows(spec)
+    m, degrees, total = spec.size, spec.summand_degrees, sum(spec.summand_degrees)
+    weights = [m * d - total for d in degrees]
+    need = sum(w for w in weights if w > 0)  # the flow still to push out of s
+    s, t = 0, m + 1  # summand i is node i
+    residual = [{} for _ in range(m + 2)]
+    arcs = [(s, i, w) if w > 0 else (i, t, -w) for i, w in enumerate(weights, 1) if w]
+    for u, v, c in arcs + [(i, j, need) for i, j in spec.arrows]:
+        residual[u][v] = residual[u].get(v, 0) + c
+        residual[v].setdefault(u, 0)
+    while need:
+        parent, queue = {s: s}, [s]
+        for u in queue:  # breadth first; the queue grows as it is read
+            for v, c in residual[u].items():
+                if c and v not in parent:
+                    parent[v] = u
+                    queue.append(v)
+            if t in parent:
+                break
+        else:
+            return False
+        path, v = [], t
+        while v != s:
+            path.append((parent[v], v))
+            v = parent[v]
+        push = min(residual[u][v] for u, v in path)
+        for u, v in path:
+            residual[u][v] -= push
+            residual[v][u] += push
+        need -= push
+    return True
+
+
 def _entry_violation(
     model: HiggsObjectModel, e: SubobjectEntry
 ) -> Optional[Violation]:

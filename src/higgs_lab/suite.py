@@ -23,7 +23,7 @@ from .filtration import (
     jordan_holder_census,
 )
 from .hilbert import EventualOrder, compare_scaled, format_rational
-from .model import RealizeBoundError, chain_sum, direct_sum_model, realize
+from .model import chain_semistable, chain_sum, direct_sum_model
 from .modelfile import LoadedObject
 from .stability import (
     IncompleteTorsionClosureError,
@@ -195,21 +195,20 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
     subject = f"{a.model.id} (+) {b.model.id}"
     if a.model.ambient != b.model.ambient:
         return _skip("direct_sum", subject, "different ambient data")
-    if (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
-        return _skip("direct_sum", subject, "product family too large")
-    chains = bool(a.chain and b.chain)
-    try:  # a chain pair is summed as one chain, a declared pair as a product family
-        total = (realize(chain_sum(a.chain, b.chain)) if chains
-                 else direct_sum_model(a.model, b.model))
-        lhs = gieseker_classify(total).semistable
-    except RealizeBoundError as exc:
-        return _skip("direct_sum", subject, str(exc))
-    except InvalidModelError as exc:
-        return _result("direct_sum", subject, False, f"the sum fails validation: {exc}")
-    except ValueError as exc:  # declared: two pairs, or a pair and the sum, share one label
-        if chains:
+    if a.chain and b.chain:  # a chain pair is one chain, decided by one max flow
+        try:
+            lhs = chain_semistable(chain_sum(a.chain, b.chain))
+        except ValueError as exc:
             return _result("direct_sum", subject, False, f"the sum chain is rejected: {exc}")
-        return _skip("direct_sum", subject, str(exc))
+    elif (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
+        return _skip("direct_sum", subject, "product family too large")
+    else:  # any other pair is summed as a product family
+        try:
+            lhs = gieseker_classify(direct_sum_model(a.model, b.model)).semistable
+        except InvalidModelError as exc:
+            return _result("direct_sum", subject, False, f"the sum fails validation: {exc}")
+        except ValueError as exc:  # two pairs, or a pair and the sum, share one label
+            return _skip("direct_sum", subject, str(exc))
     parts = gieseker_classify(a.model).semistable, gieseker_classify(b.model).semistable
     rhs = all(parts) and compare_p(a.model.data, b.model.data) is EventualOrder.EQUAL
     return _result("direct_sum", subject, lhs == rhs, f"sum_semistable={lhs} parts={rhs}")

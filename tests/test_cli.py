@@ -444,26 +444,37 @@ class TestVerify:
         assert "checks: 14 passed, 0 failed, 1 skipped" in lines, lines
 
     def test_product_family_limit(self, tmp_path, capsys):
-        # arrow-free chains of 5, 4 and 5 line bundles: families of (30+2)(14+2) = 512 and 1,024
-        doc = {
-            "ambient": {"n": 1, "genus": 1, "degH": 1},
-            "objects": [
-                {"type": "chain", "id": id_, "degrees": [0] * size}
-                for id_, size in (("A", 5), ("B", 4), ("C", 5))
-            ],
-        }
+        # arrow-free chains of 5, 4 and 5 line bundles: families of (30+2)(14+2) = 512 and 1,024.
+        # A chain pair is decided by max flow whatever its family; a pair with a declared model
+        # past PAIR_FAMILY_LIMIT is skipped
+        chains = [{"type": "chain", "id": id_, "degrees": [0] * size}
+                  for id_, size in (("A", 5), ("B", 4), ("C", 5))]
+        ambient = {"n": 1, "genus": 1, "degH": 1}
         path = tmp_path / "chains.json"
-        path.write_text(json.dumps(doc))
+        path.write_text(json.dumps({"ambient": ambient, "objects": chains}))
         assert run(["verify", str(path)]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
         assert lines == [
             "pass direct_sum                 A (+) B  sum_semistable=True parts=True",
-            "skip direct_sum                 A (+) C  product family too large",
+            "pass direct_sum                 A (+) C  sum_semistable=True parts=True",
             "pass direct_sum                 B (+) C  sum_semistable=True parts=True",
         ]
+        kd = KahlerData.curve(1, 1)
+        declared = [model_to_json(LoadedObject(realize(HiggsChainSpec(kd, (0,) * 5), oid)))
+                    for oid in ("A", "C")]
+        chain = {**chains[2], "id": "D"}
+        path.write_text(json.dumps({"ambient": ambient, "objects": [*declared, chain]}))
+        assert run(["verify", str(path)]) == 0
+        lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
+        assert lines == [  # a declared pair, then two mixed ones
+            "skip direct_sum                 A (+) C  product family too large",
+            "skip direct_sum                 A (+) D  product family too large",
+            "skip direct_sum                 C (+) D  product family too large",
+        ]
 
-    def test_a_chain_pair_past_the_realize_bound_skips(self, tmp_path, capsys):
-        # a cycle of arrows closes every summand set but the empty and the full one
+    def test_a_chain_pair_past_the_realize_bound_passes(self, tmp_path, capsys):
+        # a cycle of arrows closes every summand set but the empty and the full one; the
+        # 20-summand sum is decided by max flow, never realized
         cycle = [[i, i % 10 + 1] for i in range(1, 11)]
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
@@ -476,10 +487,7 @@ class TestVerify:
         path.write_text(json.dumps(doc))
         assert run(["verify", str(path)]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
-        assert lines == [
-            "skip direct_sum                 A (+) B"
-            "  realize walks at most 65536 masks, and 20 summands need 2^20"
-        ]
+        assert lines == ["pass direct_sum                 A (+) B  sum_semistable=True parts=True"]
 
     def test_only_declared_pairs_reach_the_product_family(self, monkeypatch, tmp_path, capsys):
         """Chain pairs are summed by chain_sum; direct_sum_model serves declared pairs."""
@@ -500,9 +508,9 @@ class TestVerify:
             in lines
         ), lines
 
-    def test_direct_sum_lines_on_one_slope(self, tmp_path, capsys):
+    def test_direct_sum_lines_on_one_slope(self, monkeypatch, tmp_path, capsys):
         # the shape of the deep-search workload: a Hitchin pair and an equal-degree m=5 chain,
-        # all of slope -1 on a genus-3 curve
+        # all of slope -1 on a genus-3 curve.  Each chain object is realized once, and no sum
         doc = {
             "ambient": {"n": 1, "genus": 3, "degH": 2},
             "objects": [
@@ -513,6 +521,11 @@ class TestVerify:
         }
         path = tmp_path / "one_slope.json"
         path.write_text(json.dumps(doc))
+        calls, real = [], higgs_lab.model.realize
+        counted = lambda spec, object_id="E": calls.append(object_id) or real(spec, object_id)
+        for name, module in list(sys.modules.items()):  # every module that binds realize
+            if name.startswith("higgs_lab") and vars(module).get("realize") is real:
+                monkeypatch.setattr(module, "realize", counted)
         assert run(["verify", str(path)]) == 0
         lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
         assert lines == [
@@ -520,6 +533,7 @@ class TestVerify:
             "pass direct_sum                 hitchin (+) chain  sum_semistable=True parts=True",
             "pass direct_sum                 split (+) chain  sum_semistable=False parts=False",
         ]
+        assert calls == ["hitchin", "split", "chain"]
 
     @pytest.mark.parametrize(
         "check, name, wrong",
@@ -533,6 +547,7 @@ class TestVerify:
             ("hn_uniqueness", "all_harder_narasimhan", lambda real: lambda model: []),
             ("direct_sum", "chain_sum", lambda real: lambda a, b: a),  # the sum is hitchin
             ("direct_sum", "chain_sum", _unshifted_arrows),
+            ("direct_sum", "chain_semistable", lambda real: lambda spec: not real(spec)),
             ("direct_sum", "direct_sum_model", lambda real: lambda a, b: a),
             ("direct_sum", "direct_sum_model", _quotient_plus_data),
         ],
@@ -1271,14 +1286,14 @@ def test_no_memo_outlives_its_command(monkeypatch, capsys):
 
 
 def test_fuzz_builds_each_sheaf_once(monkeypatch, capsys):
-    """Every chain of a fuzz stream, sums included, shares its genus's table of sheaves."""
+    """Every chain of a fuzz stream shares its genus's table of sheaves; sums build none."""
     calls = []
     _recorded(monkeypatch, higgs_lab.model, "chi_curve", calls)
     assert run(["fuzz", "--seed", "1", "--count", "100", "--max-rank", "3", "--genus", "2"]) == 0
     built = [(kd.genus, rank, degree) for kd, rank, degree in calls]
     assert len(built) == len(set(built))
     assert {genus for genus, _, _ in built} == {0, 1, 2}
-    assert max(rank for _, rank, _ in built) == 6  # a sum of two rank-3 chains
+    assert max(rank for _, rank, _ in built) == 3  # sums are decided by max flow: no sheaves
 
 
 def test_workload_shapes_derive_no_contains(monkeypatch, tmp_path, capsys):

@@ -29,6 +29,7 @@ from higgs_lab import (
     SubobjectEntry,
     Violation,
     ZERO_SHEAF,
+    chain_semistable,
     chain_sum,
     chi_curve,
     direct_sum_model,
@@ -599,6 +600,56 @@ class TestValidate:
         first = validate(m)
         first.clear()
         assert [v.kind for v in validate(m)] == ["ChiAdditivity"]
+
+
+class TestChainSemistable:
+    """The max-flow verdict against the closed sets and against the lattice route."""
+
+    @staticmethod
+    def closed_set_oracle(spec):
+        """No closed S has m·deg S above deg E·|S|, closed set by closed set."""
+        m, degrees, total = spec.size, spec.summand_degrees, sum(spec.summand_degrees)
+        return all(m * sum(degrees[i - 1] for i in _members(mask)) <= total * mask.bit_count()
+                   for mask in _closed_masks(spec))
+
+    @staticmethod
+    def draw(rng):
+        """A chain of at most 10 summands with arrows among its degree-feasible pairs."""
+        genus, m, kind = rng.randint(0, 3), rng.randint(1, 10), rng.random()
+        degrees, path = [rng.randint(-4, 4) for _ in range(m)], []
+        if kind < 0.2:  # equal degrees
+            degrees = degrees[:1] * m
+        elif kind < 0.6:  # descending by at most 2g - 2 a step, mostly along a path of arrows
+            genus = max(genus, 1)
+            for i in range(1, m):
+                degrees[i] = degrees[i - 1] - rng.randint(0, 2 * genus - 2)
+            path = [(i, i + 1) for i in range(1, m) if rng.random() < 0.9]
+        feasible = [(i, j) for i in range(1, m + 1) for j in range(1, m + 1)
+                    if degrees[i - 1] <= degrees[j - 1] + 2 * genus - 2]
+        arrows = path + rng.sample(feasible, rng.randint(0, min(len(feasible), m)))
+        return HiggsChainSpec(KahlerData.curve(genus, 1), degrees, arrows)
+
+    @pytest.mark.parametrize("seed", [3, 35, 2026])
+    def test_matches_the_oracles(self, seed):
+        rng, seen = random.Random(seed), set()
+        for _ in range(150):
+            spec = self.draw(rng)
+            verdict = chain_semistable(spec)
+            assert verdict == self.closed_set_oracle(spec), spec
+            assert verdict == gieseker_classify(realize(spec)).semistable, spec
+            seen.add((verdict, len(set(spec.summand_degrees)) > 1 and bool(spec.arrows)))
+        assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_past_the_realize_bound(self):
+        # the uniformizing chain of rank 200, degrees 199, 197, ..., -199 and arrows i -> i+1
+        kd, m = KahlerData.curve(2, 1), 200
+        degrees = tuple(m + 1 - 2 * i for i in range(1, m + 1))
+        assert chain_semistable(HiggsChainSpec(kd, degrees, {(i, i + 1) for i in range(1, m)}))
+        assert not chain_semistable(HiggsChainSpec(kd, degrees))
+
+    def test_an_infeasible_arrow_is_refused(self):
+        with pytest.raises(InvalidArrowError):
+            chain_semistable(HiggsChainSpec(KahlerData.curve(0, 1), (2, 0), {(1, 2)}))
 
 
 class TestDirectSum:

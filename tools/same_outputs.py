@@ -16,11 +16,12 @@ summands (degrees 0..m-1 and 0^(m/2) 1^(m/2), genus 2), and verify on those of
 12; verify and jh, in both formats, on five semistable chains whose verify runs
 the JH census and on a declared file with a zero entry and a line inside its
 saturation, hn on the first chain, and verify on the equal-degree chain of 9
-(see census_commands); and analyze, verify, jh and hn on 31 malformed declared
+(see census_commands); analyze, verify, jh and hn on 31 malformed declared
 files, each a 1,022-entry object with one fault of a kind in FAULTS at its
-first, middle or last entry, or two faults of different kinds in two entries.
-That is 232 commands.  Input files are written here from plain JSON, never by
-either tree's serializers.
+first, middle or last entry, or two faults of different kinds in two entries;
+and verify, in both formats, on three files of pairs past the product family
+limit (see pair_commands).  That is 238 commands.  Input files are written
+here from plain JSON, never by either tree's serializers.
 """
 
 from __future__ import annotations
@@ -150,7 +151,7 @@ def command_set(work: Path) -> list[list[str]]:
             commands.append(["verify", str(walls), "--format", fmt])
             commands += [["hn", str(walls), "--object", oid, "--format", fmt]
                          for oid in ("ramp", "steps") if size < 12]
-    return commands + census_commands(work) + malformed_commands(work)
+    return commands + census_commands(work) + malformed_commands(work) + pair_commands(work)
 
 
 def census_commands(work: Path) -> list[list[str]]:
@@ -181,6 +182,28 @@ def census_commands(work: Path) -> list[list[str]]:
                 commands.append(["jh", str(path), "--object", oid, "--format", fmt])
             if oid == "eq6":
                 commands.append(["hn", str(path), "--object", oid, "--format", fmt])
+    return commands
+
+
+def pair_commands(work: Path) -> list[list[str]]:
+    """verify, in both formats, on pairs whose product family passes PAIR_FAMILY_LIMIT.
+
+    The arrowless equal-degree chains A, B and C of 5, 4 and 5 summands (genus 1), whose
+    A (+) C has a family of 1,024; two 10-summand cycles of arrows, whose sum of 20
+    summands is past the realize bound; and A and C written as declared models.
+    """
+    ambient = {"n": 1, "genus": 1, "degH": 1}
+    chains = [{"type": "chain", "id": oid, "degrees": [0] * size, "arrows": []}
+              for oid, size in (("A", 5), ("B", 4), ("C", 5))]
+    cycle = [[i, i % 10 + 1] for i in range(1, 11)]
+    cycles = [{"type": "chain", "id": oid, "degrees": [0] * 10, "arrows": cycle}
+              for oid in ("A", "B")]
+    declared_pair = [declared(oid, [0] * 5, [], 1, 1) for oid in ("A", "C")]
+    commands = []
+    for name, objects in (("chains", chains), ("cycles", cycles), ("declared", declared_pair)):
+        path = work / f"pairs-{name}.json"
+        path.write_text(json.dumps({"ambient": ambient, "objects": objects}), encoding="utf-8")
+        commands += [["verify", str(path), "--format", fmt] for fmt in FORMATS]
     return commands
 
 
