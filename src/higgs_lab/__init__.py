@@ -34,7 +34,6 @@ from .model import (
     Violation,
     chain_semistable,
     chain_sum,
-    direct_sum_model,
     realize,
     validate,
 )
@@ -49,6 +48,7 @@ from .stability import (
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     slope_classify,
+    sum_semistable,
 )
 from .filtration import (
     AmbiguousMaximizerError,

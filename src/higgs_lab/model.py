@@ -17,14 +17,7 @@ from math import inf
 from operator import attrgetter, or_
 from typing import FrozenSet, Optional
 
-from .chern import (
-    KahlerData,
-    NumericalSheafData,
-    ZERO_SHEAF,
-    chi_curve,
-    leading_term_violations,
-    sum_data,
-)
+from .chern import KahlerData, NumericalSheafData, chi_curve, leading_term_violations
 from .hilbert import HilbertPolynomial
 
 
@@ -430,55 +423,3 @@ def _containment_violations(model: HiggsObjectModel) -> list[Violation]:
                     Violation(e.id, "Containment", f"not transitive: missing {missing} below {mid}")
                 )
     return out
-
-
-def direct_sum_model(a: HiggsObjectModel, b: HiggsObjectModel) -> HiggsObjectModel:
-    """Model of a + b whose family is the product of the two families.
-
-    Every pair (F, G) of declared-or-trivial subobjects contributes F + G, keyed by F's key
-    with G's beside it, except the zero and total combinations; so a + 0 and 0 + b are
-    entries.  Mixed "graph" subobjects are not representable here: the classical reduction
-    replaces any such subobject by its intersection and projection, both of which this
-    family carries.
-    """
-    if a.ambient != b.ambient:
-        raise AmbientMismatchError("direct sum needs a common ambient")
-    if b.data.rank == 0 and b.data.chi.is_zero:
-        return a
-    if a.data.rank == 0 and a.data.chi.is_zero:
-        return b
-    for m in (a, b):
-        if m.id == "0" or m.has_entry("0"):
-            raise ValueError('the id "0" is reserved for the zero subobject')
-        if m._unsound:  # its keys encode no order
-            raise ValueError(f"factor {m.id!r} has unsound containment at {sorted(m._unsound)}")
-    left, right = _parts(a), _parts(b)
-    shift = left[-1][-1].bit_length()  # a's keys lie below this bit, b's are moved above it
-    names, sums, entries = {}, {}, []  # the entries' shared key-to-id table, sums by operands
-
-    def add(x, y):  # by identity: shared sheaves give shared sums, which _scan checks once
-        if (key := (id(x), id(y))) not in sums:
-            sums[key] = sum_data(x, y)
-        return sums[key]
-
-    for lid, ldata, lquot, ltors, lkey in left:
-        for rid, rdata, rquot, rtors, rkey in right:
-            if (key := lkey | rkey << shift) and (lid, rid) != (a.id, b.id):  # not 0 or a + b
-                tors = add(ltors, rtors) if ltors and rtors else ltors or rtors
-                names[key] = label = f"{lid}(+){rid}"
-                entries.append(SubobjectEntry(label, add(ldata, rdata), add(lquot, rquot),
-                                              tors, key=key, names=names))
-    return HiggsObjectModel(f"{a.id}(+){b.id}", a.ambient, sum_data(a.data, b.data),
-                            tuple(entries), a.family_complete and b.family_complete)
-
-
-def _parts(m: HiggsObjectModel) -> list[tuple]:
-    """(id, data, quotient, torsion part, key) for zero, each entry and m, keyed as in m;
-    zero's key is 0, and m's holds every entry's bits and one bit more."""
-    entries = m.subobjects
-    below = reduce(or_, (e.key for e in entries), 0)
-    return [
-        ("0", ZERO_SHEAF, m.data, None, 0),
-        *((e.id, e.data, e.quotient, e.quotient_torsion_part, e.key) for e in entries),
-        (m.id, m.data, ZERO_SHEAF, None, below | 1 << below.bit_length()),
-    ]

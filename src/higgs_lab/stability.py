@@ -14,9 +14,9 @@ from enum import Enum
 from functools import wraps
 from typing import Iterable, Optional
 
-from .chern import compare_p, compare_slope
+from .chern import compare_p, compare_slope, sum_data
 from .hilbert import EventualOrder
-from .model import HiggsObjectModel
+from .model import AmbientMismatchError, HiggsObjectModel
 
 
 class InvalidModelError(ValueError):
@@ -164,3 +164,21 @@ def gieseker_classify_tf_quotients(model: HiggsObjectModel) -> StabilityVerdict:
             )
     total = model.data
     return _classify(Notion.GIESEKER, ((e.id, compare_p(e.data, total)) for e in kept))
+
+
+def sum_semistable(a: HiggsObjectModel, b: HiggsObjectModel) -> bool:
+    """Whether a + b is Gieseker semistable over the product of the two declared families.
+
+    That family holds F + G for F zero, an entry of a or a itself, and G likewise in b.  The p
+    of F + G is the rank-weighted mean of p_F and p_G (a valid entry of rank zero is zero), so
+    it succeeds the sum's p only when one of them does, and F + 0 and 0 + G are proper entries
+    of the sum.  So each factor's parts of positive rank are compared with the sum: about
+    |a| + |b| compares, where the family has (|a| + 2)(|b| + 2) - 2 entries.
+    """
+    require_classifiable(a)
+    require_classifiable(b)
+    if a.ambient != b.ambient:
+        raise AmbientMismatchError("direct sum needs a common ambient")
+    total = sum_data(a.data, b.data)
+    return all(compare_p(f, total) is not EventualOrder.SUCCEEDS for m in (a, b)
+               for f in (*(e.data for e in m.distinct if e.data.rank), m.data))

@@ -23,19 +23,17 @@ from .filtration import (
     jordan_holder_census,
 )
 from .hilbert import EventualOrder, compare_scaled, format_rational
-from .model import chain_semistable, chain_sum, direct_sum_model
+from .model import chain_semistable, chain_sum
 from .modelfile import LoadedObject
 from .stability import (
     IncompleteTorsionClosureError,
-    InvalidModelError,
     StabilityClass,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
     slope_classify,
+    sum_semistable,
 )
-
-PAIR_FAMILY_LIMIT = 600  # sum families beyond this are skipped, not built
 
 
 @dataclass(slots=True, unsafe_hash=True)
@@ -200,15 +198,8 @@ def check_direct_sum(a: LoadedObject, b: LoadedObject) -> CheckResult:
             lhs = chain_semistable(chain_sum(a.chain, b.chain))
         except ValueError as exc:
             return _result("direct_sum", subject, False, f"the sum chain is rejected: {exc}")
-    elif (len(a.model.subobjects) + 2) * (len(b.model.subobjects) + 2) > PAIR_FAMILY_LIMIT:
-        return _skip("direct_sum", subject, "product family too large")
-    else:  # any other pair is summed as a product family
-        try:
-            lhs = gieseker_classify(direct_sum_model(a.model, b.model)).semistable
-        except InvalidModelError as exc:
-            return _result("direct_sum", subject, False, f"the sum fails validation: {exc}")
-        except ValueError as exc:  # two pairs, or a pair and the sum, share one label
-            return _skip("direct_sum", subject, str(exc))
+    else:  # any other pair is decided from its factors, with no model of the sum
+        lhs = sum_semistable(a.model, b.model)
     parts = gieseker_classify(a.model).semistable, gieseker_classify(b.model).semistable
     rhs = all(parts) and compare_p(a.model.data, b.model.data) is EventualOrder.EQUAL
     return _result("direct_sum", subject, lhs == rhs, f"sum_semistable={lhs} parts={rhs}")

@@ -23,7 +23,6 @@ from higgs_lab import (
     bogomolov_discriminant,
     chi_curve,
     chi_surface,
-    direct_sum_model,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
@@ -41,6 +40,7 @@ from higgs_lab.model import HiggsObjectModel, realize
 from conftest import (
     ambiguous_model,
     curve_chain,
+    oracle_direct_sum,
     oracle_jh_chains,
     poly,
     random_chain_spec,
@@ -235,7 +235,7 @@ def test_criterion_6_direct_sum_theorem():
         assert len(fixtures) == 20
         for a in fixtures:
             for b in fixtures:
-                total = direct_sum_model(a, b)
+                total = oracle_direct_sum(a, b)
                 lhs = gieseker_classify(total).semistable
                 rhs = (
                     gieseker_classify(a).semistable

@@ -30,7 +30,6 @@ from higgs_lab import (
     all_jordan_holder,
     chi_curve,
     compare_p,
-    direct_sum_model,
     filtration,
     gieseker_classify,
     grading,
@@ -55,6 +54,7 @@ from conftest import (
     interval_quotient_model,
     kahler_to_json,
     model_to_json,
+    oracle_direct_sum,
     oracle_hn_chains,
     oracle_jh_chains,
     oracle_jordan_holder,
@@ -105,7 +105,7 @@ def interval_fixtures():
         ambiguous_model(),
         curve_chain(1, 1, (0, 0, 0)),
         curve_chain(2, 1, (1, 0, -1), arrows={(1, 2), (2, 3)}),
-        direct_sum_model(curve_chain(1, 1, (0, 0)), curve_chain(1, 1, (1,), object_id="L")),
+        oracle_direct_sum(curve_chain(1, 1, (0, 0)), curve_chain(1, 1, (1,), object_id="L")),
     ]
     models += [
         surface_model("S", 2, 0, 0, [surface_entry("F", surface.data, 1, deg_h, constant)])

@@ -5,7 +5,6 @@ import json
 import operator
 import random
 from fractions import Fraction
-from functools import reduce
 
 import pytest
 
@@ -32,10 +31,10 @@ from higgs_lab import (
     chain_semistable,
     chain_sum,
     chi_curve,
-    direct_sum_model,
     gieseker_classify,
     rank_p_residual,
     realize,
+    sum_semistable,
     validate,
 )
 
@@ -45,6 +44,7 @@ from higgs_lab.modelfile import LoadedObject, ParseError, loads
 from conftest import (
     _closed_masks,
     _members,
+    ambiguous_model,
     curve_chain,
     enumerate_invariant_subobjects,
     fraction_order,
@@ -57,9 +57,13 @@ from conftest import (
     oracle_realization,
     poly,
     random_chain_spec,
+    shared_sheaf_model,
     subset_id,
+    surface_entry,
+    surface_model,
     torsion_closure_model,
     torsion_step_model,
+    twisted_chain,
 )
 
 
@@ -369,8 +373,7 @@ class TestSharedSheaves:
             ],
         }
         a, b = (obj.model for obj in loads(json.dumps(doc)).objects)  # repeated blocks shared
-        total = direct_sum_model(a, b)
-        for model, size in ((chain, 7), (a, 2), (b, 1), (total, 10)):
+        for model, size in ((chain, 7), (a, 2), (b, 1)):
             expected = self.first_per_triple(model)
             assert len(model.distinct) == len(expected) == size, model.id
             assert all(map(operator.is_, model.distinct, expected)), model.id
@@ -655,42 +658,28 @@ class TestChainSemistable:
 class TestDirectSum:
     def test_two_lines(self):
         kd = KahlerData.curve(0, 1)
-        a = HiggsObjectModel(id="a", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
-        b = HiggsObjectModel(id="b", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
-        total = direct_sum_model(a, b)
-        assert total.data.rank == 2 and total.data.chi == poly(2, 2)
-        assert sorted(e.id for e in total.subobjects) == ["0(+)b", "a(+)0"]
-        assert all(
-            (e.data.rank, e.data.chi) == (1, poly(1, 1)) for e in total.subobjects
-        )
-        assert validate(total) == []
+        a, b, c = (HiggsObjectModel(id=oid, ambient=kd, data=chi_curve(kd, 1, d), subobjects=())
+                   for oid, d in (("a", 0), ("b", 0), ("c", 1)))
+        assert sum_semistable(a, b)
+        assert not sum_semistable(a, c) and not sum_semistable(c, a)
 
     def test_hitchin_plus_line(self):
         kd = KahlerData.curve(2, 1)
         pair = curve_chain(2, 1, (1, -1), arrows={(1, 2)}, object_id="pair")
-        line = HiggsObjectModel(
-            id="line", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=(),
-            family_complete=True,
-        )
-        total = direct_sum_model(pair, line)
-        assert total.data.rank == 3
-        ids = [e.id for e in total.subobjects]
-        assert ids == ["0(+)line", "pair(+)0", "{2}(+)0", "{2}(+)line"]
-        assert validate(total) == []
-        by_id = {e.id: e for e in total.subobjects}
-        assert by_id["{2}(+)line"].contains == {"0(+)line", "{2}(+)0"}
-
-    def test_zero_model_identity(self):
-        kd = KahlerData.curve(1, 1)
-        a = curve_chain(1, 1, (0, 0))
-        zero = HiggsObjectModel(id="z", ambient=kd, data=ZERO_SHEAF, subobjects=())
-        assert direct_sum_model(a, zero) is a
+        for degree, semistable in ((0, True), (1, False), (-1, False)):
+            line = HiggsObjectModel(id="line", ambient=kd, data=chi_curve(kd, 1, degree),
+                                    subobjects=(), family_complete=True)
+            total = oracle_direct_sum(pair, line)
+            assert [e.id for e in total.subobjects] == [
+                "0(+)line", "pair(+)0", "{2}(+)0", "{2}(+)line"]
+            assert sum_semistable(pair, line) is semistable
+            assert gieseker_classify(total).semistable is semistable
 
     def test_ambient_mismatch(self):
         a = curve_chain(1, 1, (0,))
         b = curve_chain(2, 1, (0,))
         with pytest.raises(AmbientMismatchError):
-            direct_sum_model(a, b)
+            sum_semistable(a, b)
         with pytest.raises(AmbientMismatchError):
             chain_sum(
                 HiggsChainSpec(KahlerData.curve(1, 1), (0,)),
@@ -700,7 +689,8 @@ class TestDirectSum:
     def test_matches_the_concatenated_chain(self):
         """a + b of chains is the chain of a's summands, then b's: S maps to (S∩a)(+)(S∩b).
 
-        chain_sum builds that chain, and both routes to the sum classify alike.
+        chain_sum builds that chain, whose lattice is the oracle's family of the two lattices;
+        the max flow on it, its lattice and sum_semistable on the two lattices agree.
         """
 
         def side(members, size, whole):
@@ -736,52 +726,16 @@ class TestDirectSum:
 
             assert chain_sum(a, b) == concat, (a, b)
             whole = realize(chain_sum(a, b), object_id="a(+)b")
-            total = direct_sum_model(realize(a, object_id="a"), realize(b, object_id="b"))
+            factors = realize(a, object_id="a"), realize(b, object_id="b")
+            total = oracle_direct_sum(*factors)
             assert (total.id, total.data) == (whole.id, whole.data)
             assert table(total, str) == table(whole, mapped), (a, b)
-            verdicts = gieseker_classify(total), gieseker_classify(whole)
-            assert verdicts[0].classification is verdicts[1].classification, (a, b)
-
-    def test_a_declared_pair_shares_its_sums(self, monkeypatch):
-        """Sums of shared blocks are shared: one check per distinct triple, same violations."""
-        doc = {
-            "ambient": {"n": 1, "genus": 1, "degH": 1},
-            "objects": [
-                model_to_json(LoadedObject(curve_chain(1, 1, (0,) * size, object_id=oid)))
-                for oid, size in (("A", 3), ("B", 2))
-            ],
-        }
-        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
-        assert a.entry("{1}").data is a.entry("{2}").data  # the loader shares repeated blocks
-        kd = a.ambient
-        wrong = chi_curve(kd, 2, 1)  # one shared quotient whose chi does not add up
-        bad = HiggsObjectModel("A", kd, a.data, tuple(
-            dataclasses.replace(e, quotient=wrong) if e.data.rank == 1 else e for e in a.subobjects
-        ))
-        calls = []
-        original = higgs_lab.model._entry_violation
-        monkeypatch.setattr(
-            higgs_lab.model, "_entry_violation",
-            lambda model, e: calls.append(model) or original(model, e),
-        )
-        for factor, expected in ((a, 0), (bad, 12)):  # 3 entries of rank 1 in A, 4 parts of B
-            total = direct_sum_model(factor, b)
-            unshared = HiggsObjectModel(total.id, kd, total.data, tuple(
-                dataclasses.replace(
-                    e, data=dataclasses.replace(e.data), quotient=dataclasses.replace(e.quotient)
-                )
-                for e in total.subobjects
-            ))
-            found = validate(total)
-            assert found == validate(unshared)
-            assert len(found) == expected
-            assert {v.kind for v in found} <= {"ChiAdditivity"}
-            # one check per (rank in A, rank in B): 4 x 3 - 2 of them, for 8 x 4 - 2 entries
-            assert len(total.subobjects) == 30
-            assert calls.count(total) == 10 and calls.count(unshared) == 30
+            verdicts = sum_semistable(*factors), chain_semistable(concat)
+            assert verdicts == (gieseker_classify(whole).semistable,) * 2, (a, b)
 
     def test_torsion_parts_add(self):
-        """Each sum entry carries its factors' torsion parts: one of them, or both added."""
+        """Each entry of the oracle's sum carries its factors' torsion parts: one of them, or
+        both added, so the family that judges sum_semistable validates."""
         e = torsion_closure_model()
         kd = e.ambient
         line = HiggsObjectModel(id="L", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
@@ -792,22 +746,24 @@ class TestDirectSum:
             return m.entry(eid).quotient_torsion_part if m.has_entry(eid) else None
 
         for other in (line, twin):
-            total = direct_sum_model(e, other)
+            total = oracle_direct_sum(e, other)
             assert validate(total) == []
             for entry in total.subobjects:
                 left, right = entry.id.split("(+)")
                 parts = (torsion(e, left), torsion(other, right))
                 want = both if None not in parts else parts[0] or parts[1]
                 assert entry.quotient_torsion_part == want, entry.id
-        assert direct_sum_model(e, line).entry("F(+)L").quotient_torsion_part is not None
-        assert direct_sum_model(e, twin).entry("F(+)F").quotient_torsion_part == both
+            assert sum_semistable(e, other) is gieseker_classify(total).semistable is False
+        assert oracle_direct_sum(e, line).entry("F(+)L").quotient_torsion_part is not None
+        assert oracle_direct_sum(e, twin).entry("F(+)F").quotient_torsion_part == both
 
     def test_matches_the_label_family(self):
-        """Declared sums against oracle_direct_sum: every contains, the violations, the verdict.
+        """sum_semistable against the classifier on oracle_direct_sum's family, pair by pair.
 
-        Factors are fuzzed chains written by model_to_json and reloaded (one in three pairs
-        keeps a realized left factor), hand-built factors with torsion parts, and a factor
-        whose quotients do not add up.
+        The pairs: fuzzed chains at genus 0-2, two in three reloaded as declared models; pairs
+        of semistable factors of one slope; both twisted_chain copies; the torsion-closure,
+        torsion-step, shared-sheaf and ambiguous models; surface models; and a factor whose
+        quotients do not add up, which both refuse.
         """
         rng = random.Random(19)
 
@@ -817,13 +773,14 @@ class TestDirectSum:
             return loads(json.dumps(doc)).objects[0].model
 
         def chain(genus, oid):
-            while (spec := random_chain_spec(rng, 4, 2)).ambient.genus != genus:
+            while (spec := random_chain_spec(rng, 4, 3)).ambient.genus != genus:
                 pass
             return realize(spec, object_id=oid)
 
         def bad_chi(genus):  # each rank-1 entry's quotient is one degree too high
-            while not (model := declared(chain(genus, "bad"))).subobjects:
-                pass
+            model = declared(chain(genus, "bad"))
+            while all(e.data.rank != 1 for e in model.subobjects):
+                model = declared(chain(genus, "bad"))
             kd, rank = model.ambient, model.data.rank
             return HiggsObjectModel("bad", kd, model.data, tuple(
                 dataclasses.replace(
@@ -831,42 +788,71 @@ class TestDirectSum:
                 ) if e.data.rank == 1 else e for e in model.subobjects
             ))
 
-        def verdict(model):
-            try:
-                return gieseker_classify(model)
-            except InvalidModelError as exc:
-                return str(exc)
+        def surface(oid, rank, degree, constant):  # entries of lower rank, none of full rank
+            total = surface_model(oid, rank, degree, constant).data
+            entries = [surface_entry(f"F{i}", total, rng.randint(1, rank - 1),
+                                     rng.randint(-2, 2), rng.randint(-3, 3))
+                       for i in range(rng.randint(0, 3) if rank > 1 else 0)]
+            return surface_model(oid, rank, degree, constant, entries)
 
-        torsion = [torsion_closure_model(), torsion_closure_model(strict=True), torsion_step_model()]
         pairs = []
         for n in range(240):
             genus = rng.randint(0, 2)
             a, b = chain(genus, "a"), chain(genus, "b")
-            pairs.append((a if n % 3 == 0 else declared(a), declared(b)))
-        for n in range(45):
-            left = torsion[n % 3]
-            right = (declared(chain(0, "b")) if n % 5 else
-                     dataclasses.replace(torsion[(n // 5) % 3], id="T"))
-            pairs.append((left, right) if n % 2 else (right, left))
+            pairs.append((a if n % 3 == 0 else declared(a), b if n % 3 == 1 else declared(b)))
+        slopes = {}  # (genus, slope) -> semistable fuzzed chains
+        for n in range(600):
+            model = chain(n % 3, f"s{n}")
+            if gieseker_classify(model).semistable:
+                slopes.setdefault((n % 3, model.data.deg_h / model.data.rank), []).append(model)
+        shared = [models for models in slopes.values() if len(models) > 1]
+        for n in range(60):
+            a, b = rng.sample(rng.choice(shared), 2)
+            pairs.append((a, declared(b)) if n % 2 else (a, b))
+        for n in range(30):
+            full, struck = twisted_chain(rng)
+            other = declared(chain(full.ambient.genus, "b"))
+            pairs += [(full, dataclasses.replace(struck, id="T")), (struck, other)]
+        curve_models = [torsion_closure_model(), torsion_closure_model(strict=True),
+                        torsion_step_model(), shared_sheaf_model(), ambiguous_model()]
+        for n, left in enumerate(curve_models):
+            for right in [declared(chain(0, "b")) for _ in range(4)] + curve_models[n:]:
+                pairs.append((left, right if right is not left else
+                              dataclasses.replace(right, id="T")))
+        for n in range(60):
+            rank, degree, constant = rng.randint(1, 3), rng.randint(-2, 2), rng.randint(-3, 3)
+            if n % 2:  # a and b of one p, a of rank 1 or of a multiple of b's rank
+                other = rng.randint(1, 3)
+                b = surface("B", other, degree * other, constant * other)
+                a = surface("A", 1, degree, constant) if n % 4 == 1 else surface(
+                    "A", rank * other, degree * rank * other, constant * rank * other)
+            else:
+                a = surface("A", rank, degree, constant)
+                b = surface("B", rng.randint(1, 3), rng.randint(-2, 2), rng.randint(-3, 3))
+            pairs.append((a, b))
         for n in range(20):
             bad = bad_chi(n % 3)
             other = declared(chain(n % 3, "b"))
             pairs.append((bad, other) if n % 2 else (other, bad))
-        invalid = 0
+
+        def verdict(decide, *args):
+            try:
+                return decide(*args)
+            except InvalidModelError:
+                return "invalid"
+
+        seen = []
         for a, b in pairs:
-            total, want = direct_sum_model(a, b), oracle_direct_sum(a, b)
-            assert (total.id, total.data, total.family_complete) == (
-                want.id, want.data, want.family_complete)
-            assert {e.id: e.contains for e in total.subobjects} == {
-                e.id: e.contains for e in want.subobjects}, (a.id, b.id)
-            assert validate(total) == validate(want), (a.id, b.id)
-            assert verdict(total) == verdict(want), (a.id, b.id)
-            invalid += bool(validate(total))
-        assert len(pairs) >= 300 and invalid >= 10
+            want = verdict(lambda: gieseker_classify(oracle_direct_sum(a, b)).semistable)
+            assert verdict(sum_semistable, a, b) == want, (a.id, b.id)
+            seen.append(want)
+        assert seen.count(True) >= 30 and seen.count(False) >= 30, (
+            seen.count(True), seen.count(False))
+        assert seen.count("invalid") == 20
 
     def test_a_factor_out_of_rank_order_gives_the_oracle_messages(self):
-        """Sound keys that put a rank-1 entry above a rank-2 one: the sum entries above that
-        pair write the messages of the same family keyed by label."""
+        """Sound keys that put a rank-1 entry above a rank-2 one: the sum is refused with the
+        factor's messages, as classifying the same family keyed by label is."""
         kd = KahlerData.curve(1, 1)
 
         def entry(eid, rank, claims=()):
@@ -877,12 +863,15 @@ class TestDirectSum:
         assert not bad._unsound and validate(bad)
         for pair in ((bad, curve_chain(1, 1, (0, 0), object_id="B")),
                      (curve_chain(1, 1, (0, 0, 0), object_id="B"), bad)):
-            messages = [str(v) for v in validate(direct_sum_model(*pair))]
-            assert messages == [str(v) for v in validate(oracle_direct_sum(*pair))]
-            assert sum("of larger rank" in m for m in messages) >= 4, messages
+            with pytest.raises(InvalidModelError) as info:
+                sum_semistable(*pair)
+            assert str(info.value) == "; ".join(str(v) for v in validate(bad))
+            assert "of larger rank" in str(info.value)
+            with pytest.raises(InvalidModelError):
+                gieseker_classify(oracle_direct_sum(*pair))
 
     def test_a_declared_pair_is_keyed_without_ids(self, monkeypatch):
-        """Every sum entry arrives keyed, so the model turns no ids into keys."""
+        """Deciding a pair builds no model of the sum: no ids are keyed, no contains is read."""
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
             "objects": [
@@ -891,56 +880,16 @@ class TestDirectSum:
             ],
         }
         a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
-        calls = []
+        calls, reads = [], []
         original = higgs_lab.model.declared_entries
         monkeypatch.setattr(
             higgs_lab.model, "declared_entries", lambda rows: calls.append(rows) or original(rows)
         )
-        total = direct_sum_model(a, b)
-        assert calls == []
-        assert len(total.subobjects) == 8 * 4 - 2 and validate(total) == []
-        assert len({id(e.names) for e in total.subobjects}) == 1
-
-    def test_factors_pass_their_keys_through(self, monkeypatch):
-        """A sum keys (F, G) by F's key with G's beside it and reads no factor's contains."""
-        realized = curve_chain(1, 1, (0, 1, -1), object_id="A")
-        doc = {"ambient": kahler_to_json(realized.ambient), "objects": [
-            model_to_json(LoadedObject(curve_chain(1, 1, (2, 0), arrows={(2, 1)}, object_id="B")))
-        ]}
-        declared = loads(json.dumps(doc)).objects[0].model
-        reads = []
         derive = SubobjectEntry.contains.fget
         monkeypatch.setattr(SubobjectEntry, "contains",
                             property(lambda e: reads.append(e.id) or derive(e)))
-        for a, b in ((realized, declared), (declared, realized), (realized, realized)):
-            total = direct_sum_model(a, b)
-            assert reads == []
-            keys = [(e.id, e.key) for e in a.subobjects]
-            below = reduce(operator.or_, (k for _, k in keys))
-            shift = below.bit_length() + 1
-            parts = [("0", 0), *keys, (a.id, below | 1 << below.bit_length())]
-            for fid, fkey in parts:
-                for g in b.subobjects:
-                    assert total.entry(f"{fid}(+){g.id}").key == fkey | g.key << shift
-            assert total.entry(f"{a.id}(+)0").key == parts[-1][1]
-
-    def test_validating_a_declared_sum_reads_no_sound_contains(self, monkeypatch):
-        """Sound entries failing the key screen walk the entries of their rank or more."""
-        chains = [curve_chain(2, 1, (0,) * size, object_id=oid) for oid, size in (("A", 5), ("B", 4))]
-        doc = {"ambient": kahler_to_json(chains[0].ambient),
-               "objects": [model_to_json(LoadedObject(m)) for m in chains]}
-        a, b = (obj.model for obj in loads(json.dumps(doc)).objects)
-        total = direct_sum_model(a, b)
-        fewest = {}  # rank -> fewest key bits at that rank or more
-        for e in sorted(total.subobjects, key=lambda e: -e.data.rank):
-            fewest[e.data.rank] = min([e.key.bit_count(), *fewest.values()])
-        screened = [e for e in total.subobjects if e.key.bit_count() > fewest[e.data.rank]]
-        assert len(screened) == 176 and not total._unsound
-        reads = []
-        derive = SubobjectEntry.contains.fget
-        monkeypatch.setattr(SubobjectEntry, "contains",
-                            property(lambda e: reads.append(e.id) or derive(e)))
-        assert validate(total) == [] and reads == []
+        assert not sum_semistable(a, b)
+        assert calls == [] and reads == []
 
     @pytest.mark.parametrize(
         "contains, unsound",
@@ -953,11 +902,12 @@ class TestDirectSum:
         factor = HiggsObjectModel("A", kd, chi_curve(kd, 2, 0), tuple(
             SubobjectEntry(eid, line, line, claims=ids) for eid, ids in contains.items()
         ))
+        assert sorted(factor._unsound) == unsound
         other = HiggsObjectModel("B", kd, line, ())
         for pair in ((factor, other), (other, factor)):
-            with pytest.raises(ValueError) as info:
-                direct_sum_model(*pair)
-            assert str(info.value) == f"factor 'A' has unsound containment at {unsound}"
+            with pytest.raises(InvalidModelError) as info:
+                sum_semistable(*pair)
+            assert str(info.value) == "; ".join(str(v) for v in validate(factor))
 
 
 def test_subset_id_sorted():

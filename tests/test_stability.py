@@ -19,7 +19,6 @@ from higgs_lab import (
     StabilityVerdict,
     SubobjectEntry,
     chi_curve,
-    direct_sum_model,
     gieseker_classify,
     gieseker_classify_by_quotients,
     gieseker_classify_tf_quotients,
@@ -40,6 +39,7 @@ from conftest import (
     curve_chain,
     interval_quotient_model,
     morphism_verdict,
+    oracle_direct_sum,
     oracle_tf_gate_passes,
     poly,
     random_chain_spec,
@@ -406,7 +406,7 @@ class TestExtension:
         kd = KahlerData.curve(1, 1)
         a = HiggsObjectModel(id="a", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
         b = HiggsObjectModel(id="b", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
-        assert check_extension_semistability(a, b, direct_sum_model(a, b))
+        assert check_extension_semistability(a, b, oracle_direct_sum(a, b))
 
     def test_chain_extension(self):
         model = curve_chain(1, 1, (0, 0), arrows={(1, 2)})
@@ -420,13 +420,13 @@ class TestExtension:
         a = HiggsObjectModel(id="a", ambient=kd, data=chi_curve(kd, 1, 0), subobjects=())
         b = HiggsObjectModel(id="b", ambient=kd, data=chi_curve(kd, 1, 1), subobjects=())
         with pytest.raises(PreconditionUnmetError):
-            check_extension_semistability(a, b, direct_sum_model(a, b))
+            check_extension_semistability(a, b, oracle_direct_sum(a, b))
 
     def test_unstable_piece_rejected(self):
         bad = curve_chain(0, 1, (2, 0))
         good = curve_chain(0, 1, (1, 1))
         with pytest.raises(PreconditionUnmetError):
-            check_extension_semistability(bad, good, direct_sum_model(bad, good))
+            check_extension_semistability(bad, good, oracle_direct_sum(bad, good))
 
 
 class TestStrictlySemistableWitness:

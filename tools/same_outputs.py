@@ -19,8 +19,8 @@ saturation, hn on the first chain, and verify on the equal-degree chain of 9
 (see census_commands); analyze, verify, jh and hn on 31 malformed declared
 files, each a 1,022-entry object with one fault of a kind in FAULTS at its
 first, middle or last entry, or two faults of different kinds in two entries;
-and verify, in both formats, on three files of pairs past the product family
-limit (see pair_commands).  That is 238 commands.  Input files are written
+and verify, in both formats, on three files of pairs with large sums (see
+pair_commands).  That is 238 commands.  Input files are written
 here from plain JSON, never by either tree's serializers.
 """
 
@@ -186,7 +186,7 @@ def census_commands(work: Path) -> list[list[str]]:
 
 
 def pair_commands(work: Path) -> list[list[str]]:
-    """verify, in both formats, on pairs whose product family passes PAIR_FAMILY_LIMIT.
+    """verify, in both formats, on three files of pairs with large sums.
 
     The arrowless equal-degree chains A, B and C of 5, 4 and 5 summands (genus 1), whose
     A (+) C has a family of 1,024; two 10-summand cycles of arrows, whose sum of 20
