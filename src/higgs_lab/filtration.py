@@ -17,11 +17,11 @@ For JH, it skips a lower step, zero too, that an entry M of p not below the
 object's separates from the upper, of rank strictly between theirs: every node
 a JH walk reaches has chi = rank * p(E), so M would break that step's
 stability.  A search node is a prefix the search opens, so neither walk opens
-one under a skipped step.  The search stops past SEARCH_BOUND search nodes and
-the census past CENSUS_BOUND scanned entries, each with TooLargeError; no flag
-or environment variable moves them.  Every construction passes the stability
-gate first and verifies its chain before returning, so an under-declared family
-surfaces as an explicit error, not a wrong answer.
+one under a skipped step.  A walk charges each loop over lattice entries to its
+_Walk before the loop runs, and stops with TooLargeError past WORK_BOUND, which
+no flag or environment variable moves.  No construction walks: each passes the
+stability gate first and verifies its chain before returning, so an
+under-declared family surfaces as an explicit error, not a wrong answer.
 """
 
 from __future__ import annotations
@@ -41,8 +41,7 @@ from .stability import (
     require_classifiable,
 )
 
-SEARCH_BOUND = 4096  # prefixes _search may visit: search nodes, not chains found
-CENSUS_BOUND = 500_000  # lattice entries jordan_holder_census may scan: m <= 8 equal-degree chains
+WORK_BOUND = 32_000_000  # lattice entries one walk may list or scan, charged by _Walk
 
 
 class NotSemistableError(ValueError):
@@ -50,7 +49,7 @@ class NotSemistableError(ValueError):
 
 
 class TooLargeError(RuntimeError):
-    """Work past a module bound: SEARCH_BOUND search nodes or CENSUS_BOUND entries scanned."""
+    """A walk past WORK_BOUND: more lattice entries listed or scanned than it allows."""
 
 
 class BrokenInvariantError(ValueError):
@@ -118,16 +117,18 @@ def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]
     return entries
 
 
-def _between(
-    model: HiggsObjectModel, upper: str, lower: Optional[str]
-) -> Iterator[tuple[str, NumericalSheafData]]:
-    """Each entry strictly between two steps, in id order and lazily: (id, its data over lower)."""
-    entries = _below_list(model, upper)
-    if lower is None:
-        return ((e.id, e.data) for e in entries)
-    low = model.entry(lower)
-    return ((e.id, _quotient(model, e.data, low.data)) for e in entries
-            if low.key & e.key == low.key and e is not low)
+class _Walk(dict):
+    """One walk's step verdicts, keyed by (upper, lower), and the entries charged to it."""
+
+    __slots__ = ("work",)  # an instance dict would slow every charge
+
+    def __init__(self) -> None:
+        self.work = 0
+
+    def charge(self, entries: int) -> None:
+        self.work += entries
+        if self.work > WORK_BOUND:
+            raise TooLargeError(f"walk scans more than WORK_BOUND = {WORK_BOUND} lattice entries")
 
 
 def _orders(
@@ -141,7 +142,7 @@ def _orders(
     entries yield nothing.
     """
     low = None if lower is None else model.entry(lower)
-    for e in _below_list(model, upper):  # _between, in place: lazy, with no generator below
+    for e in _below_list(model, upper):  # lazy, with no generator below
         if low is not None and (low.key & e.key != low.key or e is low):
             continue
         rel = e.data if low is None else _quotient(model, e.data, low.data)
@@ -259,25 +260,29 @@ def _step_violations(
             return
 
 
-def _separated(model: HiggsObjectModel, upper: str, rank: int) -> set[int]:
+def _separated(model: HiggsObjectModel, upper: str, rank: int, walk: _Walk) -> set[int]:
     """The keys, 0 for zero, of lower steps a blocker separates from upper, of this rank.
 
-    A blocker M has 0 < rank M < rank E and p not below p(E) (one compare per distinct
-    sheaf); the memo's "blockers" keeps each with its shadow, 0 and the keys below M of
-    rank below M's.  Upper unions the shadows of the blockers below it of lower rank.
+    A blocker M has 0 < rank M < rank E and p not below p(E); the memo's "blockers",
+    charged n each, keeps each with its shadow, 0 and the keys below M of rank below M's.
+    Upper unions the shadows of the blockers below it of lower rank, charged by size.
     """
     if (blockers := model._memo.get("blockers")) is None:
         high = {id(e.data) for e in model.distinct if 0 < e.data.rank < model.data.rank
                 and compare_p(e.data, model.data) is not EventualOrder.PRECEDES}
+        tops = [e for e in model.subobjects if id(e.data) in high]
+        walk.charge(len(model.subobjects) * len(tops))
         blockers = model._memo["blockers"] = {
             e.id: {0, *(x.key for x in _below_list(model, e.id) if x.data.rank < e.data.rank)}
-            for e in model.subobjects if id(e.data) in high}
-    return set().union(*[blockers[e.id] for e in _below_list(model, upper)
-                         if e.id in blockers and e.data.rank < rank])
+            for e in tops}
+    shadows = [blockers[e.id] for e in _below_list(model, upper)
+               if e.id in blockers and e.data.rank < rank]
+    walk.charge(sum(map(len, shadows)))
+    return set().union(*shadows)
 
 
 def _steps(
-    model: HiggsObjectModel, kind: FiltrationKind, upper: str, passes: dict,
+    model: HiggsObjectModel, kind: FiltrationKind, upper: str, walk: _Walk,
     above: Optional[NumericalSheafData] = None,
 ) -> Iterator[tuple[Optional[str], NumericalSheafData]]:
     """Each passing step down from upper, as (lower, upper/lower): zero first, then in id order.
@@ -296,12 +301,14 @@ def _steps(
     (StrictDecrease).  _sheaf_delta telescopes, so rank and chi of low are the sums of
     its pieces', and p(low), their rank-weighted mean, is above p(upper/low) too.
     StrictDecrease against above runs next; then whether _step_violations yields a
-    violation decides, once per (upper, lower) step of the walk that owns passes.
+    violation decides, once per (upper, lower) step of the walk, charged for its scan.
     """
+    walk.charge(len(model.subobjects))
     data = model.data if upper == model.id else model.entry(upper).data
     hn = kind is FiltrationKind.HN
-    cut = () if hn else _separated(model, upper, data.rank)
-    for low in (None, *_below_list(model, upper)):
+    cut = () if hn else _separated(model, upper, data.rank, walk)
+    below = _below_list(model, upper)
+    for low in (None, *below):
         if cut and (0 if low is None else low.key) in cut:
             continue  # the JH cut: a blocker lies between low and upper
         lower, quotient = (None, data) if low is None else (low.id, _quotient(model, data, low.data))
@@ -312,10 +319,11 @@ def _steps(
             continue  # the HN cut: no HN chain steps down to low
         if above and quotient.rank > 0 and compare_p(above, quotient) is not EventualOrder.PRECEDES:
             continue
-        verdict = passes.get((upper, lower))
+        verdict = walk.get((upper, lower))
         if verdict is None:
+            walk.charge(len(below))  # the most _orders can scan
             rule = _step_violations(model, kind, upper, lower, quotient)
-            verdict = passes[upper, lower] = next(rule, None) is None
+            verdict = walk[upper, lower] = next(rule, None) is None
         if verdict:
             yield lower, quotient
 
@@ -325,24 +333,23 @@ def _search(model: HiggsObjectModel, kind: FiltrationKind) -> list[Filtration]:
 
     Chains grow down from the object through _steps, depth first; a prefix
     whose lowest step passes over zero is a chain, listed before its
-    extensions.  Each prefix visited is one search node, at most SEARCH_BOUND
-    of them.  HN visits no prefix under an entry that _steps's cut drops, and
-    the cut loses no chain, so the chains found are the same with it as
-    without it.  Pending prefixes sit on a stack: a recursive closure would
-    keep every chain alive until the collector runs.
+    extensions.  Each prefix visited is one search node, charged at its length,
+    as is each chain listed.  HN visits no prefix under an entry that _steps's
+    cut drops, and the cut loses no chain, so the chains found are the same
+    with it as without it.  Pending prefixes sit on a stack: a recursive
+    closure would keep every chain alive until the collector runs.
     """
     require_classifiable(model)
     found: list[Filtration] = []
-    passes, nodes = {}, 0
+    walk = _Walk()
     stack: list[tuple[list[str], Optional[NumericalSheafData]]] = [([model.id], None)]
     while stack:
         steps, above = stack.pop()
-        nodes += 1
-        if nodes > SEARCH_BOUND:
-            raise TooLargeError(f"more than {SEARCH_BOUND} search nodes")
+        walk.charge(len(steps))
         deeper = []
-        for lower, quotient in _steps(model, kind, steps[-1], passes, above):
+        for lower, quotient in _steps(model, kind, steps[-1], walk, above):
             if lower is None:  # every step of the chain is known
+                walk.charge(len(steps))
                 found.append(_filtration(model, kind, _downward(kind, steps)))
             else:
                 deeper.append((steps + [lower], quotient if kind is FiltrationKind.HN else None))
@@ -365,42 +372,32 @@ def all_jordan_holder(model: HiggsObjectModel) -> list[Filtration]:
 def jordan_holder_census(model: HiggsObjectModel) -> tuple[int, set[Grading]]:
     """The number of Jordan-Holder chains and the set of their gradings, listing no chain.
 
-    JH steps read no prefix, so the chains from a node (the object or an
-    entry) down to zero depend on that node alone: _census finds each node's
-    count and gradings once, over its steps from _steps, on small ints (see
-    _census).  Scans count as lattice entries touched, one list of a node's
-    entries below plus one filter of it per entry below; work past CENSUS_BOUND
-    raises TooLargeError before it starts.  A path d nodes deep has 0, 1, ...,
-    d-1 entries or more below its nodes, so it scans about d^3/3: the bound
-    keeps d near 114.  The JH cut's shadows cost at most one filter of the entry
-    list per entry, within the n^2 charged at the object's node.
+    JH steps read no prefix, so _census finds each node's count and gradings once.  One
+    _Walk also bounds its recursion, a frame per node of a path E = N_0 > ... > N_d = 0:
+    each N_k, 0 < k < d, has p(E) (see _steps), so it is a blocker whose shadow holds 0
+    and N_(k+1), ..., N_(d-1), and N_j's step charges those shadows' sizes.  Depth r
+    costs at least (r+1)r(r-1)/6, so WORK_BOUND keeps r at most 576.
     """
     _require_semistable(model)
     found: dict[Optional[str], tuple[int, set[tuple[int, ...]]]] = {None: (1, {()})}
     pieces: tuple[dict, dict] = ({}, {})  # id(quotient), then its invariants -> its int
-    _census(model, model.id, found, 0, pieces)
+    _census(model, model.id, found, _Walk(), pieces)
     count, gradings = found[model.id]
     invariants = list(pieces[1])  # in order of first sight, so a piece's int is its index
     return count, {_graded(invariants[i] for i in g) for g in gradings}
 
 
-def _census(model: HiggsObjectModel, upper: str, found: dict, scanned: int, pieces) -> int:
-    """Put the JH chains' count and gradings from upper to zero in found; return scanned.
+def _census(model: HiggsObjectModel, upper: str, found: dict, walk: _Walk, pieces) -> None:
+    """Put the JH chains' count and gradings from upper to zero in found.
 
-    Each node is visited once, so its step verdicts need a dict of its own only.  A
-    grading is a sorted tuple of ints: each step quotient gets one from pieces, by
+    A grading is a sorted tuple of ints: each step quotient gets one from pieces, by
     id() (the model holds every quotient), else by value, so equal values share one.
     """
-    scanned += len(model.subobjects)  # listing the entries below upper
-    if scanned <= CENSUS_BOUND:
-        scanned += len(_below_list(model, upper)) ** 2  # one filter of that list per lower
-    if scanned > CENSUS_BOUND:
-        raise TooLargeError(f"census scans more than {CENSUS_BOUND} lattice entries")
     by_id, by_value = pieces
     count, gradings = 0, set()
-    for lower, q in _steps(model, FiltrationKind.JH, upper, {}):  # zero ends one chain
+    for lower, q in _steps(model, FiltrationKind.JH, upper, walk):  # zero ends one chain
         if lower not in found:
-            scanned = _census(model, lower, found, scanned, pieces)
+            _census(model, lower, found, walk, pieces)
         below_count, below_gradings = found[lower]
         count += below_count
         piece = by_id.get(id(q))
@@ -408,7 +405,6 @@ def _census(model: HiggsObjectModel, upper: str, found: dict, scanned: int, piec
             piece = by_id[id(q)] = by_value.setdefault((q.rank, q.deg_h, q.chi), len(by_value))
         gradings.update(tuple(sorted((*g, piece))) for g in below_gradings)
     found[upper] = count, gradings
-    return scanned
 
 
 def grading(filt: Filtration) -> Grading:
@@ -434,14 +430,18 @@ def _destabilizer_step(
     distinct entries is ambiguous and aborts.
     """
     top = _step_quotient(model, model.id, bottom_id)
+    low = None if bottom_id is None else model.entry(bottom_id)
     best_p, best = (top.chi, top.rank), [(top.rank, None)]
-    for eid, rel in _between(model, model.id, bottom_id):
+    for e in model.subobjects:  # the entries above bottom, as in _orders
+        if low is not None and (low.key & e.key != low.key or e is low):
+            continue
+        rel = e.data if low is None else _quotient(model, e.data, low.data)
         if 0 < rel.rank < top.rank:
             order = compare_scaled(rel.chi, rel.rank, *best_p)
             if order is EventualOrder.SUCCEEDS:
                 best_p, best = (rel.chi, rel.rank), []
             if order is not EventualOrder.PRECEDES:
-                best.append((rel.rank, eid))
+                best.append((rel.rank, e.id))
     best_rank = max(r for r, _ in best)
     winners = [eid for r, eid in best if r == best_rank]
     if None in winners:

@@ -24,6 +24,7 @@ from higgs_lab import (
     ZeroRankError,
     chi_curve,
     compare_p,
+    filtration,
     gieseker_classify,
     normalized_p,
     realize,
@@ -513,6 +514,21 @@ def oracle_jordan_holder(model):
 
 def oracle_hn_chains(model):
     return oracle_chains(model, FiltrationKind.HN)
+
+
+def spy_on_steps(monkeypatch):
+    """Wrap filtration._steps; return the list it fills with (model id, kind, upper).
+
+    A walk calls _steps once per node it opens, so the list has one item per node.
+    """
+    steps, opened = filtration._steps, []
+
+    def spy(model, kind, upper, walk, above=None):
+        opened.append((model.id, kind, upper))
+        return steps(model, kind, upper, walk, above)
+
+    monkeypatch.setattr(filtration, "_steps", spy)
+    return opened
 
 
 def induced_model_failure():

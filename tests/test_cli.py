@@ -12,6 +12,7 @@ import subprocess
 import sys
 import tempfile
 import time
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -25,6 +26,7 @@ import higgs_lab.stability
 import higgs_lab.suite
 from higgs_lab import (
     EventualOrder,
+    FiltrationKind,
     Grading,
     HiggsChainSpec,
     HiggsObjectModel,
@@ -47,6 +49,7 @@ from conftest import (
     kahler_to_json,
     model_to_json,
     random_chain_spec,
+    spy_on_steps,
     torsion_closure_model,
 )
 
@@ -407,7 +410,7 @@ class TestVerify:
         [(["p(+)q", "p"], "B", ["r", "q(+)r"]), (["A(+)B"], "B(+)C", ["C"])],
         ids=["two-pairs", "the-sum"],
     )
-    def test_colliding_sum_labels_skip_the_pair(self, tmp_path, capsys, a_entries, b_id, b_entries):
+    def test_colliding_sum_labels_decide_the_pair(self, tmp_path, capsys, a_entries, b_id, b_entries):
         """Ids whose sum labels would clash, two pairs on one label or a pair on the sum's id:
         no model of the sum is built, so the pair is decided like any other."""
 
@@ -428,7 +431,7 @@ class TestVerify:
         assert line in lines, lines
         assert "checks: 15 passed, 0 failed, 0 skipped" in lines, lines
 
-    def test_product_family_limit(self, tmp_path, capsys):
+    def test_pairs_of_large_families_are_decided(self, tmp_path, capsys):
         # arrow-free chains of 5, 4 and 5 line bundles: families of (30+2)(14+2) = 512 and 1,024.
         # A chain pair is decided by max flow and any other pair by each factor's parts, whatever
         # the size of the family
@@ -474,7 +477,7 @@ class TestVerify:
         lines = [line for line in capsys.readouterr().out.splitlines() if "(+)" in line]
         assert lines == ["pass direct_sum                 A (+) B  sum_semistable=True parts=True"]
 
-    def test_only_declared_pairs_reach_the_product_family(self, monkeypatch, tmp_path, capsys):
+    def test_only_declared_pairs_reach_sum_semistable(self, monkeypatch, tmp_path, capsys):
         """Chain pairs are summed by chain_sum; sum_semistable serves declared pairs."""
         calls = []
         real = suite.sum_semistable
@@ -557,14 +560,15 @@ class TestVerify:
             (6, "pass jh_grading_invariance      E  720 chain(s), 1 grading(s)"),
             (7, "pass jh_grading_invariance      E  5040 chain(s), 1 grading(s)"),
             (8, "pass jh_grading_invariance      E  40320 chain(s), 1 grading(s)"),
-            (10, "skip jh_grading_invariance      E  census scans more than 500000"
-                 " lattice entries"),
+            (10, "pass jh_grading_invariance      E  3628800 chain(s), 1 grading(s)"),
+            (12, "skip jh_grading_invariance      E  walk scans more than WORK_BOUND ="
+                 " 32000000 lattice entries"),
         ],
-        ids=["m6", "m7", "m8", "m10"],
+        ids=["m6", "m7", "m8", "m10", "m12"],
     )
     def test_equal_degree_chain_search_lines(self, tmp_path, capsys, size, jh_line):
-        # the JH census counts m! chains up to m=8 and meets its work bound past it;
-        # the HN search stays within its node bound throughout
+        # the JH census counts m! chains up to m=11 (13.5M of WORK_BOUND's 32M at 11)
+        # and meets the bound past it; the HN search opens the object alone throughout
         doc = {
             "ambient": {"n": 1, "genus": 1, "degH": 1},
             "objects": [{"type": "chain", "id": "E", "degrees": [0] * size}],
@@ -581,15 +585,21 @@ class TestVerify:
         "rank, jh_line",
         [
             (113, "pass jh_grading_invariance      E  1 chain(s), 1 grading(s)"),
-            (114, "skip jh_grading_invariance      E  census scans more than 500000"
-                  " lattice entries"),
+            (571, "pass jh_grading_invariance      E  1 chain(s), 1 grading(s)"),
+            (572, "skip jh_grading_invariance      E  walk scans more than WORK_BOUND ="
+                  " 32000000 lattice entries"),
+            (1200, "skip jh_grading_invariance      E  walk scans more than WORK_BOUND ="
+                   " 32000000 lattice entries"),
         ],
-        ids=["n113", "n114"],
+        ids=["n113", "n571", "n572", "n1200"],
     )
     def test_census_bound_on_a_declared_nested_chain(self, tmp_path, capsys, rank, jh_line):
         # E of rank n declares one entry of each rank below it, nested and all of slope 0:
-        # one JH chain, n steps deep.  Its census scans n(n-1) + (n-1)^2 plus (k-1)^2 for
-        # each k < n: 487,256 entries at n=113 and 500,251 at n=114, past CENSUS_BOUND
+        # one JH chain, n steps deep, and every entry is a blocker.  F_k's step unions the
+        # shadows of F_1, ..., F_(k-1), of 1, ..., k-1 keys, so the census charges about
+        # n^3/6: 31,841,245 at n=571 and 32,007,405 at n=572.  That charge stops the
+        # recursion, one frame per node, well before Python's limit of 1,000 frames: the
+        # census of rank 1200 ends in a skip line, not a RecursionError
         sheaf = lambda r: {"rank": r, "degH": "0", "chi": ["0", str(r)]}
         entries = [{"id": f"F{k}", "data": sheaf(k), "quotient": sheaf(rank - k),
                     "contains": [f"F{j}" for j in range(1, k)]} for k in range(1, rank)]
@@ -647,17 +657,25 @@ class TestVerify:
 
     def test_the_search_bound_skips_hn_uniqueness(self, monkeypatch, capsys):
         # split's HN search opens 2 nodes: the object and {1}, of degree 1 over a
-        # quotient of degree -1; the HN cut drops {2}, whose p is below its quotient's
-        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 1)
+        # quotient of degree -1; the HN cut drops {2}, whose p is below its quotient's.
+        # It charges 13: the object's prefix 1, its 2 entries listed and scanned once
+        # for each step it decides (over zero and over {1}); {1}'s prefix 2, its listing
+        # 2, and 2 for the chain.  hitchin's census charges 3 and its HN search 4
+        monkeypatch.setattr(higgs_lab.filtration, "WORK_BOUND", 13)
         assert self.skips(capsys, HITCHIN_PAIR) == [
             "skip jh_grading_invariance      split  object is unstable",
-            "skip hn_uniqueness              split  more than 1 search nodes",
+        ]
+        monkeypatch.setattr(higgs_lab.filtration, "WORK_BOUND", 12)
+        assert self.skips(capsys, HITCHIN_PAIR) == [
+            "skip jh_grading_invariance      split  object is unstable",
+            "skip hn_uniqueness              split  walk scans more than WORK_BOUND = 12"
+            " lattice entries",
         ]
 
     def test_walls_pass_hn_uniqueness_within_64_search_nodes(self, monkeypatch, tmp_path, capsys):
         # the HN cut opens 29 nodes on ramp and 16 on steps; without it each search
-        # opens all 255 nonzero masks of 8 summands, and both lines skip
-        monkeypatch.setattr(higgs_lab.filtration, "SEARCH_BOUND", 64)
+        # would open all 255 nonzero masks of 8 summands
+        opened = spy_on_steps(monkeypatch)
         path = tmp_path / "walls.json"
         path.write_text(json.dumps(walls_file()))
         assert run(["verify", str(path)]) == 0
@@ -666,6 +684,8 @@ class TestVerify:
             "pass hn_uniqueness              ramp  1 valid chain(s) by search",
             "pass hn_uniqueness              steps  1 valid chain(s) by search",
         ]
+        assert {kind for _, kind, _ in opened} == {FiltrationKind.HN}  # both are unstable
+        assert Counter(oid for oid, _, _ in opened) == {"ramp": 29, "steps": 16}
 
 
 class TestFuzz:
@@ -1402,15 +1422,15 @@ def test_flag_fuzz_exits_cleanly(argv):
 def test_the_environment_cannot_change_a_report(tmp_path, monkeypatch, capsys, command):
     """Bound-like variables, set to a tiny bound or to no number, change no output.
 
-    The search bounds are module constants: a report depends on the file, the
-    flags and the seed alone.  Each command runs the HN search past 2 nodes.
+    The work bound is a module constant: a report depends on the file, the flags
+    and the seed alone.  Each command runs an HN search that charges more than 2.
     """
     chain = tmp_path / "chain.json"
     chain.write_text(json.dumps({"ambient": {"n": 1, "genus": 1, "degH": 1},
                                  "objects": [{"type": "chain", "id": "E", "degrees": [0] * 5}]}))
     argv = {"hitchin": ["verify", str(HITCHIN_PAIR)], "chain": ["verify", str(chain)],
             "fuzz": ["fuzz", "--seed", "0", "--count", "20"]}[command]
-    names = [f"HIGGS_LAB_{name}" for name in ("MAX_CHAINS", "SEARCH_BOUND", "CENSUS_BOUND")]
+    names = [f"HIGGS_LAB_{name}" for name in ("MAX_CHAINS", "WORK_BOUND")]
     outcomes = []
     for value in (None, "2", "abc"):
         for name in names:

@@ -61,6 +61,7 @@ from conftest import (
     poly,
     random_chain_spec,
     shared_sheaf_model,
+    spy_on_steps,
     surface_entry,
     surface_model,
     torsion_closure_model,
@@ -307,7 +308,7 @@ class TestStepQuery:
         # every nested index set is an upper: 2^m - 1 of them, each listed once
         # and queried once over zero; the parent listed one upper per prefix
         listings = []
-        real, scan = filtration._between, filtration._orders
+        scan = filtration._orders
 
         def counted(model, upper, lower, quotient):  # the step scan lists upper's entries
             if lower is None:
@@ -316,7 +317,7 @@ class TestStepQuery:
 
         def depth_first(f):  # each step's place among [None, *lowers] of the step above
             steps = [*filtration._downward(f.kind, f.steps), None]
-            return [[None, *(gid for gid, _ in real(m, upper, None))].index(lower)
+            return [[None, *(e.id for e in filtration._below_list(m, upper))].index(lower)
                     for upper, lower in zip(steps, steps[1:])]
 
         monkeypatch.setattr(filtration, "_orders", counted)
@@ -618,17 +619,30 @@ class TestAllJordanHolder:
             assert {f.steps for f in oracle} == {f.steps for f in chains}
 
     def test_search_bound(self, monkeypatch):
-        m = curve_chain(1, 1, (0, 0, 0))
-        # JH visits the object, the 3 planes under it (stable line quotients) and
-        # 2 lines under each plane; HN visits the object alone: each plane or line
-        # L under it has p(L) equal to p(E/L), so the HN cut opens no node below E
-        for search, nodes, chains in ((all_jordan_holder, 1 + 3 + 3 * 2, 6),
-                                      (all_harder_narasimhan, 1, 1)):
-            monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes)
-            assert len(search(m)) == chains
-            monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes - 1)
-            with pytest.raises(TooLargeError, match=f"^more than {nodes - 1} search nodes$"):
-                search(m)
+        # JH opens the object, the 3 planes under it (stable line quotients) and 2 lines
+        # under each plane; of the 6 entries, each a blocker, the lines' shadows hold 1 key
+        # and the planes' 3.  The object's node charges its prefix 1, its listing 6, the
+        # blockers table 6 * 6, the shadows 3 * 1 + 3 * 3 and one scan of its 6 entries
+        # below per plane; a plane's node 2 + 6 + 2 * 1 (shadows) + 2 * 2 (scans); a
+        # line's 3 + 6, no shadow, no scan, and 3 for the chain it lists.  HN opens the
+        # object alone (each plane or line L has p(L) equal to p(E/L), so the HN cut drops
+        # it): 1 + 6, a scan of 6 for its step over zero, and 1 for the chain
+        jh = (1 + 6 + 6 * 6 + 3 * 1 + 3 * 3 + 3 * 6) + 3 * (2 + 6 + 2 + 4) + 6 * (3 + 6 + 3)
+        for search, work, chains in ((all_jordan_holder, jh, 6),
+                                     (all_harder_narasimhan, 1 + 6 + 6 + 1, 1)):
+            monkeypatch.setattr(filtration, "WORK_BOUND", work)
+            assert len(search(curve_chain(1, 1, (0, 0, 0)))) == chains  # a fresh memo each
+            monkeypatch.setattr(filtration, "WORK_BOUND", work - 1)
+            with pytest.raises(TooLargeError, match=f"^walk scans more than WORK_BOUND = "
+                                                    f"{work - 1} lattice entries$"):
+                search(curve_chain(1, 1, (0, 0, 0)))
+
+    def test_the_work_bound_stops_the_equal_degree_chain_of_nine(self):
+        # 40,320 chains of 8 are listed; the 362,880 of 9 would open 623,530 nodes, each
+        # charged at least its 510 entries listed
+        assert len(all_jordan_holder(curve_chain(1, 1, (0,) * 8))) == 40320
+        with pytest.raises(TooLargeError, match="^walk scans more than WORK_BOUND = 32000000"):
+            all_jordan_holder(curve_chain(1, 1, (0,) * 9))
 
     def test_unstable_rejected(self):
         with pytest.raises(NotSemistableError):
@@ -763,13 +777,25 @@ class TestJordanHolderCensus:
             jordan_holder_census(curve_chain(0, 1, (2, 0)))
 
     def test_work_bound(self, monkeypatch):
-        # m=3 lists 7 uppers' entries below (6 each) and filters them 6^2 + 3 * 2^2 times
+        # m=3 visits 7 nodes once each, one walk for all: the object charges 6 (listing),
+        # 6 * 6 (the blockers table), 3 * 1 + 3 * 3 (shadows) and 3 * 6 (a scan per plane),
+        # each plane 6 + 2 + 2 * 2, and each line 6; the table is built once per model
+        work = (6 + 6 * 6 + 3 * 1 + 3 * 3 + 3 * 6) + 3 * (6 + 2 + 2 * 2) + 3 * 6
+        monkeypatch.setattr(filtration, "WORK_BOUND", work)
         m = curve_chain(1, 1, (0, 0, 0))
-        monkeypatch.setattr(filtration, "CENSUS_BOUND", 7 * 6 + 6**2 + 3 * 2**2)
         assert jordan_holder_census(m)[0] == 6
-        monkeypatch.setattr(filtration, "CENSUS_BOUND", 7 * 6 + 6**2 + 3 * 2**2 - 1)
-        with pytest.raises(TooLargeError, match="census scans more than 89 lattice entries"):
+        assert jordan_holder_census(m)[0] == 6  # with the table made: 36 less
+        monkeypatch.setattr(filtration, "WORK_BOUND", work - 1)
+        with pytest.raises(TooLargeError, match="^walk scans more than WORK_BOUND = 125 lattice"):
+            jordan_holder_census(curve_chain(1, 1, (0, 0, 0)))
+
+    def test_the_blockers_table_is_charged_before_it_is_built(self):
+        # all 16,382 entries of the equal-degree chain of 14 are blockers: the table
+        # would list 16,382 entries for each, 268M in all, past WORK_BOUND
+        m = curve_chain(1, 1, (0,) * 14)
+        with pytest.raises(TooLargeError, match="^walk scans more than WORK_BOUND"):
             jordan_holder_census(m)
+        assert "blockers" not in m._memo
 
     def test_an_unshared_twin_has_the_same_census(self):
         # fuzzed chains, then equal-degree chains of up to 6 summands with random arrows
@@ -929,11 +955,25 @@ class TestAllHarderNarasimhan:
     def test_search_nodes_under_the_cut(self, monkeypatch, degrees, nodes):
         # without the cut each of these searches opens all 2^m - 1 nonzero masks
         m = curve_chain(2, 1, degrees)
-        monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes)
+        opened = spy_on_steps(monkeypatch)
         assert all_harder_narasimhan(m) == [harder_narasimhan(m)]
-        monkeypatch.setattr(filtration, "SEARCH_BOUND", nodes - 1)
-        with pytest.raises(TooLargeError, match=f"^more than {nodes - 1} search nodes$"):
+        assert len(opened) == nodes
+
+
+def test_constructions_never_meet_the_work_bound(monkeypatch):
+    # a bound of 0 stops every walk at its first charge, and no construction walks
+    monkeypatch.setattr(filtration, "WORK_BOUND", 0)
+    models = [obj.model for obj in load(HITCHIN_PAIR).objects] + [curve_chain(1, 1, (0,) * 5)]
+    built = []
+    for m in models:
+        for construct in (jordan_holder, harder_narasimhan):
+            if construct is harder_narasimhan or gieseker_classify(m).semistable:
+                filt = construct(m)
+                assert verify_filtration(m, filt) == []
+                built.append((m.id, filt.kind))
+        with pytest.raises(TooLargeError):
             all_harder_narasimhan(m)
+    assert len(built) == 5  # the unstable split has no JH filtration
 
 
 def zero_entry_model():
