@@ -2,7 +2,10 @@
 
 Reports are deterministic for a given file, flags, and seed; no environment
 variable plays a part.  Exit codes: 0 when every check passes, 1 when a check
-fails (the counterexample is in the report), 2 on input errors.
+fails (the counterexample is in the report), 2 on input errors.  A line led by a
+command name is parsed by that command's parser alone; the full parser, with
+every command's, is built only for any other line or one with arguments left
+over, and either way the output is the same.
 """
 
 from __future__ import annotations
@@ -232,57 +235,70 @@ def _cmd_fuzz(args) -> int:
     return _suite_report(args, objects, False, seed=args.seed, count=args.count)
 
 
-@functools.cache  # one parser per process: each build leaves cycles for the collector
+_FILE = ("file", {})
+_OBJECT = ("--object", {"required": True})
+_FORMAT = ("--format", {"choices": ("table", "json"), "default": "table", "help": "report format"})
+COMMANDS = {  # name: (help, handler, arguments as (name or flag, add_argument options))
+    "analyze": ("classify every object in a file", _cmd_analyze, (_FILE, _FORMAT)),
+    "jh": ("Jordan-Holder filtration of one object", _cmd_filtration, (_FILE, _OBJECT, _FORMAT)),
+    "hn": ("Harder-Narasimhan filtration of one object", _cmd_filtration,
+           (_FILE, _OBJECT, _FORMAT)),
+    "verify": ("run the theorem suite over a file", _cmd_verify, (_FILE, _FORMAT)),
+    "fuzz": ("run the theorem suite over random chains", _cmd_fuzz, (
+        ("--seed", {"type": int, "default": 0}), ("--count", {"type": int, "default": 100}),
+        ("--max-rank", {"type": int, "default": 4}), ("--genus", {"type": int, "default": 2}),
+        _FORMAT)),
+}
+
+
+def _with_arguments(parser: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    for argument, options in COMMANDS[name][2]:
+        parser.add_argument(argument, **options)
+    return parser
+
+
+# one parser of each kind per process: each build leaves cycles for the collector
+@functools.cache
+def _command_parser(name: str) -> argparse.ArgumentParser:
+    """The parser that _parser() makes for one command, built alone."""
+    return _with_arguments(argparse.ArgumentParser(prog=f"higgs-lab {name}"), name)
+
+
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="higgs-lab",
         description="Exact stability calculus for finitely presented Higgs-sheaf models",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_format(p):
-        p.add_argument(
-            "--format", choices=("table", "json"), default="table", help="report format"
-        )
-
-    p = sub.add_parser("analyze", help="classify every object in a file")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("jh", help="Jordan-Holder filtration of one object")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    add_format(p)
-
-    p = sub.add_parser("hn", help="Harder-Narasimhan filtration of one object")
-    p.add_argument("file")
-    p.add_argument("--object", required=True)
-    add_format(p)
-
-    p = sub.add_parser("verify", help="run the theorem suite over a file")
-    p.add_argument("file")
-    add_format(p)
-
-    p = sub.add_parser("fuzz", help="run the theorem suite over random chains")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--count", type=int, default=100)
-    p.add_argument("--max-rank", type=int, default=4)
-    p.add_argument("--genus", type=int, default=2)
-    add_format(p)
-
+    for name, (text, _, _) in COMMANDS.items():
+        _with_arguments(sub.add_parser(name, help=text), name)
     return parser
+
+
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """argv parsed as _parser() parses it, by the named command's parser alone where it can be.
+
+    The full parser hands everything after the command name to that command's parser
+    with parse_known_args; only a line that no command name leads, or one that leaves
+    arguments over (an error printed with the top-level usage), needs it built.
+    """
+    if argv and argv[0] in COMMANDS:
+        args, rest = _command_parser(argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            args.command = argv[0]
+            return args
+    return _parser().parse_args(argv)
 
 
 def run(argv: Sequence[str]) -> int:
     """Run one command; the only place an error becomes an `error:` line and exit code."""
     try:
-        args = _parser().parse_args(list(argv))
+        args = _parse(list(argv))
     except SystemExit as exc:
         return EXIT_INPUT_ERROR if exc.code not in (0, None) else EXIT_OK
-    commands = {"analyze": _cmd_analyze, "jh": _cmd_filtration, "hn": _cmd_filtration,
-                "verify": _cmd_verify, "fuzz": _cmd_fuzz}
     try:
-        return commands[args.command](args)
+        return COMMANDS[args.command][1](args)
     except BrokenInvariantError as exc:
         print(f"error: under-declared family: {exc}", file=sys.stderr)
         return EXIT_CHECK_FAILED

@@ -120,10 +120,11 @@ def _below_list(model: HiggsObjectModel, upper: str) -> Sequence[SubobjectEntry]
 class _Walk(dict):
     """One walk's step verdicts, keyed by (upper, lower), and the entries charged to it."""
 
-    __slots__ = ("work",)  # an instance dict would slow every charge
+    __slots__ = ("work", "blockers")  # an instance dict would slow every charge
 
     def __init__(self) -> None:
         self.work = 0
+        self.blockers: Optional[dict[str, set[int]]] = None  # the model's, once charged
 
     def charge(self, entries: int) -> None:
         self.work += entries
@@ -263,18 +264,24 @@ def _step_violations(
 def _separated(model: HiggsObjectModel, upper: str, rank: int, walk: _Walk) -> set[int]:
     """The keys, 0 for zero, of lower steps a blocker separates from upper, of this rank.
 
-    A blocker M has 0 < rank M < rank E and p not below p(E); the memo's "blockers",
-    charged n each, keeps each with its shadow, 0 and the keys below M of rank below M's.
-    Upper unions the shadows of the blockers below it of lower rank, charged by size.
+    A blocker M has 0 < rank M < rank E and p not below p(E); the memo's "blockers"
+    keeps each with its shadow, 0 and the keys below M of rank below M's.  It is built
+    once per model, and charged n per blocker to every walk that reads it, so a walk's
+    work does not depend on the walks before it.  Upper unions the shadows of the
+    blockers below it of lower rank, charged by size.
     """
-    if (blockers := model._memo.get("blockers")) is None:
-        high = {id(e.data) for e in model.distinct if 0 < e.data.rank < model.data.rank
-                and compare_p(e.data, model.data) is not EventualOrder.PRECEDES}
-        tops = [e for e in model.subobjects if id(e.data) in high]
-        walk.charge(len(model.subobjects) * len(tops))
-        blockers = model._memo["blockers"] = {
-            e.id: {0, *(x.key for x in _below_list(model, e.id) if x.data.rank < e.data.rank)}
-            for e in tops}
+    if (blockers := walk.blockers) is None:
+        if (blockers := model._memo.get("blockers")) is not None:
+            walk.charge(len(model.subobjects) * len(blockers))
+        else:
+            high = {id(e.data) for e in model.distinct if 0 < e.data.rank < model.data.rank
+                    and compare_p(e.data, model.data) is not EventualOrder.PRECEDES}
+            tops = [e for e in model.subobjects if id(e.data) in high]
+            walk.charge(len(model.subobjects) * len(tops))
+            blockers = model._memo["blockers"] = {
+                e.id: {0, *(x.key for x in _below_list(model, e.id) if x.data.rank < e.data.rank)}
+                for e in tops}
+        walk.blockers = blockers
     shadows = [blockers[e.id] for e in _below_list(model, upper)
                if e.id in blockers and e.data.rank < rank]
     walk.charge(sum(map(len, shadows)))

@@ -1,5 +1,6 @@
 """Command line behavior: reports, determinism, and exit codes."""
 
+import argparse
 import contextlib
 import copy
 import dataclasses
@@ -20,6 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import higgs_lab.chern
+import higgs_lab.cli
 import higgs_lab.filtration
 import higgs_lab.model
 import higgs_lab.stability
@@ -1416,6 +1418,58 @@ def test_flag_fuzz_exits_cleanly(argv):
     if code == 2:
         errors = [line for line in err.getvalue().splitlines() if "error:" in line]
         assert len(errors) == 1, (argv, err.getvalue())
+
+
+def _outcome(argv):
+    """(exit code, stdout, stderr) of run(argv)."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(argv=command_lines())
+def test_a_line_parses_as_the_full_parser_parses_it(argv):
+    """Parsing by the command's parser alone changes no exit code, stdout or stderr."""
+    alone = _outcome(argv)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(higgs_lab.cli, "_parse", lambda line: higgs_lab.cli._parser().parse_args(line))
+        assert _outcome(argv) == alone, argv
+
+
+@pytest.mark.parametrize("columns", [None, "40"])
+@pytest.mark.parametrize("name", list(higgs_lab.cli.COMMANDS))
+def test_a_command_parser_is_the_full_parsers_subparser(monkeypatch, name, columns):
+    if columns is not None:
+        monkeypatch.setenv("COLUMNS", columns)
+    sub = next(a for a in higgs_lab.cli._parser()._actions
+               if isinstance(a, argparse._SubParsersAction)).choices[name]
+    alone = higgs_lab.cli._command_parser(name)
+    assert alone.format_usage() == sub.format_usage()
+    assert alone.format_help() == sub.format_help()
+
+
+@pytest.mark.parametrize("argv", [
+    ["analyze", str(HITCHIN_PAIR)], ["jh", str(HITCHIN_PAIR), "--object", "hitchin"],
+    ["hn", str(HITCHIN_PAIR), "--object=split"], ["verify", str(HITCHIN_PAIR), "--format", "json"],
+    ["fuzz", "--count", "1"],
+])
+def test_a_valid_line_builds_no_full_parser(argv, capsys):
+    higgs_lab.cli._parser.cache_clear()
+    assert run(argv) == 0
+    assert higgs_lab.cli._parser.cache_info().currsize == 0
+
+
+def test_a_stray_argument_is_named_under_the_top_level_usage(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # the usage on one line
+    higgs_lab.cli._parser.cache_clear()
+    assert run(["analyze", str(HITCHIN_PAIR), "stray"]) == 2
+    assert higgs_lab.cli._parser.cache_info().currsize == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("usage: higgs-lab [-h] {analyze,jh,hn,verify,fuzz} ...")
+    assert captured.err.endswith("\nhiggs-lab: error: unrecognized arguments: stray\n")
 
 
 @pytest.mark.parametrize("command", ["hitchin", "chain", "fuzz"])

@@ -19,9 +19,11 @@ saturation, hn on the first chain, and verify on the equal-degree chain of 9
 (see census_commands); analyze, verify, jh and hn on 31 malformed declared
 files, each a 1,022-entry object with one fault of a kind in FAULTS at its
 first, middle or last entry, or two faults of different kinds in two entries;
-and verify, in both formats, on three files of pairs with large sums (see
-pair_commands).  That is 238 commands.  Input files are written
-here from plain JSON, never by either tree's serializers.
+verify, in both formats, on three files of pairs with large sums (see
+pair_commands); and 67 command lines that exercise the argument parser, each
+run as it is and again with COLUMNS=40 (see parser_commands).  That is 372
+commands.  Input files are written here from plain JSON, never by either
+tree's serializers.
 """
 
 from __future__ import annotations
@@ -151,7 +153,8 @@ def command_set(work: Path) -> list[list[str]]:
             commands.append(["verify", str(walls), "--format", fmt])
             commands += [["hn", str(walls), "--object", oid, "--format", fmt]
                          for oid in ("ramp", "steps") if size < 12]
-    return commands + census_commands(work) + malformed_commands(work) + pair_commands(work)
+    return (commands + census_commands(work) + malformed_commands(work) + pair_commands(work)
+            + parser_commands())
 
 
 def census_commands(work: Path) -> list[list[str]]:
@@ -207,8 +210,52 @@ def pair_commands(work: Path) -> list[list[str]]:
     return commands
 
 
-def outcome(src: Path, argv: list[str]) -> tuple[int, str, str]:
+def parser_commands() -> list[list[str]]:
+    """Command lines that exercise the argument parser: help, usage errors and flag forms.
+
+    Top-level -h and --help, -h under each command, an unknown command and an
+    empty line; a missing file, --object or flag value, and a repeated flag;
+    abbreviated flags and --flag=value; -- before, inside and after a command,
+    and stray positionals; bad choices and unknown flags; a bad int and negative
+    numbers.  Every fuzz line that parses runs at most one object.
+    """
+    pair = str(ROOT / "docs" / "hitchin_pair.json")
+    commands = [["-h"], ["--help"], ["frobnicate"], ["frobnicate", pair], [], [""], ["-x"],
+                ["--", "analyze", pair], ["-h", "analyze"], ["--format", "json", "analyze", pair]]
+    commands += [[name, "-h"] for name in ("analyze", "jh", "hn", "verify", "fuzz")]
+    commands += [["analyze", pair, "--help"], ["jh", "--help", pair], ["verify", pair, "-h", "x"]]
+    commands += [  # missing arguments and repeated flags
+        ["analyze"], ["verify", "--format", "json"], ["jh", pair], ["hn", "--object", "split"],
+        ["jh", pair, "--object"], ["analyze", pair, "--format"], ["analyze", "/no/such/file.json"],
+        ["jh", pair, "--object", "nope"], ["analyze", pair, "--format", "json", "--format", "table"],
+        ["hn", pair, "--object", "split", "--object", "hitchin"],
+        ["fuzz", "--count", "1", "--count", "0"]]
+    commands += [  # abbreviated flags and --flag=value
+        ["jh", pair, "--obj", "hitchin"], ["hn", pair, "--o", "split", "--form", "json"],
+        ["analyze", pair, "--form", "json"], ["fuzz", "--count", "1", "--max", "2"],
+        ["fuzz", "--co", "0", "--gen", "1", "--s", "4"], ["jh", pair, "--object=hitchin"],
+        ["hn", pair, "--object=split", "--format=json"], ["verify", pair, "--format=xml"],
+        ["fuzz", "--count=1", "--seed=3", "--max-rank=2", "--genus=0"], ["fuzz", "--count="]]
+    commands += [  # --, stray positionals, bad choices and unknown flags
+        ["analyze", "--", pair], ["analyze", pair, "--"], ["jh", pair, "--object", "hitchin", "--"],
+        ["verify", "--", pair, "extra"], ["fuzz", "--", "1"], ["fuzz", "--count", "0", "--"],
+        ["analyze", pair, "extra"], ["verify", pair, "x", "y"], ["fuzz", "stray"],
+        ["jh", pair, "--object", "hitchin", "stray"], ["analyze", ""], ["analyze", pair, ""],
+        ["analyze", pair, "--format", "xml"], ["analyze", pair, "--bogus"],
+        ["fuzz", "--count", "0", "--bogus=3"], ["fuzz", "-x"], ["hn", pair, "-o", "split"],
+        ["verify", "--bogus", pair, "--format", "json"]]
+    commands += [  # bad ints and negative numbers
+        ["fuzz", "--count", "abc"], ["fuzz", "--seed", "1.5"], ["fuzz", "--seed", "-5", "--count", "1"],
+        ["fuzz", "-1"], ["fuzz", "--count", "-1"], ["fuzz", "--max-rank", "-3", "--count", "0"],
+        ["fuzz", "--seed", "--count", "1"], ["fuzz", "--genus", " 2", "--count", "0"],
+        ["fuzz", "--count", "0", "--seed", "1_000"], ["analyze", "-5"]]
+    return commands
+
+
+def outcome(src: Path, argv: list[str], columns: str | None = None) -> tuple[int, str, str]:
     env = {**os.environ, "PYTHONPATH": str(src)}
+    if columns is not None:  # the width argparse wraps help and usage to
+        env["COLUMNS"] = columns
     done = subprocess.run([sys.executable, "-m", "higgs_lab", *argv], env=env,
                           capture_output=True, text=True, check=False)
     return done.returncode, done.stdout, done.stderr
@@ -222,16 +269,19 @@ def main(argv: list[str]) -> int:
     old, new = (Path(a).resolve() for a in argv)
     differ = 0
     with tempfile.TemporaryDirectory() as tmp:
-        commands = command_set(Path(tmp))
-        for command in commands:
-            before, after = outcome(old, command), outcome(new, command)
+        runs = [(command, None) for command in command_set(Path(tmp))]
+        runs += [(command, "40") for command in parser_commands()]
+        for command, columns in runs:
+            before, after = outcome(old, command, columns), outcome(new, command, columns)
             if before != after:
                 differ += 1
                 shown = " ".join(command).replace(tmp, "$WORK")
+                if columns is not None:
+                    shown = f"COLUMNS={columns} {shown}"
                 parts = [p for p, a, b in zip(("exit code", "stdout", "stderr"), before, after)
                          if a != b]
                 print(f"DIFFER ({', '.join(parts)}): {shown}")
-    print(f"{len(commands)} commands, {differ} differ")
+    print(f"{len(runs)} commands, {differ} differ")
     return 1 if differ else 0
 
 
